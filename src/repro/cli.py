@@ -194,7 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            "(default: the system temp dir)")
     mine.add_argument("--max-sibling-replacements", type=int,
                       default=None, dest="max_sibling_replacements",
-                      help="cap Case-3 sibling replacements (1 = the paper's examples)")
+                      help="cap Case-3 sibling replacements (1 = the "
+                           "paper's examples, 0 = Case 3 off)")
     mine.add_argument("--trace", default=None, metavar="FILE",
                       dest="trace_path",
                       help="write a JSON-lines trace of spans and metrics "

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 
-from .._util import check_fraction, check_positive
+from .._util import check_fraction, check_nonnegative, check_positive
 from ..data.database import TransactionDatabase
 from ..data.filedb import FileBackedDatabase
 from ..errors import ConfigError
@@ -70,7 +70,7 @@ class MiningConfig:
         :func:`repro.measures.registry.register_measure`. Run
         ``python -m repro measures`` for the full capability table.
     max_size:
-        Optional cap on itemset size.
+        Optional cap on itemset size (at least 1).
     max_candidates_in_memory:
         Memory budget for the Improved miner's counting phase
         (Section 2.5); ``None`` = single batch.
@@ -84,8 +84,10 @@ class MiningConfig:
         body text's deviation predicate (DESIGN.md §3).
     max_sibling_replacements:
         Cap on sibling replacements per candidate; ``1`` matches the
-        paper's Case-3 examples and tames dense-data blow-up (see
+        paper's Case-3 examples and tames dense-data blow-up, ``0``
+        turns Case 3 off (see
         :func:`repro.core.candidates.generate_negative_candidates`).
+        Negative values are rejected.
     seed:
         Seed for the EstMerge sample, when used.
     n_jobs:
@@ -190,6 +192,12 @@ class MiningConfig:
                 "figure3_literal is the RI measure's literal Figure 3 "
                 f"predicate; it cannot combine with measure="
                 f"{self.measure!r}"
+            )
+        if self.max_size is not None:
+            check_positive(self.max_size, "max_size")
+        if self.max_sibling_replacements is not None:
+            check_nonnegative(
+                self.max_sibling_replacements, "max_sibling_replacements"
             )
         check_positive(self.n_jobs, "n_jobs")
         if self.shard_rows is not None:

@@ -25,20 +25,25 @@ admission rules:
 * when the same candidate arises from several large itemsets, "the largest
   value of the expected support is chosen" — enforced via the hash-table
   dedup of Section 2.4.
+
+The enumeration enforces the 1-item-subset rule by drawing replacements
+only from large 1-itemsets, and the ancestor and threshold rules while it
+descends, before a candidate is built; only the large-itemset test and
+the dedup run on complete candidates (see :func:`_expand`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from itertools import combinations
 
 from .._util import check_fraction
-from ..itemset import Itemset, replace_positions
+from ..itemset import Itemset
+from ..measures.ri import deviation_threshold
 from ..mining.generalized import contains_item_and_ancestor
 from ..mining.itemset_index import LargeItemsetIndex
 from ..taxonomy.tree import Taxonomy
-from .interest import deviation_threshold
 
 CASE_CHILDREN = "children"
 CASE_SIBLINGS = "siblings"
@@ -71,7 +76,8 @@ RatioPool = tuple[tuple[int, float], ...]
 
 
 class _RelativeCache:
-    """Large-filtered children/sibling ratio pools, computed per item.
+    """Large-filtered children/sibling ratio pools and related closures,
+    computed per item.
 
     A pool entry is ``(relative_item, sup(relative) / sup(item))`` — the
     expectation factor contributed by replacing *item* with the relative.
@@ -79,13 +85,16 @@ class _RelativeCache:
     enumeration can cut off as soon as the bound falls below threshold.
     """
 
-    __slots__ = ("_taxonomy", "_index", "_children", "_siblings")
+    __slots__ = (
+        "_taxonomy", "_index", "_children", "_siblings", "_related",
+    )
 
     def __init__(self, taxonomy: Taxonomy, index: LargeItemsetIndex) -> None:
         self._taxonomy = taxonomy
         self._index = index
         self._children: dict[int, RatioPool] = {}
         self._siblings: dict[int, RatioPool] = {}
+        self._related: dict[int, frozenset[int]] = {}
 
     def _pool(self, item: int, relatives: tuple[int, ...]) -> RatioPool:
         own_support = self._index.support_or_none((item,))
@@ -112,6 +121,20 @@ class _RelativeCache:
                 item, self._taxonomy.siblings(item)
             )
         return self._siblings[item]
+
+    def related(self, item: int) -> frozenset[int]:
+        """*item* with its ancestors and descendants: the items that may
+        not share a candidate with it. Built on first use, since most
+        nodes of a full taxonomy are never replacements."""
+        closure = self._related.get(item)
+        if closure is None:
+            closure = frozenset(
+                (item,)
+                + self._taxonomy.ancestors(item)
+                + self._taxonomy.descendants(item)
+            )
+            self._related[item] = closure
+        return closure
 
 
 def generate_negative_candidates(
@@ -149,7 +172,8 @@ def generate_negative_candidates(
         formula); ``1`` matches the paper's worked examples exactly and
         tames the exponential blow-up on dense data — sibling support
         ratios are often near 1, so unlike children replacements the
-        expectation threshold barely prunes them.
+        expectation threshold barely prunes them; ``0`` turns Case 3
+        off.
 
     Returns
     -------
@@ -185,7 +209,7 @@ def generate_negative_candidates(
             continue
         base = index.support(source)
         _expand(
-            source, base, cache, index, taxonomy, threshold,
+            source, base, cache, index, threshold,
             max_sibling_replacements, out,
         )
     return out
@@ -196,7 +220,6 @@ def _expand(
     base: float,
     cache: _RelativeCache,
     index: LargeItemsetIndex,
-    taxonomy: Taxonomy,
     threshold: float,
     max_sibling_replacements: int | None,
     out: dict[Itemset, NegativeCandidate],
@@ -205,15 +228,32 @@ def _expand(
 
     The raw enumeration is exponential (the Section 2.1.2 estimate), and
     the paper lists "more efficient candidate generation techniques" as
-    future work. This implementation contributes one: branch-and-bound on
-    the expectation threshold. Each position's replacement pool is sorted
-    by descending support ratio, so during the cross-product recursion an
-    exact upper bound on the achievable expectation is available; branches
-    (and whole position subsets) that cannot reach ``MinSup × MinRI`` are
-    cut. Only candidates that the threshold would reject anyway are
-    skipped, so the output is identical to exhaustive enumeration.
+    future work. This implementation contributes two cuts, each of which
+    skips only candidates that the admission rules reject anyway, so the
+    candidates and expectations equal an exhaustive cross-product's:
+
+    * **Expectation bound.** Each position's replacement pool is sorted
+      by descending support ratio, so the product of the best remaining
+      ratios is an exact upper bound on the achievable expectation.
+      Position subsets and branches that cannot reach
+      ``MinSup × MinRI`` are cut.
+    * **Conflicts.** The items a position subset keeps ("fixed") seed a
+      blocked set with their related closures (the item, its ancestors
+      and its descendants). A replacement in the blocked set would make
+      the candidate repeat an item or hold an item together with its
+      ancestor, so :func:`_descend` skips it when it is chosen, cutting
+      every candidate below it at once.
+
+    Only positions with a non-empty pool can be replaced, so subsets are
+    drawn from those alone, in the same order as from all positions.
+    The suffix products of best ratios that bound each depth are
+    computed once per subset.
     """
     size = len(source)
+    related = cache.related
+    # Fixed items and their blocked set depend only on the replaced
+    # positions, which both cases share.
+    kept: dict[tuple[int, ...], tuple[Itemset, frozenset[int]]] = {}
     for case, ratio_pools, proper_only in (
         (CASE_CHILDREN, cache.children_ratios, False),
         (CASE_SIBLINGS, cache.sibling_ratios, True),
@@ -221,78 +261,94 @@ def _expand(
         max_positions = size - 1 if proper_only else size
         if case == CASE_SIBLINGS and max_sibling_replacements is not None:
             max_positions = min(max_positions, max_sibling_replacements)
-        position_pools = [ratio_pools(source[p]) for p in range(size)]
-        for count in range(1, max_positions + 1):
-            for positions in combinations(range(size), count):
+        position_pools = [ratio_pools(item) for item in source]
+        live = [p for p in range(size) if position_pools[p]]
+        for count in range(1, min(max_positions, len(live)) + 1):
+            for positions in combinations(live, count):
                 pools = [position_pools[p] for p in positions]
-                if any(not pool for pool in pools):
-                    continue
+                bests = [pool[0][1] for pool in pools]
                 # Exact upper bound: best (first) ratio at every position.
                 bound = base
-                for pool in pools:
-                    bound *= pool[0][1]
+                for best in bests:
+                    bound *= best
                 if bound < threshold:
                     continue
+                # suffix[d]: product of the best ratios of pools[d:],
+                # multiplied left to right. Float products depend on
+                # their order, which decides borderline bound cuts.
+                suffix = [1.0] * (count + 1)
+                for depth in range(1, count):
+                    product = 1.0
+                    for best in bests[depth:]:
+                        product *= best
+                    suffix[depth] = product
+                if positions not in kept:
+                    fixed = tuple(
+                        item for p, item in enumerate(source)
+                        if p not in positions
+                    )
+                    kept[positions] = (
+                        fixed,
+                        frozenset().union(*map(related, fixed)),
+                    )
+                fixed, blocked = kept[positions]
                 _descend(
-                    source, positions, pools, 0, (), base, case,
-                    index, taxonomy, threshold, out,
+                    source, fixed, pools, suffix, 0, (), base, blocked,
+                    case, related, index, threshold, out,
                 )
 
 
 def _descend(
     source: Itemset,
-    positions: tuple[int, ...],
-    pools: list[tuple[tuple[int, float], ...]],
+    fixed: tuple[int, ...],
+    pools: list[RatioPool],
+    suffix: list[float],
     depth: int,
     chosen: tuple[int, ...],
     accumulated: float,
+    blocked: frozenset[int],
     case: str,
+    related: Callable[[int], frozenset[int]],
     index: LargeItemsetIndex,
-    taxonomy: Taxonomy,
     threshold: float,
     out: dict[Itemset, NegativeCandidate],
 ) -> None:
-    """Depth-first cross-product with expectation bound pruning."""
-    if depth == len(pools):
-        _admit(
-            source, positions, chosen, accumulated, case, index,
-            taxonomy, out,
-        )
-        return
-    remaining_best = 1.0
-    for pool in pools[depth + 1:]:
-        remaining_best *= pool[0][1]
+    """Depth-first cross-product with bound and conflict cuts.
+
+    At each depth a pool item is rejected when it is chosen: a bound
+    below threshold ends the pool (``break``, pools are ratio-descending),
+    and an item in *blocked* — related to a fixed or already chosen
+    item — is skipped with everything below it (``continue``). A chosen
+    item's related closure joins the blocked set passed down. A complete
+    assignment therefore has distinct, mutually unrelated items, and the
+    leaf only checks that the candidate is not already a large itemset
+    and keeps the maximum expectation.
+    """
+    rest = suffix[depth + 1]
+    leaf = depth + 1 == len(pools)
+    prefix = fixed + chosen
     for item, ratio in pools[depth]:
         value = accumulated * ratio
-        if value * remaining_best < threshold:
+        if value * rest < threshold:
             # Pools are ratio-descending: no later item can recover.
             break
-        _descend(
-            source, positions, pools, depth + 1, chosen + (item,),
-            value, case, index, taxonomy, threshold, out,
-        )
-
-
-def _admit(
-    source: Itemset,
-    positions: tuple[int, ...],
-    assignment: tuple[int, ...],
-    expectation: float,
-    case: str,
-    index: LargeItemsetIndex,
-    taxonomy: Taxonomy,
-    out: dict[Itemset, NegativeCandidate],
-) -> None:
-    candidate = replace_positions(source, positions, assignment)
-    if candidate is None or candidate in index:
-        return
-    if contains_item_and_ancestor(candidate, taxonomy):
-        return
-    existing = out.get(candidate)
-    if existing is None or expectation > existing.expected_support:
-        out[candidate] = NegativeCandidate(
-            items=candidate,
-            expected_support=expectation,
-            source=source,
-            case=case,
-        )
+        if item in blocked:
+            continue
+        if not leaf:
+            _descend(
+                source, fixed, pools, suffix, depth + 1, chosen + (item,),
+                value, blocked | related(item), case, related, index,
+                threshold, out,
+            )
+            continue
+        candidate = tuple(sorted(prefix + (item,)))
+        if candidate in index:
+            continue
+        existing = out.get(candidate)
+        if existing is None or value > existing.expected_support:
+            out[candidate] = NegativeCandidate(
+                items=candidate,
+                expected_support=value,
+                source=source,
+                case=case,
+            )

@@ -3,14 +3,24 @@
 Pins the exact numeric outputs of the full pipeline on the deterministic
 Table-1 rendition (see test_paper_example): any change to counting,
 expectation, dedup, thresholds or rule generation that shifts these
-numbers — even slightly — fails here first.
+numbers — even slightly — fails here first. A candidate-generation
+fingerprint on a small synthetic Tall draw does the same for the
+Section 2.1.1 enumeration at a realistic size.
 """
+
+import hashlib
+from dataclasses import replace
 
 import pytest
 
 from repro.core.api import mine_negative_rules
+from repro.core.candidates import generate_negative_candidates
 from repro.data.database import TransactionDatabase
+from repro.mining.generalized import mine_generalized
+from repro.synthetic.generator import generate_dataset
+from repro.synthetic.params import TALL
 from repro.taxonomy.builders import taxonomy_from_nested
+from repro.taxonomy.prune import restrict_to_items
 
 GROUPS = [
     (("Bryers", "Evian"), 1200),
@@ -129,3 +139,68 @@ class TestGoldenRule:
         assert result.stats.candidates_generated == 7
         assert result.stats.negative_itemsets == 7
         assert len(result.rules) == 7
+
+
+class TestGoldenCandidates:
+    """Fingerprint of negative candidate generation on a small Tall draw.
+
+    The hash covers every field of every candidate in dict order, with
+    ``repr`` of the expected support, so a change to the enumeration's
+    admission rules, its float arithmetic or its insertion order fails
+    here. Recorded from the leaf-rejecting enumeration that the
+    subtree-cutting one replaced.
+    """
+
+    MINSUP = 0.15
+    MINRI = 0.5
+
+    @pytest.fixture(scope="class")
+    def tall(self):
+        dataset = generate_dataset(
+            replace(TALL.scaled(0.02), num_transactions=300), seed=3
+        )
+        index = mine_generalized(
+            dataset.database, dataset.taxonomy, self.MINSUP
+        )
+        pruned = restrict_to_items(
+            dataset.taxonomy, [items[0] for items in index.of_size(1)]
+        )
+        return index, pruned
+
+    @staticmethod
+    def fingerprint(candidates) -> str:
+        digest = hashlib.sha256()
+        for items, candidate in candidates.items():
+            digest.update(
+                f"{items}|{candidate.expected_support!r}|"
+                f"{candidate.source}|{candidate.case}\n".encode()
+            )
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize(
+        "cap,count,expected",
+        [
+            pytest.param(
+                None,
+                3262,
+                "197f8bf8417a592d90ece5e595b62561"
+                "e9539d026108782d07dd600ae79e86e5",
+                id="uncapped",
+            ),
+            pytest.param(
+                1,
+                3110,
+                "fe3fce22b608709cb8654abe75b1594d"
+                "33d36a3a0ed8ad2ec497a0150e775f73",
+                id="one-sibling",
+            ),
+        ],
+    )
+    def test_candidate_fingerprint(self, tall, cap, count, expected):
+        index, pruned = tall
+        candidates = generate_negative_candidates(
+            index, pruned, self.MINSUP, self.MINRI,
+            max_sibling_replacements=cap,
+        )
+        assert len(candidates) == count
+        assert self.fingerprint(candidates) == expected

@@ -1,10 +1,16 @@
-"""Property-based test: bound-pruned candidate generation vs exhaustive.
+"""Property-based tests: candidate generation against two oracles.
 
-The branch-and-bound enumeration inside
-:func:`repro.core.candidates.generate_negative_candidates` must produce
-exactly the same candidates (and expectations) as a naive exhaustive
-cross-product — the bound only skips candidates that the
-``MinSup × MinRI`` threshold rejects anyway.
+:func:`repro.core.candidates.generate_negative_candidates` cuts its
+enumeration twice — on the ``MinSup × MinRI`` expectation bound and on
+item/ancestor or duplicate-item conflicts — and each cut must skip only
+candidates that the admission rules reject anyway. Two oracles pin that:
+
+* an exhaustive cross-product with no cuts at all, which must produce the
+  same candidate set with the same expectations;
+* a frozen copy of the leaf-rejecting enumeration the conflict cuts
+  replaced (it built every assignment and rejected conflicts on the
+  complete tuple), which must produce equal records — expected support,
+  source and case — in the same dict order.
 """
 
 import random
@@ -13,8 +19,12 @@ from itertools import combinations, product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.candidates import generate_negative_candidates
+from repro.core.candidates import (
+    NegativeCandidate,
+    generate_negative_candidates,
+)
 from repro.itemset import replace_positions
+from repro.measures.ri import deviation_threshold
 from repro.mining.generalized import contains_item_and_ancestor
 from repro.mining.itemset_index import LargeItemsetIndex
 from repro.taxonomy.builders import taxonomy_from_parents
@@ -30,18 +40,31 @@ TAXONOMY = taxonomy_from_parents(
     }
 )
 
+SIBLING_CAPS = st.sampled_from([None, 0, 1, 2])
+MAX_SIZES = st.sampled_from([None, 2, 3])
 
-def exhaustive(index, taxonomy, minsup, minri):
+
+def _source_list(index, sources):
+    if sources is None:
+        return [
+            items
+            for size in index.sizes
+            if size >= 2
+            for items in sorted(index.of_size(size))
+        ]
+    return [items for items in sources if len(items) >= 2]
+
+
+def exhaustive(
+    index, taxonomy, minsup, minri, sources=None, max_size=None,
+    max_sibling_replacements=None,
+):
     """Reference implementation: full cross-product, no pruning."""
     threshold = minsup * minri
     out = {}
-    sources = [
-        items
-        for size in index.sizes
-        if size >= 2
-        for items in sorted(index.of_size(size))
-    ]
-    for source in sources:
+    for source in _source_list(index, sources):
+        if max_size is not None and len(source) > max_size:
+            continue
         if any(item not in taxonomy for item in source):
             continue
         if contains_item_and_ancestor(source, taxonomy):
@@ -53,6 +76,8 @@ def exhaustive(index, taxonomy, minsup, minri):
             ("siblings", taxonomy.siblings, True),
         ):
             max_positions = size - 1 if proper_only else size
+            if proper_only and max_sibling_replacements is not None:
+                max_positions = min(max_positions, max_sibling_replacements)
             for count in range(1, max_positions + 1):
                 for positions in combinations(range(size), count):
                     pools = [
@@ -88,6 +113,142 @@ def exhaustive(index, taxonomy, minsup, minri):
     return out
 
 
+# ----------------------------------------------------------------------
+# Frozen oracle: the leaf-rejecting enumeration, verbatim apart from
+# names. It builds every assignment the expectation bound lets through
+# and rejects duplicate items and item/ancestor pairs on the complete
+# tuple in ``_admit``.
+# ----------------------------------------------------------------------
+class _FrozenRelativeCache:
+    def __init__(self, taxonomy, index):
+        self._taxonomy = taxonomy
+        self._index = index
+        self._children = {}
+        self._siblings = {}
+
+    def _pool(self, item, relatives):
+        own_support = self._index.support_or_none((item,))
+        if own_support is None or own_support <= 0.0:
+            return ()
+        entries = [
+            (relative, self._index.support((relative,)) / own_support)
+            for relative in relatives
+            if self._index.is_large((relative,))
+        ]
+        entries.sort(key=lambda entry: -entry[1])
+        return tuple(entries)
+
+    def children_ratios(self, item):
+        if item not in self._children:
+            self._children[item] = self._pool(
+                item, self._taxonomy.children(item)
+            )
+        return self._children[item]
+
+    def sibling_ratios(self, item):
+        if item not in self._siblings:
+            self._siblings[item] = self._pool(
+                item, self._taxonomy.siblings(item)
+            )
+        return self._siblings[item]
+
+
+def leaf_rejecting(
+    index, taxonomy, minsup, minri, sources=None, max_size=None,
+    max_sibling_replacements=None,
+):
+    threshold = deviation_threshold(minsup, minri)
+    cache = _FrozenRelativeCache(taxonomy, index)
+    out = {}
+    for source in _source_list(index, sources):
+        if max_size is not None and len(source) > max_size:
+            continue
+        if any(item not in taxonomy for item in source):
+            continue
+        if contains_item_and_ancestor(source, taxonomy):
+            continue
+        base = index.support(source)
+        _frozen_expand(
+            source, base, cache, index, taxonomy, threshold,
+            max_sibling_replacements, out,
+        )
+    return out
+
+
+def _frozen_expand(
+    source, base, cache, index, taxonomy, threshold,
+    max_sibling_replacements, out,
+):
+    size = len(source)
+    for case, ratio_pools, proper_only in (
+        ("children", cache.children_ratios, False),
+        ("siblings", cache.sibling_ratios, True),
+    ):
+        max_positions = size - 1 if proper_only else size
+        if case == "siblings" and max_sibling_replacements is not None:
+            max_positions = min(max_positions, max_sibling_replacements)
+        position_pools = [ratio_pools(source[p]) for p in range(size)]
+        for count in range(1, max_positions + 1):
+            for positions in combinations(range(size), count):
+                pools = [position_pools[p] for p in positions]
+                if any(not pool for pool in pools):
+                    continue
+                bound = base
+                for pool in pools:
+                    bound *= pool[0][1]
+                if bound < threshold:
+                    continue
+                _frozen_descend(
+                    source, positions, pools, 0, (), base, case,
+                    index, taxonomy, threshold, out,
+                )
+
+
+def _frozen_descend(
+    source, positions, pools, depth, chosen, accumulated, case, index,
+    taxonomy, threshold, out,
+):
+    if depth == len(pools):
+        _frozen_admit(
+            source, positions, chosen, accumulated, case, index,
+            taxonomy, out,
+        )
+        return
+    remaining_best = 1.0
+    for pool in pools[depth + 1:]:
+        remaining_best *= pool[0][1]
+    for item, ratio in pools[depth]:
+        value = accumulated * ratio
+        if value * remaining_best < threshold:
+            break
+        _frozen_descend(
+            source, positions, pools, depth + 1, chosen + (item,),
+            value, case, index, taxonomy, threshold, out,
+        )
+
+
+def _frozen_admit(
+    source, positions, assignment, expectation, case, index, taxonomy,
+    out,
+):
+    candidate = replace_positions(source, positions, assignment)
+    if candidate is None or candidate in index:
+        return
+    if contains_item_and_ancestor(candidate, taxonomy):
+        return
+    existing = out.get(candidate)
+    if existing is None or expectation > existing.expected_support:
+        out[candidate] = NegativeCandidate(
+            items=candidate,
+            expected_support=expectation,
+            source=source,
+            case=case,
+        )
+
+
+# ----------------------------------------------------------------------
+# Strategies
+# ----------------------------------------------------------------------
 @st.composite
 def indexes(draw):
     seed = draw(st.integers(min_value=0, max_value=100_000))
@@ -105,28 +266,89 @@ def indexes(draw):
                 (grandchild,), rng.uniform(0.02, index.support((1,)))
             )
     nodes = [items[0] for items in index.of_size(1)]
-    for _ in range(draw(st.integers(min_value=1, max_value=5))):
-        first, second = rng.sample(nodes, 2) if len(nodes) >= 2 else (
-            nodes[0], nodes[0]
-        )
-        if first == second:
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        size = rng.choice((2, 2, 3, 3, 4))
+        if len(nodes) < size:
             continue
-        pair = tuple(sorted((first, second)))
-        if contains_item_and_ancestor(pair, TAXONOMY):
+        items = tuple(sorted(rng.sample(nodes, size)))
+        # A few degenerate (item + ancestor) sources stay in, as the
+        # Basic miner can produce them; generation must skip them.
+        if contains_item_and_ancestor(items, TAXONOMY) and rng.random() < 0.8:
             continue
-        bound = min(index.support((first,)), index.support((second,)))
-        index.add(pair, rng.uniform(0.01, bound))
+        bound = min(index.support((item,)) for item in items)
+        index.add(items, rng.uniform(0.01, bound))
     return index
 
 
+@st.composite
+def generation_args(draw):
+    """An index plus every keyword the generator takes."""
+    index = draw(indexes())
+    minsup = draw(st.sampled_from([0.02, 0.05, 0.1]))
+    minri = draw(st.sampled_from([0.3, 0.5, 0.8]))
+    kwargs = {
+        "max_size": draw(MAX_SIZES),
+        "max_sibling_replacements": draw(SIBLING_CAPS),
+    }
+    if draw(st.booleans()):
+        # An explicit source list in an arbitrary order, possibly with
+        # 1-itemsets (dropped) and repeats: the dict order follows it.
+        pool = list(index)
+        kwargs["sources"] = draw(
+            st.lists(st.sampled_from(pool), max_size=12)
+        )
+    return index, minsup, minri, kwargs
+
+
 @settings(max_examples=80, deadline=None)
-@given(indexes(), st.sampled_from([0.02, 0.05, 0.1]),
-       st.sampled_from([0.3, 0.5, 0.8]))
-def test_pruned_generation_equals_exhaustive(index, minsup, minri):
+@given(generation_args())
+def test_pruned_generation_equals_exhaustive(args):
+    index, minsup, minri, kwargs = args
     optimized = generate_negative_candidates(
-        index, TAXONOMY, minsup, minri
+        index, TAXONOMY, minsup, minri, **kwargs
     )
-    reference = exhaustive(index, TAXONOMY, minsup, minri)
+    reference = exhaustive(index, TAXONOMY, minsup, minri, **kwargs)
     assert set(optimized) == set(reference)
     for items, candidate in optimized.items():
-        assert abs(candidate.expected_support - reference[items]) < 1e-9
+        # Both multiply the same ratios in position order, so the
+        # maximum over generation paths is the same float.
+        assert candidate.expected_support == reference[items]
+
+
+@settings(max_examples=80, deadline=None)
+@given(generation_args())
+def test_conflict_cuts_equal_leaf_rejection(args):
+    index, minsup, minri, kwargs = args
+    optimized = generate_negative_candidates(
+        index, TAXONOMY, minsup, minri, **kwargs
+    )
+    reference = leaf_rejecting(index, TAXONOMY, minsup, minri, **kwargs)
+    assert list(optimized) == list(reference)
+    for items, candidate in optimized.items():
+        frozen = reference[items]
+        assert candidate.items == frozen.items
+        assert candidate.expected_support == frozen.expected_support
+        assert candidate.source == frozen.source
+        assert candidate.case == frozen.case
+
+
+def test_equal_expectations_keep_the_first_source():
+    """Ties in the max-expectation dedup go to the first source.
+
+    {3, 4} is a Case-3 candidate of both {1, 4} and {2, 4} with the same
+    expectation, 0.1 * 0.2 / 0.2; random supports almost never tie, so
+    the tie-break is pinned here.
+    """
+    index = LargeItemsetIndex(
+        {
+            (100,): 0.8, (101,): 0.8,
+            (1,): 0.2, (2,): 0.2, (3,): 0.2, (4,): 0.4,
+            (1, 4): 0.1, (2, 4): 0.1,
+        }
+    )
+    optimized = generate_negative_candidates(index, TAXONOMY, 0.1, 0.5)
+    reference = leaf_rejecting(index, TAXONOMY, 0.1, 0.5)
+    assert optimized[(3, 4)] == NegativeCandidate(
+        items=(3, 4), expected_support=0.1, source=(1, 4), case="siblings"
+    )
+    assert list(optimized.items()) == list(reference.items())

@@ -32,6 +32,51 @@ class TestMiningConfig:
         with pytest.raises(ConfigError):
             MiningConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("max_sibling_replacements", -1),
+            ("max_size", 0),
+            ("max_size", -2),
+        ],
+    )
+    def test_nonsense_caps_rejected_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            MiningConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("max_sibling_replacements", 0),
+            ("max_sibling_replacements", 1),
+            ("max_size", 1),
+        ],
+    )
+    def test_boundary_caps_accepted(self, field, value):
+        assert getattr(MiningConfig(**{field: value}), field) == value
+
+    def test_zero_sibling_replacements_turns_case_3_off(
+        self, soft_drinks_taxonomy, soft_drinks_database
+    ):
+        uncapped = mine_negative_rules(
+            soft_drinks_database, soft_drinks_taxonomy,
+            minsup=0.05, minri=0.4,
+        )
+        off = mine_negative_rules(
+            soft_drinks_database, soft_drinks_taxonomy,
+            minsup=0.05, minri=0.4, max_sibling_replacements=0,
+        )
+        assert any(
+            candidate.case == "siblings"
+            for candidate in uncapped.candidates.values()
+        )
+        assert off.candidates
+        assert all(
+            candidate.case == "children"
+            for candidate in off.candidates.values()
+        )
+        assert set(off.candidates) <= set(uncapped.candidates)
+
 
 class TestMineNegativeRules:
     def test_accepts_raw_transactions(self, soft_drinks_taxonomy):
