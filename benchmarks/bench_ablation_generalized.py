@@ -38,7 +38,7 @@ def test_generalized_miner(benchmark, algorithm):
     index = benchmark.pedantic(mine, rounds=1, iterations=1)
     benchmark.extra_info.update(
         large_itemsets=len(index),
-        passes=data.database.scans,
+        passes=data.database.logical_scans,
     )
     data.database.reset_scans()
 
@@ -64,7 +64,7 @@ def main() -> None:
         results[algorithm] = index
         print(
             f"  {algorithm:<9} {elapsed:8.3f}s  large={len(index):>6} "
-            f"passes={data.database.scans}"
+            f"passes={data.database.logical_scans}"
         )
     print(
         "\ncumulate == estmerge: "

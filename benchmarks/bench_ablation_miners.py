@@ -48,7 +48,7 @@ def test_frequent_miner(benchmark, name):
     index = benchmark.pedantic(mine, rounds=1, iterations=1)
     benchmark.extra_info.update(
         large_itemsets=len(index),
-        passes=data.database.scans,
+        passes=data.database.logical_scans,
     )
 
 
@@ -67,7 +67,7 @@ def main() -> None:
         results[name] = index
         print(
             f"  {name:<11} {elapsed:7.3f}s  large={len(index):>5} "
-            f"passes={data.database.scans}"
+            f"passes={data.database.logical_scans}"
         )
     agree = all(
         results[name] == results["apriori"] for name in results

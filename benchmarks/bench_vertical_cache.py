@@ -13,7 +13,7 @@ RSS and cache footprint. Four configurations:
     (``use_cache=False``): the index is rebuilt on every pass — the
     baseline the cache amortizes away.
 ``bitmap``
-    The default engine: per-pass candidate-restricted bitmaps over
+    The bitmap engine: per-pass candidate-restricted bitmaps over
     ancestor-extended rows.
 ``hashtree``
     The paper-faithful Apriori hash tree.
@@ -22,7 +22,7 @@ Folds its report into ``BENCH_counting.json`` next to the repo root
 (override with ``--out``) under the ``"vertical_cache"`` key — or
 ``["quick"]["vertical_cache"]`` on ``--quick``, so a smoke run never
 overwrites the committed full-size baseline — and exits non-zero when
-the cached engine is not faster than the default engine, so CI catches
+the cached engine is not faster than the bitmap engine, so CI catches
 cache regressions.
 
 Run::
@@ -99,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         "--no-check",
         action="store_false",
         dest="check",
-        help="report only; do not fail when cached is slower than default",
+        help="report only; do not fail when cached is slower than bitmap",
     )
     args = parser.parse_args(argv)
 
@@ -157,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.check and cached["wall_s"] >= by_engine["bitmap"]["wall_s"]:
         print(
-            "FAIL: cached engine is not faster than the default engine",
+            "FAIL: cached engine is not faster than the bitmap engine",
             file=sys.stderr,
         )
         return 1

@@ -17,6 +17,7 @@ import time
 from pathlib import Path
 
 from repro.core.negmining import ImprovedNegativeMiner, NaiveNegativeMiner
+from repro.core.session import MiningSession
 from repro.data import FileBackedDatabase, save_basket_file, save_taxonomy_file
 from repro.data.io import load_taxonomy_file
 from repro.synthetic import SHORT, generate_dataset
@@ -54,7 +55,12 @@ def main() -> None:
     ):
         database.reset_scans()
         started = time.perf_counter()
-        output = miner_class(database, taxonomy, MINSUP, MINRI).mine()
+        # The row-scanning bitmap engine reads the file on every pass;
+        # the default cached engine would read it once.
+        session = MiningSession(database, taxonomy, "bitmap")
+        output = miner_class(
+            database, taxonomy, MINSUP, MINRI, session=session
+        ).mine()
         elapsed = time.perf_counter() - started
         io_bytes = database.scans * baskets.stat().st_size
         print(

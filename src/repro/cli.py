@@ -46,6 +46,7 @@ from .core.session import MiningSession
 from .measures.registry import measure_table
 from .measures.registry import validate_spec as validate_measure_spec
 from .mining.engines import (
+    DEFAULT_ENGINE,
     capability_table,
     engine_names,
     serial_engine_names,
@@ -143,7 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--algorithm",
                       choices=("basic", "cumulate", "estmerge"),
                       default="cumulate")
-    mine.add_argument("--engine", type=_engine_spec, default="bitmap",
+    mine.add_argument("--engine", type=_engine_spec,
+                      default=DEFAULT_ENGINE,
                       metavar="SPEC",
                       help="counting engine spec: a registered name or "
                            "'parallel:<inner>' (list with "
@@ -264,7 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
     compile_.add_argument("--minconf", type=float, default=0.5,
                           help="confidence threshold for the positive "
                                "rules compiled alongside the negatives")
-    compile_.add_argument("--engine", type=_engine_spec, default="bitmap",
+    compile_.add_argument("--engine", type=_engine_spec,
+                          default=DEFAULT_ENGINE,
                           metavar="SPEC")
     compile_.add_argument("--measure", type=_measure_spec, default="ri",
                           metavar="NAME",
@@ -293,7 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--minri", type=float, default=0.5,
                        help="selective generation interest threshold")
     serve.add_argument("--minconf", type=float, default=0.5)
-    serve.add_argument("--engine", type=_engine_spec, default="bitmap",
+    serve.add_argument("--engine", type=_engine_spec,
+                       default=DEFAULT_ENGINE,
                        metavar="SPEC",
                        help="counting engine for selective generation "
                             "(any registered spec)")
@@ -356,7 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--minconf", type=float, default=0.5,
                        help="confidence threshold for the positive "
                             "rules compiled alongside the negatives")
-    watch.add_argument("--engine", type=_engine_spec, default="bitmap",
+    watch.add_argument("--engine", type=_engine_spec,
+                       default=DEFAULT_ENGINE,
                        metavar="SPEC",
                        help="counting engine for the incremental "
                             "re-mines ('cached'/'mmap' keep per-session "

@@ -19,7 +19,7 @@ from ..errors import ConfigError
 from ..measures.registry import (
     validate_spec as validate_measure_spec,
 )
-from ..mining.engines import validate_spec
+from ..mining.engines import DEFAULT_ENGINE, validate_spec
 from ..mining.generalized import ALGORITHMS
 from ..mining.itemset_index import LargeItemsetIndex
 from ..obs import api as obs
@@ -59,8 +59,11 @@ class MiningConfig:
         Support-counting engine spec: a registered engine name
         (``"bitmap"``, ``"cached"``, ``"numpy"``, ``"hashtree"``,
         ``"index"``, ``"brute"``, ``"parallel"``) or a composition
-        ``"parallel:<inner>"`` (e.g. ``"parallel:numpy"``). Run
-        ``python -m repro engines`` for the full capability table.
+        ``"parallel:<inner>"`` (e.g. ``"parallel:numpy"``). Defaults
+        to :data:`~repro.mining.engines.DEFAULT_ENGINE` (``"cached"``:
+        one physical scan builds a vertical index that serves every
+        pass). Run ``python -m repro engines`` for the full capability
+        table.
     measure:
         Interestingness-measure spec judging candidates and rules:
         ``"ri"`` (the paper's rule interest; default),
@@ -152,7 +155,7 @@ class MiningConfig:
     minri: float = 0.5
     miner: str = "improved"
     algorithm: str = "cumulate"
-    engine: str = "bitmap"
+    engine: str = DEFAULT_ENGINE
     measure: str = "ri"
     max_size: int | None = None
     max_candidates_in_memory: int | None = None

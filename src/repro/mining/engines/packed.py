@@ -4,10 +4,11 @@ The bitmap layout packed into ``uint64`` word arrays and counted in
 vectorized batches (``np.bitwise_and.reduce`` + popcount; see
 :mod:`repro.mining.bitpack` and DESIGN.md §7). Taxonomy candidates are
 matched by descendant-OR instead of per-row ancestor extension, so —
-like the cached engine — it ignores ``restrict_to_candidate_items`` and
-tolerates transaction items unknown to the taxonomy. The fastest serial
-engine per pass; still rebuilds its packed matrix every pass (the
-``cached`` engine with ``packed=True`` amortizes that away).
+like the cached engine — it ignores ``restrict_to_candidate_items``;
+transaction items unknown to the taxonomy raise ``TaxonomyError`` as
+under every other engine. The fastest serial engine per pass; still
+rebuilds its packed matrix every pass (the ``cached`` engine with
+``packed=True`` amortizes that away).
 """
 
 from __future__ import annotations

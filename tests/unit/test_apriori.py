@@ -90,9 +90,18 @@ class TestFindLargeItemsets:
         assert other == baseline
 
     def test_pass_count_is_levels(self, small_database):
-        # One pass per level; possibly one extra pass that finds nothing.
+        # One logical pass per level; possibly one extra pass that finds
+        # nothing. The default engine reads the rows physically once.
         index = find_large_itemsets(small_database, 0.2)
+        logical = small_database.logical_scans
+        assert index.max_size <= logical <= index.max_size + 1
+        assert small_database.scans == 1
+
+    def test_row_scanning_engine_reads_once_per_level(self, small_database):
+        session = MiningSession(small_database, engine="bitmap")
+        index = find_large_itemsets(small_database, 0.2, session)
         assert index.max_size <= small_database.scans <= index.max_size + 1
+        assert small_database.scans == small_database.logical_scans
 
     @pytest.mark.parametrize("minsup", [0.0, -0.5, 1.5])
     def test_invalid_minsup_rejected(self, small_database, minsup):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.session import MiningSession
 from repro.data.database import TransactionDatabase
 from repro.errors import ConfigError
 from repro.mining.apriori import find_large_itemsets
@@ -65,13 +66,25 @@ class TestAprioriHybrid:
 
     def test_small_budget_switches_late(self, random_database):
         """With a tiny budget the hybrid behaves like plain Apriori and
-        scans once per level (no early switch)."""
+        makes one pass per level (no early switch)."""
         random_database.reset_scans()
         index = find_large_itemsets_hybrid(
             random_database, 0.1, switch_budget=1
         )
-        # At least one pass per level was made.
+        # At least one logical pass per level was made. The default
+        # engine serves the counted ones from a single physical scan; the
+        # only other read is the image build of the switch at the end.
+        assert random_database.logical_scans >= index.max_size
+        assert random_database.scans == 2
+
+    def test_small_budget_row_scans_once_per_level(self, random_database):
+        random_database.reset_scans()
+        index = find_large_itemsets_hybrid(
+            random_database, 0.1, switch_budget=1,
+            session=MiningSession(random_database, engine="bitmap"),
+        )
         assert random_database.scans >= index.max_size
+        assert random_database.scans == random_database.logical_scans
 
     def test_huge_budget_switches_early(self, random_database):
         """With a huge budget the switch happens right after level 2."""

@@ -69,6 +69,28 @@ class TestRegistry:
         )
         assert "yes" in shm_row
 
+    def test_capability_table_marks_only_the_default(self):
+        marked = [
+            line.split()[0]
+            for line in capability_table().splitlines()
+            if line.endswith("(default)")
+        ]
+        assert marked == [DEFAULT_ENGINE]
+
+    def test_configs_and_cli_default_to_the_default_engine(self):
+        from repro.cli import _build_parser
+        from repro.core.api import MiningConfig
+
+        assert MiningConfig().engine == DEFAULT_ENGINE
+        parser = _build_parser()
+        for argv in (
+            ["mine", "--baskets", "b", "--taxonomy", "t"],
+            ["compile", "--baskets", "b", "--taxonomy", "t", "--out", "o"],
+            ["serve", "--index", "i"],
+            ["watch", "--baskets", "b", "--taxonomy", "t", "--index", "i"],
+        ):
+            assert parser.parse_args(argv).engine == DEFAULT_ENGINE
+
     def test_capability_table_markdown(self):
         lines = capability_table(markdown=True).splitlines()
         assert lines[0].startswith("| engine |")

@@ -110,7 +110,16 @@ class TestMinersOnFileBackedData:
         } == {
             (rule.antecedent, rule.consequent) for rule in reference.rules
         }
-        assert from_disk.scans == result.stats.data_passes
+        assert from_disk.logical_scans == result.stats.data_passes
+        assert result.stats.data_passes == reference.stats.data_passes
+        # The default engine serves every pass from one read of the file.
+        assert from_disk.scans == result.stats.physical_passes == 1
+        row_scanned = FileBackedDatabase(path)
+        bitmap = mine_negative_rules(
+            row_scanned, taxonomy, minsup=0.2, minri=0.3, engine="bitmap"
+        )
+        assert row_scanned.scans == bitmap.stats.data_passes
+        assert bitmap.rules == result.rules
 
 
 class TestAppendParity:

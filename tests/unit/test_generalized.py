@@ -151,7 +151,20 @@ class TestIterLevels:
 
     def test_one_pass_per_level(self, taxonomy, database):
         levels = list(iter_generalized_levels(database, taxonomy, 1 / 6))
+        assert database.logical_scans >= len(levels)
+        assert database.scans == 1
+
+    def test_row_scanning_engine_reads_once_per_level(
+        self, taxonomy, database
+    ):
+        levels = list(
+            iter_generalized_levels(
+                database, taxonomy, 1 / 6,
+                session=MiningSession(database, taxonomy, "bitmap"),
+            )
+        )
         assert database.scans >= len(levels)
+        assert database.scans == database.logical_scans
 
 
 class TestExtendDatabase:

@@ -5,11 +5,13 @@ import json
 
 import pytest
 
-from repro.core.api import MiningConfig
+from repro.core.api import MiningConfig, mine_negative_rules
 from repro.data.database import TransactionDatabase
 from repro.data.filedb import FileBackedDatabase
 from repro.data.io import save_basket_file
 from repro.errors import StreamError, VersionSkewError
+from repro.mining.engines import DEFAULT_ENGINE
+from repro.mining.rules import generate_rules
 from repro.obs.api import obs_session
 from repro.obs.registry import MetricsRegistry
 from repro.serve import RuleIndex, RuleService
@@ -286,6 +288,49 @@ class TestStreamingMiner:
         assert service.index.version == 2
         assert service.index.to_json() == miner.index.to_json()
         assert miner.deltas_pushed == 1
+
+    def test_default_engine_extends_one_index_across_appends(
+        self, stream_setup, taxonomy
+    ):
+        """Under the default config the watcher's session keeps one
+        vertical index: each append extends it in O(append), the file
+        is read once in total, and the rules still equal a from-scratch
+        mine of the whole file by a row-scanning engine."""
+        assert stream_setup["config"].engine == DEFAULT_ENGINE == "cached"
+        miner = _miner(stream_setup).start()
+        database = miner.database
+        bootstrap_scans = database.scans
+        assert bootstrap_scans == 1
+        lemonade = taxonomy.id_of("lemonade")
+        # The first append drops every negative rule, the second brings
+        # rules back, so both deltas are non-trivial.
+        for appended in (stream_setup["append"], [[lemonade]] * 25):
+            stream_setup["append"] = appended
+            _append(stream_setup)
+            assert miner.poll()
+            stats = miner.session.cache_stats
+            assert stats.extensions == 1
+            assert stats.invalidations == 0
+            assert stats.misses == 0
+        assert miner.index.version == 3
+        assert database.scans == bootstrap_scans
+
+        scratch = mine_negative_rules(
+            FileBackedDatabase(stream_setup["path"]), taxonomy,
+            config=stream_setup["config"], engine="bitmap",
+        )
+        fresh = RuleIndex(
+            negative_rules=scratch.rules,
+            positive_rules=generate_rules(
+                scratch.large_itemsets, miner.minconf
+            ),
+            taxonomy=taxonomy,
+            large_itemsets=scratch.large_itemsets,
+            version=miner.index.version,
+        )
+        assert len(database) == 155
+        assert scratch.rules
+        assert fresh.to_json() == miner.index.to_json()
 
 
 class TestServiceDeltaApplication:
