@@ -37,7 +37,7 @@ before the engine is ever called.
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar
 
 from ..._util import check_positive
@@ -138,6 +138,27 @@ class EngineState:
 
     transactions: Any
     taxonomy: Taxonomy | None = None
+    _checked_epoch: object = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def require_known_items(self) -> None:
+        """Reject basket items outside the bound taxonomy.
+
+        The row-scanning engines raise while extending each row with its
+        ancestors; the vertical and packed engines never extend rows. So
+        the binding checks the database's distinct items itself, once
+        per append epoch: an append or rewrite re-checks, a plain
+        re-count does not. Plain rows (one pass, or a shard of a
+        database the driver already checked) are left to the engine.
+        """
+        epoch_fn = getattr(self.transactions, "append_epoch", None)
+        if self.taxonomy is None or epoch_fn is None:
+            return
+        epoch = epoch_fn()
+        if epoch != self._checked_epoch:
+            self.taxonomy.require_known(self.transactions.items)
+            self._checked_epoch = epoch
 
     def rows(self) -> Iterable[Itemset]:
         """The rows of one pass (calls ``scan()`` on a database)."""
@@ -374,7 +395,8 @@ def count_pass(
 
     This is the single entry point every caller (MiningSession, the
     plain ``count_supports`` helper, the parallel shard workers) funnels
-    through: it applies the registry-level precheck, then — only when an
+    through: it applies the registry-level precheck and rejects basket
+    items outside the bound taxonomy, then — only when an
     observability session is active — records the driver/worker
     ``counting.*`` metrics, auto-creates stats accumulators the engine
     declares a use for, and wraps the pass in a ``count.<name>`` span.
@@ -385,6 +407,7 @@ def count_pass(
         # Never touch the data: no mask/tree setup, no row consumption,
         # no pass recorded.
         return {}
+    state.require_known_items()
     obs_state = obs.current()
     if obs_state is None:
         return engine.count(
