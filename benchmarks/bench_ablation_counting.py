@@ -1,8 +1,9 @@
 """A1 — Ablation: support-counting engines.
 
 Times one generalized counting pass (the pipeline's inner loop) with each
-engine — hash tree, first-item index, brute force — over identical
-candidates, and asserts they return identical counts.
+registered engine — bitmap, hash tree, brute force and the vertical
+engines — over identical candidates, and asserts they return identical
+counts.
 
 Run directly::
 

@@ -2,17 +2,17 @@
 
 Times the same two counting passes — the size-1 candidates, then the
 size-2 candidates derived from the large singles — on the "Tall" dataset
-for every serial engine (including the bit-packed ``"numpy"`` kernel and
-the packed ``"cached"`` backend), in flat and taxonomy mode at two
-MinSups. All engines count the exact same candidate lists and the counts
-are asserted bit-identical, so the wall-clock per logical pass is an
-apples-to-apples engine comparison rather than a whole-miner sweep.
+for every serial engine (including the bit-packed ``"numpy"`` kernel),
+in flat and taxonomy mode at two MinSups. All engines count the exact
+same candidate lists and the counts are asserted bit-identical, so the
+wall-clock per logical pass is an apples-to-apples engine comparison
+rather than a whole-miner sweep.
 
 Folds its report into ``BENCH_counting.json`` under the
 ``"engine_matrix"`` key — or ``["quick"]["engine_matrix"]`` on
 ``--quick``, so a smoke run never overwrites the committed full-size
 baseline — alongside the vertical-cache runs of ``bench_vertical_cache``.
-Exits non-zero when the ``"numpy"`` kernel is not faster than the default
+Exits non-zero when the ``"numpy"`` kernel is not faster than the
 ``"bitmap"`` engine — the regression the CI smoke run pins.
 
 Run::

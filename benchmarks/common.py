@@ -59,12 +59,10 @@ def dataset(kind: str) -> SyntheticDataset:
 
 
 def engine_matrix_configurations() -> list[tuple[str, dict]]:
-    """The serial engine × backend cells, derived from the registry.
+    """The serial engine cells, derived from the registry.
 
     One cell per registered serial (shardable) engine, labelled by its
-    name, plus a ``<name>-packed`` cell for every engine that supports
-    both a cached and a bit-packed backend. Each entry is
-    ``(label, session_kwargs)`` — the kwargs to build a
+    name. Each entry is ``(label, session_kwargs)`` — the kwargs to build a
     :class:`~repro.core.session.MiningSession` for that cell. Adding an
     engine to the registry adds its row here (and in the regression
     gate's baseline) with no benchmark edit.
@@ -73,16 +71,8 @@ def engine_matrix_configurations() -> list[tuple[str, dict]]:
 
     cells: list[tuple[str, dict]] = []
     for name, cls in registered_engines().items():
-        caps = cls.capabilities
-        if not caps.shardable:
-            continue  # the parallel wrapper is benchmarked separately
-        cells.append((name, {"engine": name}))
-        # Out-of-core engines are always packed; a "-packed" variant
-        # would be the same cell twice.
-        if caps.caching and caps.packed and not caps.out_of_core:
-            cells.append(
-                (f"{name}-packed", {"engine": name, "packed": True})
-            )
+        if cls.capabilities.shardable:  # parallel is benchmarked apart
+            cells.append((name, {"engine": name}))
     return cells
 
 

@@ -27,7 +27,6 @@ True
 
 from .core.api import MiningConfig, NegativeMiningResult, mine_negative_rules
 from .core.candidates import NegativeCandidate, generate_negative_candidates
-from .core.interest import rule_interest
 from .core.negmining import (
     ImprovedNegativeMiner,
     NaiveNegativeMiner,
@@ -42,6 +41,7 @@ from .errors import (
     ReproError,
     TaxonomyError,
 )
+from .measures.ri import rule_interest
 from .mining.apriori import find_large_itemsets
 from .mining.generalized import mine_generalized
 from .mining.itemset_index import LargeItemsetIndex

@@ -163,23 +163,10 @@ def _build_parser() -> argparse.ArgumentParser:
                       dest="shard_rows",
                       help="target rows per shard (default: split each "
                            "pass into --jobs equal shards)")
-    mine.add_argument("--no-cache", action="store_false", dest="use_cache",
-                      help="cached engine: rebuild the vertical index on "
-                           "every pass instead of reusing it")
     mine.add_argument("--cache-bytes", type=int, default=None,
                       dest="cache_bytes",
                       help="cached engine: LRU memory budget in bytes for "
                            "the vertical index (default: unbounded)")
-    mine.add_argument("--packed", action=argparse.BooleanOptionalAction,
-                      default=False,
-                      help="cached engine: bit-packed index backend counted "
-                           "with the NumPy kernel (identical output)")
-    mine.add_argument("--shm", action=argparse.BooleanOptionalAction,
-                      default=False,
-                      help="parallel counting: publish the packed matrix "
-                           "via shared memory and attach persistent "
-                           "workers zero-copy (requires --jobs > 1 or a "
-                           "parallel engine spec; identical output)")
     mine.add_argument("--segment-rows", type=int, default=None,
                       dest="segment_rows",
                       help="mmap engine: rows per spilled packed segment")
@@ -417,10 +404,7 @@ def _command_mine(args: argparse.Namespace) -> int:
         max_sibling_replacements=args.max_sibling_replacements,
         n_jobs=args.n_jobs,
         shard_rows=args.shard_rows,
-        use_cache=args.use_cache,
         cache_bytes=args.cache_bytes,
-        packed=args.packed,
-        shm=args.shm,
         segment_rows=args.segment_rows,
         max_resident_bytes=args.max_resident_bytes,
         spill_dir=args.spill_dir,

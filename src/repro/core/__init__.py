@@ -20,6 +20,7 @@ Pipeline (paper Section 2.1):
 :func:`repro.core.api.mine_negative_rules` runs the whole pipeline.
 """
 
+from ..measures.ri import rule_interest
 from .api import MiningConfig, NegativeMiningResult, mine_negative_rules
 from .candidates import NegativeCandidate, generate_negative_candidates
 from .estimate import estimate_candidates_per_itemset
@@ -31,7 +32,6 @@ from .explain import (
     format_derivation,
 )
 from .expectation import expected_support
-from .interest import rule_interest
 from .negmining import (
     ImprovedNegativeMiner,
     MiningStats,

@@ -57,9 +57,10 @@ class MiningConfig:
         nature).
     engine:
         Support-counting engine spec: a registered engine name
-        (``"bitmap"``, ``"cached"``, ``"numpy"``, ``"hashtree"``,
-        ``"index"``, ``"brute"``, ``"parallel"``) or a composition
-        ``"parallel:<inner>"`` (e.g. ``"parallel:numpy"``). Defaults
+        (``"cached"``, ``"bitmap"``, ``"hashtree"``, ``"brute"``,
+        ``"numpy"``, ``"mmap"``, ``"parallel"``, ``"parallel-shm"``) or
+        a composition ``"parallel:<inner>"`` (e.g.
+        ``"parallel:numpy"``). Defaults
         to :data:`~repro.mining.engines.DEFAULT_ENGINE` (``"cached"``:
         one physical scan builds a vertical index that serves every
         pass). Run ``python -m repro engines`` for the full capability
@@ -101,28 +102,10 @@ class MiningConfig:
     shard_rows:
         Target rows per shard for parallel counting; ``None`` splits
         each pass into ``n_jobs`` equal shards.
-    use_cache:
-        ``engine="cached"`` only: reuse the vertical index attached to
-        the database across passes (and runs). ``False`` rebuilds the
-        index on every pass — the rebuild-per-pass baseline the
-        benchmarks compare against.
     cache_bytes:
         ``engine="cached"`` only: LRU memory budget (bytes) for the
         vertical index; least-recently-used bitmaps are evicted and
         rebuilt on demand. ``None`` = unbounded.
-    packed:
-        ``engine="cached"`` only: store the vertical index bit-packed
-        (``uint64`` words) and count with the vectorized NumPy kernel
-        (:mod:`repro.mining.bitpack`) instead of big-int AND loops.
-        Identical output, faster counting. The ``"numpy"`` engine always
-        packs; this flag only selects the cached index's backend.
-    shm:
-        Upgrade parallel counting to the zero-copy shared-memory kernel
-        (the ``parallel-shm`` engine): the packed word matrix is
-        published once via ``multiprocessing.shared_memory`` and
-        ``n_jobs`` persistent workers attach to it, shipping only
-        candidate batches and count vectors. Requires ``n_jobs > 1`` or
-        a parallel engine spec; counts stay bit-identical either way.
     segment_rows:
         ``engine="mmap"`` only: rows per spilled packed segment
         (:mod:`repro.mining.segmatrix`). ``None`` uses the default
@@ -166,10 +149,7 @@ class MiningConfig:
     seed: int | None = None
     n_jobs: int = 1
     shard_rows: int | None = None
-    use_cache: bool = True
     cache_bytes: int | None = None
-    packed: bool = False
-    shm: bool = False
     segment_rows: int | None = None
     max_resident_bytes: int | None = None
     spill_dir: str | None = None

@@ -96,8 +96,8 @@ class MiningStats:
 
     ``kernel_batches``/``kernel_words`` count executions (and gathered
     64-bit words) of the bit-packed NumPy kernel
-    (:mod:`repro.mining.bitpack`) — zero unless the ``"numpy"`` engine or
-    a ``packed=True`` vertical index did the counting.
+    (:mod:`repro.mining.bitpack`) — zero unless a packed engine
+    (``"numpy"``, ``"mmap"``, ``"parallel-shm"``) did the counting.
 
     ``cache_extensions`` counts appends absorbed incrementally (the
     vertical index or segmented matrix extended in O(append) instead of

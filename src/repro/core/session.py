@@ -1,8 +1,8 @@
 """MiningSession: one execution context from the CLI down to the kernel.
 
 Before this module existed, every layer of the pipeline threaded the
-same ~8 engine kwargs (``engine``, ``n_jobs``, ``use_cache``,
-``cache_bytes``, ``cache_stats``, ``packed``, ``batch_words``, …) from
+same engine kwargs (``engine``, ``n_jobs``, ``cache_bytes``,
+``cache_stats``, ``batch_words``, …) from
 :class:`~repro.core.api.MiningConfig` through the miners down to
 ``count_supports``. A :class:`MiningSession` binds all of it once —
 database, taxonomy, the resolved :class:`~repro.mining.engines.
@@ -79,19 +79,14 @@ class MiningSession:
         Parallel policy. ``n_jobs > 1`` auto-wraps a serial engine spec
         in the parallel wrapper; ``None`` leaves serial engines serial
         (and means one worker per CPU for explicit ``parallel`` specs).
-    use_cache, cache_bytes, packed, batch_words:
-        Cache/kernel policy consumed by the engines that understand it.
+    cache_bytes, batch_words:
+        Cache/kernel policy consumed by the engines that understand it:
+        the ``"cached"`` index budget (``None`` = unbounded) and the
+        packed kernel's gather bound.
     segment_rows, max_resident_bytes, spill_dir:
         Out-of-core policy for the ``"mmap"`` engine: rows per spilled
         segment, the budget for concurrently open segment blocks, and
         the parent directory for the temporary spill directory.
-    shm:
-        Upgrade parallel counting to the zero-copy shared-memory kernel
-        (``parallel-shm``): the packed word matrix is published once via
-        ``multiprocessing.shared_memory`` and persistent workers attach
-        to it instead of receiving pickled row slices. Requires a
-        parallel configuration (``n_jobs > 1`` or a parallel engine
-        spec).
     measure:
         The interestingness measure bound to this execution context — a
         registered spec (``"ri"``, ``"kong-interest"``, ``"coherent"``)
@@ -111,11 +106,8 @@ class MiningSession:
         *,
         n_jobs: int | None = None,
         shard_rows: int | None = None,
-        use_cache: bool = True,
         cache_bytes: int | None = None,
-        packed: bool = False,
         batch_words: int | None = None,
-        shm: bool = False,
         segment_rows: int | None = None,
         max_resident_bytes: int | None = None,
         spill_dir: str | None = None,
@@ -131,11 +123,8 @@ class MiningSession:
             EnginePolicy(
                 n_jobs=n_jobs,
                 shard_rows=shard_rows,
-                use_cache=use_cache,
                 cache_bytes=cache_bytes,
-                packed=packed,
                 batch_words=batch_words,
-                shm=shm,
                 segment_rows=segment_rows,
                 max_resident_bytes=max_resident_bytes,
                 spill_dir=spill_dir,
@@ -177,10 +166,7 @@ class MiningSession:
             engine=config.engine,
             n_jobs=config.n_jobs,
             shard_rows=config.shard_rows,
-            use_cache=config.use_cache,
             cache_bytes=config.cache_bytes,
-            packed=config.packed,
-            shm=config.shm,
             segment_rows=config.segment_rows,
             max_resident_bytes=config.max_resident_bytes,
             spill_dir=config.spill_dir,

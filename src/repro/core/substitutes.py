@@ -30,10 +30,10 @@ from collections.abc import Iterable
 from .._util import check_fraction
 from ..errors import ConfigError
 from ..itemset import Itemset, replace_positions
+from ..measures.ri import deviation_threshold
 from ..mining.itemset_index import LargeItemsetIndex
 from .candidates import NegativeCandidate
 from .expectation import expected_support
-from .interest import deviation_threshold
 
 CASE_SUBSTITUTES = "substitutes"
 

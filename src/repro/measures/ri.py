@@ -11,9 +11,7 @@ both ``support(X)`` and ``support(Y)`` meet MinSup.
 
 This module is the implementation behind the registered ``"ri"``
 measure *and* the plain functions (:func:`rule_interest`,
-:func:`deviation_threshold`) the rest of the codebase historically
-imported from :mod:`repro.core.interest` — that module is now a compat
-shim over this one.
+:func:`deviation_threshold`) the rest of the codebase imports.
 """
 
 from __future__ import annotations

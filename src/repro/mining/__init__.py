@@ -10,7 +10,11 @@ scratch:
 * :mod:`~repro.mining.apriori` — plain Apriori and the ``apriori-gen``
   candidate join/prune.
 * :mod:`~repro.mining.hash_tree` — the classic subset-counting hash tree.
-* :mod:`~repro.mining.counting` — pluggable support-counting engines.
+* :mod:`~repro.mining.engines` — the registry of pluggable
+  support-counting engines; :mod:`~repro.mining.counting` keeps the plain
+  ``count_supports`` helper over the default engine.
+* :mod:`~repro.mining.vertical` — the ``"cached"`` engine's persistent
+  vertical index (one big-int bitmap per item).
 * :mod:`~repro.mining.generalized` — Basic / Cumulate / EstMerge miners over
   a taxonomy.
 * :mod:`~repro.mining.partition` — the authors' own two-pass Partition

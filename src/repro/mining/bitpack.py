@@ -39,12 +39,12 @@ against the ``"brute"`` oracle).
 Consumers:
 
 * :func:`count_rows` — the serial ``"numpy"`` engine
-  (:mod:`repro.mining.counting`): pack one pass of rows, count all
+  (:mod:`repro.mining.engines.packed`): pack one pass of rows, count all
   candidates.
-* :func:`count_candidates` — the shared batched kernel, also driven by
-  the packed :class:`~repro.mining.vertical.VerticalIndex` backend
-  (``packed=True``) so the ``"cached"`` engine and packed shard-local
-  indexes reuse exactly this code path.
+* :func:`count_candidates` — the shared batched kernel behind
+  :meth:`PackedMatrix.count`, which the out-of-core segments of
+  :mod:`repro.mining.segmatrix` (``"mmap"``) and the shared-memory
+  workers of :mod:`repro.parallel.shm` (``"parallel-shm"``) also use.
 """
 
 from __future__ import annotations

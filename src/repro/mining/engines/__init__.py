@@ -27,7 +27,7 @@ from .base import (
 
 # Importing the implementation modules is what registers them; the
 # import order fixes the registry (and therefore ENGINES) order.
-from . import serial as _serial  # noqa: E402  (bitmap, hashtree, index, brute)
+from . import serial as _serial  # noqa: E402  (bitmap, hashtree, brute)
 from . import cached as _cached  # noqa: E402
 from . import packed as _packed  # noqa: E402  (numpy)
 from . import outofcore as _outofcore  # noqa: E402  (mmap)
@@ -40,7 +40,6 @@ from .serial import (
     BitmapEngine,
     BruteEngine,
     HashTreeEngine,
-    IndexEngine,
     RowScanEngine,
     extended_rows,
 )
@@ -56,8 +55,7 @@ SERIAL_ENGINES = serial_engine_names()
 
 #: The engine ``MiningConfig``, ``MiningSession`` and every CLI
 #: ``--engine`` flag default to: one physical scan serves every pass,
-#: and appends extend the index. Big-int backend, not ``packed``: same
-#: speed at a fraction of the memory (DESIGN.md §6.5).
+#: and appends extend the index (DESIGN.md §6.5).
 DEFAULT_ENGINE = "cached"
 
 
@@ -129,7 +127,6 @@ __all__ = [
     "BruteEngine",
     "CachedEngine",
     "HashTreeEngine",
-    "IndexEngine",
     "MmapEngine",
     "NumpyEngine",
     "ParallelEngine",

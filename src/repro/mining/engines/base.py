@@ -56,15 +56,13 @@ class Capabilities:
     ----------
     packed:
         Counts through the bit-packed NumPy kernel
-        (:mod:`repro.mining.bitpack`), at least optionally.
+        (:mod:`repro.mining.bitpack`), so it requires NumPy at runtime.
     caching:
         Maintains a persistent per-database structure across passes
         (physical passes can drop below logical passes).
     shardable:
         Row ranges can be counted independently and summed, so the
         parallel wrapper may use it as a per-shard inner engine.
-    needs_numpy:
-        Requires NumPy at runtime.
     shared_memory:
         Publishes its packed data via ``multiprocessing.shared_memory``
         and counts through persistent workers attached zero-copy
@@ -79,7 +77,6 @@ class Capabilities:
     packed: bool = False
     caching: bool = False
     shardable: bool = True
-    needs_numpy: bool = False
     shared_memory: bool = False
     out_of_core: bool = False
 
@@ -101,11 +98,8 @@ class EnginePolicy:
 
     n_jobs: int | None = None
     shard_rows: int | None = None
-    use_cache: bool = True
     cache_bytes: int | None = None
-    packed: bool = False
     batch_words: int | None = None
-    shm: bool = False
     segment_rows: int | None = None
     max_resident_bytes: int | None = None
     spill_dir: str | None = None
@@ -243,6 +237,9 @@ class CountingEngine:
 
 _REGISTRY: dict[str, type[CountingEngine]] = {}
 
+#: Removed engine names and the registered engine that replaces each.
+_RETIRED = {"index": "bitmap"}
+
 
 def register_engine(name: str):
     """Class decorator: register a :class:`CountingEngine` under *name*."""
@@ -312,6 +309,11 @@ def parse_spec(spec: str) -> tuple[str, str | None]:
 
 
 def _require_known(name: str) -> None:
+    if name in _RETIRED:
+        raise ConfigError(
+            f"counting engine {name!r} was removed; "
+            f"use {_RETIRED[name]!r} instead"
+        )
     if name not in _REGISTRY:
         raise ConfigError(
             f"unknown counting engine {name!r}; "
@@ -353,17 +355,6 @@ def create_engine(
         and "parallel" in _REGISTRY
     ):
         engine = _REGISTRY["parallel"].from_policy(policy, inner=engine)
-    if policy.shm and not engine.capabilities.shared_memory:
-        # The shm knob upgrades parallel counting to the zero-copy
-        # shared-memory kernel; it is meaningless for a serial engine,
-        # so a policy that cannot produce parallel workers is an error
-        # rather than a silent no-op.
-        if not engine.wraps or "parallel-shm" not in _REGISTRY:
-            raise ConfigError(
-                "shm=True requires parallel counting: set n_jobs > 1 "
-                "or choose a 'parallel'/'parallel-shm' engine spec"
-            )
-        engine = _REGISTRY["parallel-shm"].from_policy(policy)
     return engine
 
 

@@ -5,9 +5,8 @@ VerticalIndex` attached to the database, and every later pass (any
 Apriori level, the Improved miner's negative-candidate count, EstMerge
 sample estimates) intersects cached bitmaps instead of re-reading rows.
 Generalized counting ORs descendant bitmaps lazily, so no per-row
-ancestor extension happens at all. With ``packed=True`` the index stores
-NumPy word arrays and counts with the same vectorized kernel as the
-``numpy`` engine. See :mod:`repro.mining.vertical` and DESIGN.md §6.
+ancestor extension happens at all. See :mod:`repro.mining.vertical` and
+DESIGN.md §6.
 """
 
 from __future__ import annotations
@@ -35,31 +34,17 @@ class CachedEngine(CountingEngine):
     materialized in the first place.
     """
 
-    capabilities = Capabilities(packed=True, caching=True, shardable=True)
+    capabilities = Capabilities(packed=False, caching=True, shardable=True)
 
-    def __init__(
-        self,
-        use_cache: bool = True,
-        cache_bytes: int | None = None,
-        packed: bool = False,
-        batch_words: int | None = None,
-    ) -> None:
-        self.use_cache = use_cache
+    def __init__(self, cache_bytes: int | None = None) -> None:
         self.cache_bytes = cache_bytes
-        self.packed = packed
-        self.batch_words = batch_words
 
     @classmethod
     def from_policy(
         cls, policy: EnginePolicy, inner=None
     ) -> "CachedEngine":
         cls._reject_inner(inner)
-        return cls(
-            use_cache=policy.use_cache,
-            cache_bytes=policy.cache_bytes,
-            packed=policy.packed,
-            batch_words=policy.batch_words,
-        )
+        return cls(cache_bytes=policy.cache_bytes)
 
     def count(
         self,
@@ -75,8 +60,5 @@ class CachedEngine(CountingEngine):
             candidates,
             taxonomy=state.taxonomy,
             budget_bytes=self.cache_bytes,
-            use_cache=self.use_cache,
             stats=cache_stats,
-            packed=self.packed,
-            batch_words=self.batch_words,
         )

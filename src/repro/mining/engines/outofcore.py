@@ -51,7 +51,6 @@ class MmapEngine(CountingEngine):
         packed=True,
         caching=True,
         shardable=True,
-        needs_numpy=True,
         out_of_core=True,
     )
 

@@ -6,9 +6,8 @@ vectorized batches (``np.bitwise_and.reduce`` + popcount; see
 matched by descendant-OR instead of per-row ancestor extension, so —
 like the cached engine — it ignores ``restrict_to_candidate_items``;
 transaction items unknown to the taxonomy raise ``TaxonomyError`` as
-under every other engine. The fastest serial engine per pass; still
-rebuilds its packed matrix every pass (the ``cached`` engine with
-``packed=True`` amortizes that away).
+under every other engine. Rebuilds its packed matrix every pass; the
+``mmap`` engine keeps the same word blocks across passes.
 """
 
 from __future__ import annotations
@@ -30,9 +29,7 @@ from .base import (
 class NumpyEngine(CountingEngine):
     """One-shot bit-packed counting through the NumPy kernel."""
 
-    capabilities = Capabilities(
-        packed=True, shardable=True, needs_numpy=True
-    )
+    capabilities = Capabilities(packed=True, shardable=True)
 
     def __init__(self, batch_words: int | None = None) -> None:
         self.batch_words = batch_words

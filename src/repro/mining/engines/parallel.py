@@ -16,9 +16,8 @@ evolution of ``parallel:numpy``: the driver packs the database once,
 publishes the word matrix into OS shared memory
 (:mod:`repro.parallel.shm`), and a persistent worker pool attaches the
 segment and counts candidate *batches* against the whole matrix —
-nothing row-shaped ever crosses a pipe. It is reachable either by spec
-(``--engine parallel-shm``) or by the ``shm=True`` policy knob on a
-parallel configuration (DESIGN.md §11).
+nothing row-shaped ever crosses a pipe. It is reachable only by its
+spec (``--engine parallel-shm``; DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -183,7 +182,6 @@ class ParallelShmEngine(CountingEngine):
         packed=True,
         caching=True,
         shardable=False,
-        needs_numpy=True,
         shared_memory=True,
     )
 

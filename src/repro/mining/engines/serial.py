@@ -1,6 +1,6 @@
-"""The serial row-scanning engines: bitmap, hashtree, index, brute.
+"""The serial row-scanning engines: bitmap, hashtree, brute.
 
-All four share the same pass shape — read the rows once, optionally
+All three share the same pass shape — read the rows once, optionally
 extend each with taxonomy ancestors, match candidates — and differ only
 in the matching data structure. :class:`RowScanEngine` holds the shared
 shape; each subclass supplies ``_count_rows``.
@@ -143,32 +143,6 @@ class HashTreeEngine(RowScanEngine):
         counts: dict[Itemset, int] = {}
         for tree in trees.values():
             counts.update(tree.counts())
-        return counts
-
-
-@register_engine("index")
-class IndexEngine(RowScanEngine):
-    """Candidates bucketed by smallest item, probed per transaction.
-
-    Simple and fast for small candidate sets.
-    """
-
-    @staticmethod
-    def _count_rows(
-        transactions: Iterable[Itemset], candidates: Collection[Itemset]
-    ) -> dict[Itemset, int]:
-        if not candidates:
-            return {}
-        counts = dict.fromkeys(candidates, 0)
-        by_first: dict[int, list[Itemset]] = defaultdict(list)
-        for candidate in counts:
-            by_first[candidate[0]].append(candidate)
-        for row in transactions:
-            row_set = set(row)
-            for item in row:
-                for candidate in by_first.get(item, ()):
-                    if all(member in row_set for member in candidate[1:]):
-                        counts[candidate] += 1
         return counts
 
 

@@ -1,9 +1,9 @@
 """Segmented, memory-mapped packed matrix for out-of-core counting.
 
 The paper's efficiency argument assumes the database does not fit in
-memory — passes cost real IO — yet the fast engines (``"numpy"``,
-``"cached"`` packed, ``"parallel-shm"``) all hold the entire bit-packed
-word matrix in RAM and invalidate it wholesale through one global
+memory — passes cost real IO — yet the other packed engines
+(``"numpy"``, ``"parallel-shm"``) hold the entire bit-packed word matrix
+in RAM and invalidate it wholesale through one global
 fingerprint. This module splits the row dimension into fixed-size
 *segments*: each segment packs its own rows into a ``uint64`` word block
 (one row per item occurring in the segment), spills the block to a file

@@ -1,9 +1,9 @@
 """Persistent vertical bitmap index: build once, count every pass for free.
 
-The paper's cost model is *passes over the data*, yet the fast ``"bitmap"``
-engine rebuilds its per-item transaction bitsets from scratch on every
-:func:`repro.mining.counting.count_supports` call — one rebuild per Apriori
-level, then more for the negative-mining expectation counts. This module
+The paper's cost model is *passes over the data*, yet the row-scanning
+``"bitmap"`` engine rebuilds its per-item transaction bitsets from scratch
+on every counting pass — one rebuild per Apriori level, then more for the
+negative-mining expectation counts. This module
 amortizes that: one physical scan of a database materializes a
 :class:`VerticalIndex` (per-item Python ``int`` bitsets), attached to the
 database and keyed by a *fingerprint*; every later counting pass intersects
@@ -23,11 +23,6 @@ Generalized counting gets the biggest win: a category's bitmap is the OR
 of its descendants' bitmaps, computed lazily and memoized, so no per-row
 ``ancestor_closure`` extension ever happens — bit-identical to Cumulate
 counting (property-tested against the ``"brute"`` engine).
-
-Two interchangeable storage backends hold the bitmaps: Python big-ints
-(default) and, with ``packed=True``, bit-packed ``uint64`` word arrays
-counted by the vectorized NumPy kernel of :mod:`repro.mining.bitpack` —
-same bits, same counts, different speed/memory profile.
 
 Staleness is impossible by construction: :func:`get_index` revalidates the
 fingerprint on every use and rebuilds on mismatch
@@ -50,18 +45,15 @@ from ..itemset import Itemset
 from ..obs import api as obs
 from ..obs.registry import MetricsRegistry, stats_property
 from ..taxonomy.tree import Taxonomy
-from . import bitpack
 
 #: Approximate per-entry dict overhead (key + table slot), added to
 #: the payload size of each bitmap when tracking the memory footprint.
 _ENTRY_OVERHEAD = 64
 
 
-def _entry_bytes(bitmap) -> int:
-    """Approximate footprint of one stored bitmap (big-int or packed)."""
-    if isinstance(bitmap, int):
-        return sys.getsizeof(bitmap) + _ENTRY_OVERHEAD
-    return bitmap.nbytes + _ENTRY_OVERHEAD
+def _entry_bytes(bitmap: int) -> int:
+    """Approximate footprint of one stored big-int bitmap."""
+    return sys.getsizeof(bitmap) + _ENTRY_OVERHEAD
 
 
 class CacheStats:
@@ -99,8 +91,8 @@ class CacheStats:
         merging registries keeps the maximum).
     kernel_batches:
         Vectorized candidate batches executed by the bit-packed NumPy
-        kernel (``kernel.batches``) — nonzero only under the ``"numpy"``
-        engine or the packed cached backend.
+        kernel (``kernel.batches``) — nonzero only under the packed
+        engines (``"numpy"``, ``"mmap"``, ``"parallel-shm"``).
     kernel_words:
         64-bit words gathered and intersected by those batches
         (``kernel.words``) — the kernel's work volume.
@@ -192,14 +184,8 @@ class VerticalIndex:
 
     Bit ``t`` of ``bits[item]`` is set when transaction ``t`` contains the
     item. Category bitmaps under a taxonomy are derived lazily (OR over
-    children, recursively) and memoized per taxonomy.
-
-    Two storage backends hold the same bits: the default keeps one Python
-    ``int`` per item; ``packed=True`` keeps one little-endian ``uint64``
-    word array per item and counts with the vectorized batched kernel of
-    :mod:`repro.mining.bitpack` (derived category bitmaps become
-    ``np.bitwise_or.reduce`` over descendant rows instead of lazy big-int
-    ORs). Counts are bit-identical either way (property-tested).
+    children, recursively) and memoized per taxonomy. Each bitmap is one
+    Python ``int``.
 
     Build through :meth:`build` (physical pass over a scan-counted
     database, rebuildable after eviction) or :meth:`from_rows` (one-shot
@@ -218,16 +204,10 @@ class VerticalIndex:
         "_budget",
         "_nbytes",
         "_tax_refs",
-        "_packed",
-        "_n_words",
-        "_zero",
     )
 
     def __init__(
-        self,
-        n_rows: int,
-        budget_bytes: int | None = None,
-        packed: bool = False,
+        self, n_rows: int, budget_bytes: int | None = None
     ) -> None:
         if budget_bytes is not None:
             check_positive(budget_bytes, "budget_bytes")
@@ -241,28 +221,16 @@ class VerticalIndex:
         self._epoch = None
         self._budget = budget_bytes
         self._nbytes = 0
-        self._packed = packed
-        self._n_words = bitpack.words_for(n_rows)
-        # Shared "absent item" bitmap: 0 for big-ints, a zero row packed.
-        self._zero = bitpack.zeros(self._n_words) if packed else 0
         # Strong refs to taxonomies keyed by id() so memo keys can never
         # collide with a recycled id after garbage collection.
         self._tax_refs: dict[int, Taxonomy] = {}
-
-    @property
-    def packed(self) -> bool:
-        """True when bitmaps are stored as NumPy word arrays."""
-        return self._packed
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
     def build(
-        cls,
-        database,
-        budget_bytes: int | None = None,
-        packed: bool = False,
+        cls, database, budget_bytes: int | None = None
     ) -> "VerticalIndex":
         """One physical pass over *database* materializing all bitmaps.
 
@@ -270,22 +238,19 @@ class VerticalIndex:
         a physical pass but not a logical one (the logical counting pass
         is recorded by :func:`count_with_index`, once per count).
         """
-        index = cls(len(database), budget_bytes, packed=packed)
+        index = cls(len(database), budget_bytes)
         index._source = database
         index._token = database.cache_token()
         epoch_fn = getattr(database, "append_epoch", None)
         index._epoch = epoch_fn()[0] if epoch_fn is not None else None
         with obs.span("cache.build") as span:
             span.annotate("rows", index.n_rows)
-            span.annotate("packed", packed)
             index._ingest(database.physical_scan(), None)
         index._enforce_budget()
         return index
 
     @classmethod
-    def from_rows(
-        cls, rows: Iterable[Itemset], packed: bool = False
-    ) -> "VerticalIndex":
+    def from_rows(cls, rows: Iterable[Itemset]) -> "VerticalIndex":
         """Build over already-materialized rows (no rebuild source).
 
         Used for one-shot counting over plain iterables and for parallel
@@ -293,17 +258,12 @@ class VerticalIndex:
         no way to restore an evicted base bitmap.
         """
         materialized = rows if isinstance(rows, (list, tuple)) else list(rows)
-        index = cls(len(materialized), packed=packed)
+        index = cls(len(materialized))
         index._ingest(materialized, None)
         return index
 
     def _ingest(self, rows: Iterable[Itemset], only: set[int] | None) -> None:
-        """Scan *rows* once, building bitmaps (optionally only for *only*).
-
-        Bits are always set on arbitrary-precision integers first (the
-        fastest single-bit writes CPython offers); a packed index converts
-        each finished bitmap to its word array in one ``to_bytes`` call.
-        """
+        """Scan *rows* once, building bitmaps (optionally only for *only*)."""
         bits = {} if only is None else dict.fromkeys(only, 0)
         if only is None:
             get = bits.get
@@ -323,8 +283,6 @@ class VerticalIndex:
                 # resolvable as "absent" rather than eternally evicted.
                 self._evicted.discard(item)
                 continue
-            if self._packed:
-                bitmap = bitpack.pack_bigint(bitmap, self._n_words)
             self._bits[item] = bitmap
             self._nbytes += _entry_bytes(bitmap)
             self._evicted.discard(item)
@@ -363,9 +321,7 @@ class VerticalIndex:
             return False
         with obs.span("cache.extend") as span:
             span.annotate("rows", len(tail))
-            span.annotate("packed", self._packed)
             old_rows = self.n_rows
-            new_words = bitpack.words_for(n_rows)
             while self._derived:
                 _, bitmap = self._derived.popitem(last=False)
                 self._nbytes -= _entry_bytes(bitmap)
@@ -374,41 +330,11 @@ class VerticalIndex:
                 bit = 1 << position
                 for item in row:
                     tail_bits[item] = tail_bits.get(item, 0) | bit
-            if self._packed:
-                offset_words, offset_bits = old_rows >> 6, old_rows & 63
-                span_words = new_words - offset_words
-                for item in self._bits:
-                    # Pad every stored row to the new width (the batched
-                    # kernel vstacks rows, so widths must agree), then OR
-                    # the shifted tail bits in.
-                    grown = bitpack.zeros(new_words)
-                    grown[: len(self._bits[item])] = self._bits[item]
-                    bits = tail_bits.pop(item, 0)
-                    if bits:
-                        grown[offset_words:] |= bitpack.pack_bigint(
-                            bits << offset_bits, span_words
-                        )
-                    self._bits[item] = grown
-                for item, bits in tail_bits.items():
-                    if item in self._evicted:
-                        continue
-                    grown = bitpack.zeros(new_words)
-                    grown[offset_words:] |= bitpack.pack_bigint(
-                        bits << offset_bits, span_words
-                    )
-                    self._bits[item] = grown
-            else:
-                for item, bits in tail_bits.items():
-                    if item in self._evicted:
-                        continue
-                    self._bits[item] = (
-                        self._bits.get(item, 0) | (bits << old_rows)
-                    )
+            for item, bits in tail_bits.items():
+                if item in self._evicted:
+                    continue
+                self._bits[item] = self._bits.get(item, 0) | (bits << old_rows)
             self.n_rows = n_rows
-            self._n_words = new_words
-            self._zero = (
-                bitpack.zeros(new_words) if self._packed else 0
-            )
             self._nbytes = sum(
                 _entry_bytes(bitmap) for bitmap in self._bits.values()
             )
@@ -426,7 +352,11 @@ class VerticalIndex:
         return self._nbytes
 
     def set_budget(self, budget_bytes: int | None) -> None:
-        """Adjust the memory budget (enforced after the next count)."""
+        """Replace the memory budget (``None`` = unbounded).
+
+        A tighter budget is enforced after the next count; lifting it
+        restores evicted bitmaps on the next count that finds any.
+        """
         if budget_bytes is not None:
             check_positive(budget_bytes, "budget_bytes")
         self._budget = budget_bytes
@@ -455,32 +385,18 @@ class VerticalIndex:
         candidates: Collection[Itemset],
         taxonomy: Taxonomy | None = None,
         stats: CacheStats | None = None,
-        batch_words: int | None = None,
     ) -> dict[Itemset, int]:
         """Count every candidate by bitmap intersection; no data pass.
 
         With *taxonomy*, candidate nodes are matched generalized: a
         category's bitmap is the OR of its own and all its descendants'
         base bitmaps (memoized). Identical counts to extending every row
-        with ``ancestor_closure`` first. A packed index intersects whole
-        candidate batches at once (*batch_words* bounds the gather, see
-        :func:`repro.mining.bitpack.count_candidates`); the big-int index
-        intersects candidate-by-candidate.
+        with ``ancestor_closure`` first.
         """
         counts: dict[Itemset, int] = {}
         if not candidates:
             return counts
         self._ensure_present(candidates, taxonomy, stats)
-        if self._packed:
-            counts = bitpack.count_candidates(
-                lambda node: self._node_bits(node, taxonomy),
-                candidates,
-                self._n_words,
-                batch_words=batch_words,
-                stats=stats,
-            )
-            self._enforce_budget()
-            return counts
         for candidate in candidates:
             mask = self._node_bits(candidate[0], taxonomy)
             for item in candidate[1:]:
@@ -491,7 +407,7 @@ class VerticalIndex:
         self._enforce_budget()
         return counts
 
-    def _node_bits(self, node: int, taxonomy: Taxonomy | None):
+    def _node_bits(self, node: int, taxonomy: Taxonomy | None) -> int:
         if taxonomy is None or node not in taxonomy:
             return self._base_bits(node)
         children = taxonomy.children(node)
@@ -502,20 +418,18 @@ class VerticalIndex:
         if memoized is not None:
             self._derived.move_to_end(key)
             return memoized
-        # Functional OR on purpose: ``|=`` would mutate a packed base row
-        # in place (ndarrays are mutable where ints are not).
         bits = self._base_bits(node)
         for child in children:
-            bits = bits | self._node_bits(child, taxonomy)
+            bits |= self._node_bits(child, taxonomy)
         self._derived[key] = bits
         self._nbytes += _entry_bytes(bits)
         self._tax_refs[id(taxonomy)] = taxonomy
         return bits
 
-    def _base_bits(self, item: int):
+    def _base_bits(self, item: int) -> int:
         bits = self._bits.get(item)
         if bits is None:
-            return self._zero
+            return 0
         self._bits.move_to_end(item)
         return bits
 
@@ -525,17 +439,24 @@ class VerticalIndex:
         taxonomy: Taxonomy | None,
         stats: CacheStats | None,
     ) -> None:
-        """Restore evicted base bitmaps this count needs, in one pass."""
+        """Restore evicted base bitmaps this count needs, in one pass.
+
+        Unbounded (an earlier caller's budget was lifted), the pass
+        restores every evicted bitmap, so no later count reads again.
+        """
         if not self._evicted:
             return
-        needed: set[int] = set()
-        for candidate in candidates:
-            needed.update(candidate)
-        if taxonomy is not None:
-            for node in tuple(needed):
-                if node in taxonomy:
-                    needed.update(taxonomy.descendants(node))
-        missing = needed & self._evicted
+        if self._budget is None:
+            missing = set(self._evicted)
+        else:
+            needed: set[int] = set()
+            for candidate in candidates:
+                needed.update(candidate)
+            if taxonomy is not None:
+                for node in tuple(needed):
+                    if node in taxonomy:
+                        needed.update(taxonomy.descendants(node))
+            missing = needed & self._evicted
         if not missing:
             return
         if self._source is None:
@@ -553,27 +474,19 @@ class VerticalIndex:
     # Transport
     # ------------------------------------------------------------------
     def __reduce__(self):
-        # Ship only the row count, backend flag and base bitmaps: the
-        # data source, memory budget and derived memos are parent-process
-        # concerns.
-        return (
-            _unpickle_index,
-            (self.n_rows, tuple(self._bits.items()), self._packed),
-        )
+        # Ship only the row count and base bitmaps: the data source,
+        # memory budget and derived memos are parent-process concerns.
+        return (_unpickle_index, (self.n_rows, tuple(self._bits.items())))
 
     def __repr__(self) -> str:
-        backend = "packed" if self._packed else "bigint"
         return (
             f"VerticalIndex(rows={self.n_rows}, items={len(self._bits)}, "
-            f"evicted={len(self._evicted)}, bytes={self._nbytes}, "
-            f"backend={backend})"
+            f"evicted={len(self._evicted)}, bytes={self._nbytes})"
         )
 
 
-def _unpickle_index(
-    n_rows: int, items: tuple, packed: bool = False
-) -> VerticalIndex:
-    index = VerticalIndex(n_rows, packed=packed)
+def _unpickle_index(n_rows: int, items: tuple) -> VerticalIndex:
+    index = VerticalIndex(n_rows)
     for item, bitmap in items:
         index._bits[item] = bitmap
         index._nbytes += _entry_bytes(bitmap)
@@ -586,54 +499,43 @@ def _unpickle_index(
 def get_index(
     database,
     budget_bytes: int | None = None,
-    use_cache: bool = True,
     stats: CacheStats | None = None,
-    packed: bool = False,
 ) -> VerticalIndex:
     """The vertical index of *database*, building (or rebuilding) on demand.
 
     The index is attached to the database object itself; a fingerprint
     check on every call guarantees a mutated database can never serve
-    stale counts — it rebuilds instead. ``use_cache=False`` builds a
-    fresh index every call (the rebuild-per-pass baseline the benchmarks
-    compare against). An attached index whose storage backend does not
-    match *packed* is rebuilt in the requested representation (a miss,
-    not an invalidation — the data did not change). A fingerprint
-    mismatch that the database can prove is a *pure append*
-    (``append_epoch`` identity preserved, more rows) is absorbed
-    incrementally via :meth:`VerticalIndex.extend_from` — counted as an
-    extension + hit, not an invalidation.
+    stale counts — it rebuilds instead. A fingerprint mismatch that the
+    database can prove is a *pure append* (``append_epoch`` identity
+    preserved, more rows) is absorbed incrementally via
+    :meth:`VerticalIndex.extend_from` — counted as an extension + hit,
+    not an invalidation. Every call applies *budget_bytes* to the index
+    it returns (``None`` = unbounded), so one caller's budget never
+    outlives its own session.
     """
-    cached = getattr(database, "_vertical_index", None) if use_cache else None
+    cached = getattr(database, "_vertical_index", None)
     if cached is not None:
-        if not cached.valid_for(database):
-            if cached.packed == packed and cached.extend_from(
-                database, stats
-            ):
-                # Pure append: the index caught up in O(append) instead
-                # of rebuilding — an incremental hit, not a miss.
-                if budget_bytes is not None:
-                    cached.set_budget(budget_bytes)
-                if stats is not None:
-                    stats.extensions += 1
-                    stats.hits += 1
-                return cached
-            if stats is not None:
-                stats.invalidations += 1
-        elif cached.packed == packed:
-            if budget_bytes is not None:
-                cached.set_budget(budget_bytes)
+        cached.set_budget(budget_bytes)
+        if cached.valid_for(database):
             if stats is not None:
                 stats.hits += 1
             return cached
+        if cached.extend_from(database, stats):
+            # Pure append: the index caught up in O(append) instead of
+            # rebuilding — an incremental hit, not a miss.
+            if stats is not None:
+                stats.extensions += 1
+                stats.hits += 1
+            return cached
+        if stats is not None:
+            stats.invalidations += 1
     if stats is not None:
         stats.misses += 1
-    index = VerticalIndex.build(database, budget_bytes, packed=packed)
-    if use_cache:
-        try:
-            database._vertical_index = index
-        except AttributeError:
-            pass  # Foreign database type without the cache slot.
+    index = VerticalIndex.build(database, budget_bytes)
+    try:
+        database._vertical_index = index
+    except AttributeError:
+        pass  # Foreign database type without the cache slot.
     return index
 
 
@@ -641,23 +543,19 @@ def get_shard_indexes(
     database,
     shard_rows: int | None = None,
     n_shards: int | None = None,
-    use_cache: bool = True,
     stats: CacheStats | None = None,
-    packed: bool = False,
 ) -> list[VerticalIndex]:
     """Shard-local vertical indexes for parallel counting, built once.
 
     One physical pass plans the shards and builds a per-shard index;
     later passes at the same shard layout reuse (and re-ship) the built
     bitmaps, so workers never re-derive item bitsets from raw rows. The
-    plan is attached to the database keyed by fingerprint + layout +
-    storage backend; ``packed=True`` ships word arrays that workers count
-    with the vectorized kernel.
+    plan is attached to the database keyed by fingerprint + layout.
     """
     from ..parallel.shards import plan_shards  # lazy: avoid import cycle
 
-    layout = (shard_rows, n_shards, packed)
-    cached = getattr(database, "_shard_cache", None) if use_cache else None
+    layout = (shard_rows, n_shards)
+    cached = getattr(database, "_shard_cache", None)
     if cached is not None:
         token, cached_layout, indexes = cached
         fresh = database.cache_token()
@@ -673,18 +571,13 @@ def get_shard_indexes(
     with obs.span("cache.shard_build") as span:
         rows = tuple(database.physical_scan())
         shards = plan_shards(rows, shard_rows=shard_rows, n_shards=n_shards)
-        indexes = [
-            VerticalIndex.from_rows(shard.rows, packed=packed)
-            for shard in shards
-        ]
+        indexes = [VerticalIndex.from_rows(shard.rows) for shard in shards]
         span.annotate("rows", len(rows))
         span.annotate("shards", len(indexes))
-        span.annotate("packed", packed)
-    if use_cache:
-        try:
-            database._shard_cache = (token, layout, indexes)
-        except AttributeError:
-            pass
+    try:
+        database._shard_cache = (token, layout, indexes)
+    except AttributeError:
+        pass
     return indexes
 
 
@@ -702,25 +595,18 @@ def count_with_index(
     candidates: Collection[Itemset],
     taxonomy: Taxonomy | None = None,
     budget_bytes: int | None = None,
-    use_cache: bool = True,
     stats: CacheStats | None = None,
-    packed: bool = False,
-    batch_words: int | None = None,
 ) -> dict[Itemset, int]:
     """The ``"cached"`` engine: count via the vertical index of *source*.
 
     *source* may be a scan-counted database (the index is cached on it
     and one **logical** pass is recorded per call) or a plain iterable of
     canonical rows (a one-shot index is built, as the serial engines
-    would scan the rows once). ``packed=True`` selects the bit-packed
-    NumPy storage backend and its batched counting kernel.
+    would scan the rows once).
     """
     if hasattr(source, "scan"):
         hits_before = stats.hits if stats is not None else 0
-        index = get_index(
-            source, budget_bytes=budget_bytes, use_cache=use_cache,
-            stats=stats, packed=packed,
-        )
+        index = get_index(source, budget_bytes=budget_bytes, stats=stats)
         # A cache hit returns an index whose lifetime evictions were
         # already absorbed by earlier calls; only count the new ones.
         served_from_cache = stats is not None and stats.hits > hits_before
@@ -729,11 +615,9 @@ def count_with_index(
     else:
         if stats is not None:
             stats.misses += 1
-        index = VerticalIndex.from_rows(source, packed=packed)
+        index = VerticalIndex.from_rows(source)
         evictions_before = 0
-    counts = index.count(
-        candidates, taxonomy=taxonomy, stats=stats, batch_words=batch_words
-    )
+    counts = index.count(candidates, taxonomy=taxonomy, stats=stats)
     if stats is not None:
         stats.evictions += index.evictions - evictions_before
         stats.bytes = max(stats.bytes, index.nbytes)

@@ -24,8 +24,8 @@ DESIGN.md §5):
   one-worker-per-partition Partition driver.
 
 Entry points: pass ``n_jobs=4`` (or ``engine="parallel"``) to
-:func:`repro.mine_negative_rules`, ``--jobs 4`` on the CLI, and add
-``shm=True`` / ``--shm`` (or ``engine="parallel-shm"``) for the
+:func:`repro.mine_negative_rules`, ``--jobs 4`` on the CLI, and choose
+``engine="parallel-shm"`` (``--engine parallel-shm``) for the
 shared-memory kernel.
 """
 

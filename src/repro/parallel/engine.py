@@ -246,10 +246,9 @@ def parallel_count_supports(
         The engine each shard delegates to: a registry spec or a built
         :class:`~repro.mining.engines.CountingEngine` (a parallel
         wrapper is unwrapped to its inner engine). With a caching engine
-        and a database, shard-local vertical indexes are built once
-        (packed when the engine is configured packed) and re-shipped to
-        workers on every later pass; with ``"numpy"`` each worker packs
-        its own shard per pass.
+        and a database, shard-local vertical indexes are built once and
+        re-shipped to workers on every later pass; with ``"numpy"`` each
+        worker packs its own shard per pass.
     n_jobs:
         Worker processes; ``None`` = one per CPU, ``1`` = serial
         in-process.
@@ -301,10 +300,7 @@ def parallel_count_supports(
             shard_rows,
             pool_config,
             stats,
-            getattr(engine, "use_cache", True),
             cache_stats,
-            getattr(engine, "packed", False),
-            getattr(engine, "batch_words", None),
         )
     if hasattr(transactions, "scan"):
         transactions = transactions.scan()
@@ -425,26 +421,16 @@ def _count_cached_sharded(
     shard_rows: int | None,
     pool_config: PoolConfig | None,
     stats: ParallelStats | None,
-    use_cache: bool,
     cache_stats,
-    packed: bool = False,
-    batch_words: int | None = None,
 ) -> dict[Itemset, int]:
     """One sharded counting pass served from shard-local vertical indexes.
 
     Building the indexes costs one physical pass (recorded at the parent);
     every pass, including the first, records exactly one logical pass —
-    the same cost-model shape as the serial cached engine. With
-    ``packed=True`` the shard indexes hold bit-packed word arrays and
-    workers run the vectorized kernel.
+    the same cost-model shape as the serial cached engine.
     """
     indexes = vertical.get_shard_indexes(
-        database,
-        shard_rows=shard_rows,
-        n_shards=jobs,
-        use_cache=use_cache,
-        stats=cache_stats,
-        packed=packed,
+        database, shard_rows=shard_rows, n_shards=jobs, stats=cache_stats
     )
     database.count_logical_pass()
     if stats is not None:
@@ -453,10 +439,7 @@ def _count_cached_sharded(
         if stats is not None:
             stats.serial_tasks += len(indexes)
         partials = [
-            index.count(
-                candidate_list, taxonomy=taxonomy, stats=cache_stats,
-                batch_words=batch_words,
-            )
+            index.count(candidate_list, taxonomy=taxonomy, stats=cache_stats)
             for index in indexes
         ]
     else:

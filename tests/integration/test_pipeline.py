@@ -144,7 +144,7 @@ class TestConfigurationEquivalence:
             minsup=MINSUP, minri=MINRI, engine="hashtree",
         )
 
-    @pytest.mark.parametrize("engine", ["bitmap", "index", "brute"])
+    @pytest.mark.parametrize("engine", ["bitmap", "brute"])
     def test_engines_agree_with_hashtree(
         self, small_dataset, hashtree_result, engine
     ):

@@ -3,17 +3,15 @@
 The bit-packed kernel's contract mirrors the cached engine's: no
 observable count ever changes — not for flat candidate sets, not under a
 taxonomy (descendant-OR versus per-row ancestor extension), not at word
-boundaries (row counts straddling 64-bit words), and not when the packed
-``VerticalIndex`` backend evicts bitmaps under a tiny memory budget.
+boundaries (row counts straddling 64-bit words), and not when the
+candidate gather is split into tiny batches.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.database import TransactionDatabase
 from repro.itemset import itemset
 from repro.core.session import MiningSession
-from repro.mining.vertical import VerticalIndex
 from repro.taxonomy.builders import taxonomy_from_parents
 
 transactions_strategy = st.lists(
@@ -105,57 +103,3 @@ def test_numpy_exact_at_word_boundaries(candidates, n_rows):
 def test_numpy_tiny_batches_match_default(transactions, candidates):
     default = numpy_count(transactions, candidates)
     assert numpy_count(transactions, candidates, batch_words=1) == default
-
-
-@settings(max_examples=40, deadline=None)
-@given(transactions_strategy, candidates_strategy)
-def test_packed_index_matches_bigint_index(transactions, candidates):
-    bigint = VerticalIndex.from_rows(transactions)
-    packed = VerticalIndex.from_rows(transactions, packed=True)
-    assert packed.count(candidates) == bigint.count(candidates)
-
-
-@settings(max_examples=40, deadline=None)
-@given(leaf_transactions_strategy, taxonomy_strategy, st.data())
-def test_packed_index_matches_bigint_generalized(
-    transactions, taxonomy, data
-):
-    nodes = sorted(taxonomy.nodes)
-    candidates = data.draw(
-        st.lists(
-            st.lists(st.sampled_from(nodes), min_size=1, max_size=3).map(
-                itemset
-            ),
-            min_size=1,
-            max_size=12,
-        ).map(lambda cands: sorted(set(cands)))
-    )
-    bigint = VerticalIndex.from_rows(transactions)
-    packed = VerticalIndex.from_rows(transactions, packed=True)
-    assert packed.count(candidates, taxonomy=taxonomy) == bigint.count(
-        candidates, taxonomy=taxonomy
-    )
-
-
-@settings(max_examples=40, deadline=None)
-@given(transactions_strategy, candidates_strategy)
-def test_packed_tiny_budget_still_exact(transactions, candidates):
-    """LRU eviction of packed rows rebuilds exactly, never approximates."""
-    database = TransactionDatabase(transactions)
-    expected = brute(transactions, candidates)
-    session = MiningSession(
-        database, engine="cached", cache_bytes=1, packed=True
-    )
-    for _ in range(2):
-        assert session.count(candidates) == expected
-
-
-@settings(max_examples=40, deadline=None)
-@given(transactions_strategy, candidates_strategy)
-def test_packed_cached_engine_across_passes(transactions, candidates):
-    database = TransactionDatabase(transactions)
-    expected = brute(transactions, candidates)
-    session = MiningSession(database, engine="cached", packed=True)
-    for _ in range(3):
-        assert session.count(candidates) == expected
-    assert database.scans == 1

@@ -44,7 +44,7 @@ def oracle(transactions, candidates):
 @given(transactions_strategy, candidates_strategy)
 def test_engines_match_oracle(transactions, candidates):
     expected = oracle(transactions, candidates)
-    for engine in ("bitmap", "hashtree", "index", "brute"):
+    for engine in ("bitmap", "hashtree", "brute"):
         assert count(engine, transactions, candidates) == expected
 
 

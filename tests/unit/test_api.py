@@ -126,7 +126,7 @@ class TestMineNegativeRules:
 
     def test_config_object_with_overrides(self, soft_drinks_taxonomy,
                                           soft_drinks_database):
-        config = MiningConfig(minsup=0.5, minri=0.9, engine="index")
+        config = MiningConfig(minsup=0.5, minri=0.9, engine="hashtree")
         result = mine_negative_rules(
             soft_drinks_database,
             soft_drinks_taxonomy,
@@ -135,7 +135,7 @@ class TestMineNegativeRules:
         )
         assert result.config.minsup == 0.05   # override wins
         assert result.config.minri == 0.9     # from config
-        assert result.config.engine == "index"
+        assert result.config.engine == "hashtree"
 
     def test_naive_and_improved_agree(self, soft_drinks_taxonomy,
                                       soft_drinks_database):

@@ -78,7 +78,7 @@ class TestFindLargeItemsets:
                 if subset:
                     assert index.support(subset) >= support - 1e-12
 
-    @pytest.mark.parametrize("engine", ["bitmap", "hashtree", "index", "brute"])
+    @pytest.mark.parametrize("engine", ["bitmap", "hashtree", "brute"])
     def test_engines_equivalent(self, small_database, engine):
         baseline = find_large_itemsets(
             small_database, 0.2, MiningSession(small_database, engine="brute")

@@ -1,5 +1,7 @@
 """Unit tests for the engine registry and the MiningSession lifecycle."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.core.session import MiningSession
@@ -30,7 +32,7 @@ EXPECTED = {(1,): 3, (2, 3): 2, (1, 2, 3): 1}
 class TestRegistry:
     def test_builtin_engines_registered_in_order(self):
         assert engine_names() == (
-            "bitmap", "hashtree", "index", "brute",
+            "bitmap", "hashtree", "brute",
             "cached", "numpy", "mmap", "parallel", "parallel-shm",
         )
         assert ENGINES == engine_names()
@@ -97,6 +99,10 @@ class TestRegistry:
         assert set(lines[1]) <= {"|", "-"}
         assert len(lines) == 2 + len(engine_names())
 
+    def test_readme_embeds_the_generated_table(self):
+        readme = Path(__file__).parents[2] / "README.md"
+        assert capability_table(markdown=True) in readme.read_text()
+
 
 class TestSpecParsing:
     def test_plain_name(self):
@@ -116,6 +122,11 @@ class TestSpecParsing:
     def test_non_wrapper_rejects_inner(self):
         with pytest.raises(ConfigError, match="does not compose"):
             parse_spec("bitmap:numpy")
+
+    @pytest.mark.parametrize("spec", ["index", "parallel:index"])
+    def test_retired_name_names_its_replacement(self, spec):
+        with pytest.raises(ConfigError, match="removed; use 'bitmap'"):
+            parse_spec(spec)
 
     def test_non_string_spec(self):
         with pytest.raises(ConfigError, match="must be a string"):
@@ -157,30 +168,6 @@ class TestCreateEngine:
         )
         with pytest.raises(ConfigError, match="requires NumPy"):
             create_engine("parallel-shm")
-
-    def test_shm_policy_upgrades_parallel_to_shm_engine(self):
-        from repro.mining.engines import ParallelShmEngine
-
-        session = MiningSession(
-            ROWS, engine="numpy", n_jobs=2, shm=True
-        )
-        assert isinstance(session.engine, ParallelShmEngine)
-        assert session.engine.spec == "parallel-shm"
-        assert session.engine.n_jobs == 2
-        session.engine.close()
-
-    def test_shm_policy_keeps_an_shm_engine(self):
-        from repro.mining.engines import ParallelShmEngine
-
-        session = MiningSession(
-            ROWS, engine="parallel-shm", n_jobs=1, shm=True
-        )
-        assert isinstance(session.engine, ParallelShmEngine)
-        session.engine.close()
-
-    def test_shm_policy_rejects_serial_configurations(self):
-        with pytest.raises(ConfigError, match="shm=True requires"):
-            MiningSession(ROWS, engine="bitmap", n_jobs=1, shm=True)
 
 
 class TestSessionLifecycle:

@@ -125,7 +125,7 @@ class TestAlgorithmEquivalence:
                 0.05,
                 session=MiningSession(database, taxonomy, engine),
             )
-            for engine in ("bitmap", "hashtree", "index", "brute")
+            for engine in ("bitmap", "hashtree", "brute")
         ]
         assert all(result == results[0] for result in results)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.interest import deviation_threshold, rule_interest
+from repro.measures.ri import deviation_threshold, rule_interest
 from repro.errors import ConfigError
 
 

@@ -269,13 +269,3 @@ class TestCachedEngineMiners:
         assert cached.negatives == expected.negatives
         assert cached.stats.data_passes == expected.stats.data_passes
         assert cached.stats.physical_passes < cached.stats.data_passes
-
-    def test_use_cache_false_rebuilds_every_pass(self, database, taxonomy):
-        run = ImprovedNegativeMiner(
-            database, taxonomy, 0.15, 0.4,
-            session=MiningSession(
-                database, taxonomy, "cached", use_cache=False
-            ),
-        ).mine()
-        assert run.stats.cache_hits == 0
-        assert run.stats.cache_misses == run.stats.data_passes

@@ -85,7 +85,7 @@ class TestParallelCounting:
         ).count(CANDIDATES) == expected
         # A shardable serial spec with n_jobs > 1 auto-wraps.
         assert MiningSession(
-            rows, engine="index", n_jobs=2
+            rows, engine="hashtree", n_jobs=2
         ).count(CANDIDATES) == expected
 
     def test_crashed_workers_retry_then_fall_back(

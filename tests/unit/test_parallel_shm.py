@@ -417,7 +417,7 @@ class TestParallelShmEngine:
             engine.close()
         assert not live_segments()
 
-    def test_shm_policy_mines_identically_end_to_end(self):
+    def test_shm_engine_mines_identically_end_to_end(self):
         taxonomy = taxonomy_from_parents({1: 0, 2: 0, 3: 10, 4: 10})
         rows = [row for row in ROWS for _ in range(2)]
         config = MiningConfig(minsup=0.2, minri=0.2)
@@ -426,9 +426,8 @@ class TestParallelShmEngine:
             rows,
             taxonomy,
             config=config,
-            engine="numpy",
+            engine="parallel-shm",
             n_jobs=2,
-            shm=True,
         )
         assert [r.format() for r in shm_run.rules] == [
             r.format() for r in baseline.rules

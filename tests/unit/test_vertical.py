@@ -86,15 +86,6 @@ class TestGetIndex:
         assert (stats.hits, stats.misses) == (1, 1)
         assert database.scans == 1
 
-    def test_use_cache_false_rebuilds_every_call(self):
-        database = TransactionDatabase(ROWS)
-        stats = CacheStats()
-        first = vertical.get_index(database, use_cache=False, stats=stats)
-        second = vertical.get_index(database, use_cache=False, stats=stats)
-        assert first is not second
-        assert stats.misses == 2
-        assert getattr(database, "_vertical_index", None) is None
-
     def test_mutated_database_invalidates(self):
         database = TransactionDatabase(ROWS)
         stats = CacheStats()
@@ -164,6 +155,22 @@ class TestCachedEngine:
         assert session.cache_stats.evictions > 0
         assert session.cache_stats.rebuilt_items > 0
 
+    def test_budget_does_not_outlive_its_session(self):
+        """An unbounded session after a bounded one on the same database
+        neither evicts nor re-reads the rows pass after pass."""
+        database = TransactionDatabase(ROWS)
+        bounded = MiningSession(database, engine="cached", cache_bytes=1)
+        bounded.count(CANDIDATES)
+        assert bounded.cache_stats.evictions > 0
+        scans = database.scans
+        unbounded = MiningSession(database, engine="cached")
+        for candidates in ([(1,)], [(2,)], [(3, 4)], CANDIDATES):
+            assert unbounded.count(candidates) == brute(ROWS, candidates)
+        assert unbounded.cache_stats.evictions == 0
+        # One pass restores what the bounded session evicted: the same
+        # single read a cold unbounded session spends on its build.
+        assert database.scans == scans + 1
+
 
 class TestShardIndexes:
     def test_layout_reuse_and_change(self):
@@ -191,75 +198,6 @@ class TestShardIndexes:
             for items, count in index.count(CANDIDATES).items():
                 totals[items] += count
         assert totals == brute(ROWS, CANDIDATES)
-
-
-class TestPackedBackend:
-    def test_counts_match_bigint(self):
-        bigint = VerticalIndex.from_rows(ROWS)
-        packed = VerticalIndex.from_rows(ROWS, packed=True)
-        assert packed.packed and not bigint.packed
-        assert packed.count(CANDIDATES) == bigint.count(CANDIDATES)
-
-    def test_generalized_counts_match_bigint(self):
-        bigint = VerticalIndex.from_rows(ROWS)
-        packed = VerticalIndex.from_rows(ROWS, packed=True)
-        candidates = [(100,), (101,), (100, 101), (1, 101), (100, 3, 4)]
-        assert packed.count(candidates, taxonomy=TAXONOMY) == bigint.count(
-            candidates, taxonomy=TAXONOMY
-        )
-
-    def test_pickle_roundtrip_preserves_backend(self):
-        packed = VerticalIndex.from_rows(ROWS, packed=True)
-        clone = pickle.loads(pickle.dumps(packed))
-        assert clone.packed
-        assert clone.count(CANDIDATES) == brute(ROWS, CANDIDATES)
-
-    def test_budget_evicts_and_restores_packed_rows(self):
-        database = TransactionDatabase(ROWS)
-        index = VerticalIndex.build(database, budget_bytes=1, packed=True)
-        assert index.evictions > 0
-        stats = CacheStats()
-        assert index.count(CANDIDATES, stats=stats) == brute(ROWS, CANDIDATES)
-        assert stats.rebuilt_items > 0
-
-    def test_kernel_batches_recorded(self):
-        packed = VerticalIndex.from_rows(ROWS, packed=True)
-        stats = CacheStats()
-        packed.count(CANDIDATES, stats=stats, batch_words=1)
-        assert stats.kernel_batches == len(CANDIDATES)
-        bigint = VerticalIndex.from_rows(ROWS)
-        idle = CacheStats()
-        bigint.count(CANDIDATES, stats=idle)
-        assert idle.kernel_batches == 0
-
-    def test_get_index_backend_mismatch_rebuilds(self):
-        database = TransactionDatabase(ROWS)
-        stats = CacheStats()
-        bigint = vertical.get_index(database, stats=stats)
-        packed = vertical.get_index(database, packed=True, stats=stats)
-        assert packed is not bigint
-        assert packed.packed
-        # A backend switch is a rebuild (a miss), not data invalidation.
-        assert stats.invalidations == 0
-        assert stats.misses == 2
-        again = vertical.get_index(database, packed=True, stats=stats)
-        assert again is packed
-
-    def test_shard_indexes_packed_layout(self):
-        database = TransactionDatabase(ROWS)
-        indexes = vertical.get_shard_indexes(
-            database, n_shards=3, packed=True
-        )
-        assert all(index.packed for index in indexes)
-        totals = dict.fromkeys(CANDIDATES, 0)
-        for index in indexes:
-            for items, count in index.count(CANDIDATES).items():
-                totals[items] += count
-        assert totals == brute(ROWS, CANDIDATES)
-
-    def test_packed_engine_repr(self):
-        packed = VerticalIndex.from_rows(ROWS, packed=True)
-        assert "packed" in repr(packed)
 
 
 class TestCacheStats:
