@@ -28,21 +28,33 @@ admission rules:
 
 The enumeration enforces the 1-item-subset rule by drawing replacements
 only from large 1-itemsets, and the ancestor and threshold rules while it
-descends, before a candidate is built; only the large-itemset test and
-the dedup run on complete candidates (see :func:`_expand`).
+descends, before a candidate is built (see :func:`_expand`).
+
+The enumeration runs on integer bitmasks. Every large 1-itemset of the
+taxonomy (plus any source item that is not one) gets a dense id in
+ascending item order, so an itemset is an ``int`` whose set bits, read low
+to high, give its canonical tuple. Related closures and blocked sets are
+masks too, and a leaf is the mask ``prefix | bit``. The best expectation
+per mask lives in one dict that is seeded with every large itemset's mask
+as a sentinel no expectation can beat, so a leaf makes a single probe for
+both the "already large" test and the max-expectation dedup. The
+sentinels are dropped at the end, and the sorted tuple and the
+:class:`NegativeCandidate` are built once per kept candidate, in the
+order candidates were first reached.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable
-from itertools import combinations
+from collections.abc import Iterable, Iterator
+from itertools import combinations, islice
 
 from .._util import check_fraction
 from ..itemset import Itemset
 from ..measures.ri import deviation_threshold
-from ..mining.generalized import contains_item_and_ancestor
 from ..mining.itemset_index import LargeItemsetIndex
+from ..obs import api as obs
 from ..taxonomy.tree import Taxonomy
 
 CASE_CHILDREN = "children"
@@ -72,67 +84,97 @@ class NegativeCandidate:
     case: str
 
 
-RatioPool = tuple[tuple[int, float], ...]
+#: A replacement pool entry: ``(bit, ratio, related_mask)``.
+MaskPool = tuple[tuple[int, float, int], ...]
+
+#: The sentinel entry of a large itemset's mask. Candidate entries are
+#: ``(value, source, case)``; no finite expectation exceeds this value, so
+#: a leaf that reaches a large itemset is rejected by the same comparison
+#: that keeps the maximum.
+_LARGE = (math.inf,)
 
 
 class _RelativeCache:
-    """Large-filtered children/sibling ratio pools and related closures,
-    computed per item.
+    """Dense ids, large-filtered children/sibling ratio pools and related
+    closures, computed per item.
 
-    A pool entry is ``(relative_item, sup(relative) / sup(item))`` — the
-    expectation factor contributed by replacing *item* with the relative.
-    Pools are sorted by descending ratio so the branch-and-bound
-    enumeration can cut off as soon as the bound falls below threshold.
+    *universe* is every item that may appear in a candidate: the large
+    1-itemsets in the taxonomy plus the items of the sources. Item
+    ``sorted(universe)[i]`` has the bit ``1 << i``.
+
+    A pool entry is ``(bit, ratio, related)`` for one relative, where
+    ratio is ``sup(relative) / sup(item)`` — the expectation factor
+    contributed by replacing *item* with the relative — and related is
+    the relative's closure mask (see :meth:`related`). Pools are sorted by
+    descending ratio so the branch-and-bound enumeration can cut off as
+    soon as the bound falls below threshold.
     """
 
     __slots__ = (
-        "_taxonomy", "_index", "_children", "_siblings", "_related",
+        "_taxonomy", "_index", "bit_of", "item_at", "_children",
+        "_siblings", "_related",
     )
 
-    def __init__(self, taxonomy: Taxonomy, index: LargeItemsetIndex) -> None:
+    def __init__(
+        self,
+        taxonomy: Taxonomy,
+        index: LargeItemsetIndex,
+        universe: Iterable[int],
+    ) -> None:
         self._taxonomy = taxonomy
         self._index = index
-        self._children: dict[int, RatioPool] = {}
-        self._siblings: dict[int, RatioPool] = {}
-        self._related: dict[int, frozenset[int]] = {}
+        self.item_at: list[int] = sorted(universe)
+        self.bit_of: dict[int, int] = {
+            item: 1 << position for position, item in enumerate(self.item_at)
+        }
+        self._children: dict[int, MaskPool] = {}
+        self._siblings: dict[int, MaskPool] = {}
+        self._related: dict[int, int] = {}
 
-    def _pool(self, item: int, relatives: tuple[int, ...]) -> RatioPool:
+    def _pool(self, item: int, relatives: tuple[int, ...]) -> MaskPool:
         own_support = self._index.support_or_none((item,))
         if own_support is None or own_support <= 0.0:
             return ()
         entries = [
-            (relative, self._index.support((relative,)) / own_support)
+            (
+                self.bit_of[relative],
+                self._index.support((relative,)) / own_support,
+                self.related(relative),
+            )
             for relative in relatives
             if self._index.is_large((relative,))
         ]
         entries.sort(key=lambda entry: -entry[1])
         return tuple(entries)
 
-    def children_ratios(self, item: int) -> RatioPool:
+    def children_pool(self, item: int) -> MaskPool:
         if item not in self._children:
             self._children[item] = self._pool(
                 item, self._taxonomy.children(item)
             )
         return self._children[item]
 
-    def sibling_ratios(self, item: int) -> RatioPool:
+    def sibling_pool(self, item: int) -> MaskPool:
         if item not in self._siblings:
             self._siblings[item] = self._pool(
                 item, self._taxonomy.siblings(item)
             )
         return self._siblings[item]
 
-    def related(self, item: int) -> frozenset[int]:
-        """*item* with its ancestors and descendants: the items that may
-        not share a candidate with it. Built on first use, since most
-        nodes of a full taxonomy are never replacements."""
+    def related(self, item: int) -> int:
+        """Mask of *item* with its ancestors and descendants: the items
+        that may not share a candidate with it. Built on first use, since
+        most nodes of a full taxonomy are never replacements."""
         closure = self._related.get(item)
         if closure is None:
-            closure = frozenset(
+            bit_of = self.bit_of
+            closure = 0
+            for node in (
                 (item,)
                 + self._taxonomy.ancestors(item)
                 + self._taxonomy.descendants(item)
-            )
+            ):
+                closure |= bit_of.get(node, 0)
             self._related[item] = closure
         return closure
 
@@ -183,8 +225,6 @@ def generate_negative_candidates(
     """
     check_fraction(minsup, "minsup")
     threshold = deviation_threshold(minsup, minri)
-    cache = _RelativeCache(taxonomy, index)
-    out: dict[Itemset, NegativeCandidate] = {}
 
     if sources is None:
         source_list: list[Itemset] = [
@@ -195,36 +235,75 @@ def generate_negative_candidates(
         ]
     else:
         source_list = [items for items in sources if len(items) >= 2]
+    # A pruned taxonomy may have dropped items of a stale index entry;
+    # such sources cannot yield admissible candidates.
+    source_list = [
+        source
+        for source in source_list
+        if (max_size is None or len(source) <= max_size)
+        and all(item in taxonomy for item in source)
+    ]
 
+    universe = {
+        items[0] for items in index.of_size(1) if items[0] in taxonomy
+    }
+    universe.update(*source_list)
+    cache = _RelativeCache(taxonomy, index, universe)
+    bit_of = cache.bit_of
+
+    # Candidates keep their source's size, so only large itemsets of
+    # those sizes can collide with one; an entry holding an item outside
+    # the universe never can. An itemset's bits are distinct, so their
+    # sum is their OR.
+    best: dict[int, tuple] = {}
+    for size in {len(source) for source in source_list}:
+        for items in index.of_size(size):
+            try:
+                best[sum(map(bit_of.__getitem__, items))] = _LARGE
+            except KeyError:
+                continue
+    sentinels = len(best)
+
+    subsets = 0
     for source in source_list:
-        if max_size is not None and len(source) > max_size:
-            continue
-        if any(item not in taxonomy for item in source):
-            # A pruned taxonomy may have dropped items of a stale index
-            # entry; such sources cannot yield admissible candidates.
-            continue
-        if contains_item_and_ancestor(source, taxonomy):
-            # Degenerate large itemsets (possible with the Basic miner)
-            # predict nothing beyond their non-degenerate reduction.
-            continue
-        base = index.support(source)
-        _expand(
-            source, base, cache, index, threshold,
-            max_sibling_replacements, out,
+        subsets += _expand(
+            source, index, cache, threshold,
+            max_sibling_replacements, best,
         )
+
+    # The sentinels were seeded first; the rest are the candidates in
+    # the order they were first reached. A mask's set bits, read low to
+    # high, are its canonical tuple (collected here from the top down).
+    item_at = cache.item_at
+    out: dict[Itemset, NegativeCandidate] = {}
+    for mask, (value, source, case) in islice(best.items(), sentinels, None):
+        members = []
+        while mask:
+            top = mask.bit_length() - 1
+            members.append(item_at[top])
+            mask ^= 1 << top
+        members.reverse()
+        items = tuple(members)
+        out[items] = NegativeCandidate(
+            items=items, expected_support=value, source=source, case=case
+        )
+    obs.incr("candidates.position_subsets", subsets)
+    obs.incr("candidates.leaf_masks", len(best) - sentinels)
+    obs.incr("candidates.kept", len(out))
     return out
 
 
 def _expand(
     source: Itemset,
-    base: float,
-    cache: _RelativeCache,
     index: LargeItemsetIndex,
+    cache: _RelativeCache,
     threshold: float,
     max_sibling_replacements: int | None,
-    out: dict[Itemset, NegativeCandidate],
-) -> None:
-    """Enumerate all admissible replacements of *source* with pruning.
+    best: dict[int, tuple],
+) -> int:
+    """Enumerate all admissible replacements of *source* with pruning,
+    recording the best ``(value, source, case)`` per candidate mask in
+    *best*; returns the number of position subsets visited.
 
     The raw enumeration is exponential (the Section 2.1.2 estimate), and
     the paper lists "more efficient candidate generation techniques" as
@@ -238,117 +317,171 @@ def _expand(
       Position subsets and branches that cannot reach
       ``MinSup × MinRI`` are cut.
     * **Conflicts.** The items a position subset keeps ("fixed") seed a
-      blocked set with their related closures (the item, its ancestors
-      and its descendants). A replacement in the blocked set would make
+      blocked mask with their related closures (the item, its ancestors
+      and its descendants). A replacement whose bit is blocked would make
       the candidate repeat an item or hold an item together with its
-      ancestor, so :func:`_descend` skips it when it is chosen, cutting
-      every candidate below it at once.
+      ancestor, so it is skipped when it is chosen, cutting every
+      candidate below it at once. A chosen item's closure is OR-ed into
+      the blocked mask passed down.
+
+    A complete assignment therefore has distinct, mutually unrelated
+    items, and the leaf makes one probe of *best*: a missing mask is a
+    new candidate, and an entry is replaced only by a strictly larger
+    expectation, which no large itemset's sentinel admits. Single-position
+    subsets run as one inline loop. Larger ones run their last two depths
+    as nested loops here, once per surviving branch of the depths above
+    (:func:`_heads`, only for three or more positions), so no leaf costs
+    a Python call.
 
     Only positions with a non-empty pool can be replaced, so subsets are
     drawn from those alone, in the same order as from all positions.
-    The suffix products of best ratios that bound each depth are
-    computed once per subset.
+    Bounds, suffix products and expectations are multiplied in the same
+    order as the exhaustive reference: float products depend on their
+    order, which decides borderline cuts.
     """
     size = len(source)
-    related = cache.related
-    # Fixed items and their blocked set depend only on the replaced
-    # positions, which both cases share.
-    kept: dict[tuple[int, ...], tuple[Itemset, frozenset[int]]] = {}
-    for case, ratio_pools, proper_only in (
-        (CASE_CHILDREN, cache.children_ratios, False),
-        (CASE_SIBLINGS, cache.sibling_ratios, True),
+    bits = [cache.bit_of[item] for item in source]
+    closures = [cache.related(item) for item in source]
+    full = sum(bits)
+    for bit, closure in zip(bits, closures):
+        if closure & (full ^ bit):
+            # Degenerate large itemsets (possible with the Basic miner)
+            # predict nothing beyond their non-degenerate reduction.
+            return 0
+    base = index.support(source)
+    # others[p]: the blocked mask when only position p is replaced.
+    after = [0] * (size + 1)
+    for p in range(size - 1, -1, -1):
+        after[p] = after[p + 1] | closures[p]
+    others = []
+    before = 0
+    for p in range(size):
+        others.append(before | after[p + 1])
+        before |= closures[p]
+    get = best.get
+    subsets = 0
+    # The fixed and blocked masks of a position subset are shared by
+    # both cases.
+    kept: dict[tuple[int, ...], tuple[int, int]] = {}
+    for case, mask_pools, proper_only in (
+        (CASE_CHILDREN, cache.children_pool, False),
+        (CASE_SIBLINGS, cache.sibling_pool, True),
     ):
         max_positions = size - 1 if proper_only else size
         if case == CASE_SIBLINGS and max_sibling_replacements is not None:
             max_positions = min(max_positions, max_sibling_replacements)
-        position_pools = [ratio_pools(item) for item in source]
+        if max_positions < 1:
+            continue
+        position_pools = [mask_pools(item) for item in source]
         live = [p for p in range(size) if position_pools[p]]
-        for count in range(1, min(max_positions, len(live)) + 1):
-            for positions in combinations(live, count):
-                pools = [position_pools[p] for p in positions]
-                bests = [pool[0][1] for pool in pools]
+        for p in live:
+            subsets += 1
+            pool = position_pools[p]
+            # The bound of one position is its best leaf's expectation.
+            if base * pool[0][1] < threshold:
+                continue
+            prefix = full ^ bits[p]
+            blocked = others[p]
+            for bit, ratio, _ in pool:
+                value = base * ratio
+                if value < threshold:
+                    break
+                if blocked & bit:
+                    continue
+                mask = prefix | bit
+                entry = get(mask)
+                if entry is None or value > entry[0]:
+                    best[mask] = (value, source, case)
+        live_pools = [position_pools[p] for p in live]
+        live_bests = [pool[0][1] for pool in live_pools]
+        for count in range(2, min(max_positions, len(live)) + 1):
+            for positions, pools, bests in zip(
+                combinations(live, count),
+                combinations(live_pools, count),
+                combinations(live_bests, count),
+            ):
+                subsets += 1
                 # Exact upper bound: best (first) ratio at every position.
                 bound = base
-                for best in bests:
-                    bound *= best
+                for ratio in bests:
+                    bound *= ratio
                 if bound < threshold:
                     continue
-                # suffix[d]: product of the best ratios of pools[d:],
-                # multiplied left to right. Float products depend on
-                # their order, which decides borderline bound cuts.
-                suffix = [1.0] * (count + 1)
-                for depth in range(1, count):
-                    product = 1.0
-                    for best in bests[depth:]:
-                        product *= best
-                    suffix[depth] = product
-                if positions not in kept:
-                    fixed = tuple(
-                        item for p, item in enumerate(source)
-                        if p not in positions
+                fixed = kept.get(positions)
+                if fixed is None:
+                    prefix = full
+                    blocked = 0
+                    for p in range(size):
+                        if p in positions:
+                            prefix ^= bits[p]
+                        else:
+                            blocked |= closures[p]
+                    fixed = kept[positions] = (prefix, blocked)
+                if count == 2:
+                    heads = ((fixed[0], base, fixed[1]),)
+                else:
+                    # suffix[d]: product of the best ratios of pools[d:],
+                    # multiplied left to right.
+                    suffix = [1.0] * (count + 1)
+                    for depth in range(1, count):
+                        product = 1.0
+                        for ratio in bests[depth:]:
+                            product *= ratio
+                        suffix[depth] = product
+                    heads = _heads(
+                        pools, suffix, 0, fixed[0], base, fixed[1],
+                        threshold,
                     )
-                    kept[positions] = (
-                        fixed,
-                        frozenset().union(*map(related, fixed)),
-                    )
-                fixed, blocked = kept[positions]
-                _descend(
-                    source, fixed, pools, suffix, 0, (), base, blocked,
-                    case, related, index, threshold, out,
-                )
+                # The last two depths, once per head: the rest of the
+                # bound above the last is its best ratio (1.0 * best).
+                upper, last = pools[-2], pools[-1]
+                rest = bests[-1]
+                for prefix, accumulated, blocked in heads:
+                    for bit, ratio, closure in upper:
+                        value = accumulated * ratio
+                        if value * rest < threshold:
+                            break
+                        if blocked & bit:
+                            continue
+                        head = prefix | bit
+                        guard = blocked | closure
+                        for leaf_bit, leaf_ratio, _ in last:
+                            leaf_value = value * leaf_ratio
+                            if leaf_value < threshold:
+                                break
+                            if guard & leaf_bit:
+                                continue
+                            mask = head | leaf_bit
+                            entry = get(mask)
+                            if entry is None or leaf_value > entry[0]:
+                                best[mask] = (leaf_value, source, case)
+    return subsets
 
 
-def _descend(
-    source: Itemset,
-    fixed: tuple[int, ...],
-    pools: list[RatioPool],
+def _heads(
+    pools: tuple[MaskPool, ...],
     suffix: list[float],
     depth: int,
-    chosen: tuple[int, ...],
+    prefix: int,
     accumulated: float,
-    blocked: frozenset[int],
-    case: str,
-    related: Callable[[int], frozenset[int]],
-    index: LargeItemsetIndex,
+    blocked: int,
     threshold: float,
-    out: dict[Itemset, NegativeCandidate],
-) -> None:
-    """Depth-first cross-product with bound and conflict cuts.
-
-    At each depth a pool item is rejected when it is chosen: a bound
-    below threshold ends the pool (``break``, pools are ratio-descending),
-    and an item in *blocked* — related to a fixed or already chosen
-    item — is skipped with everything below it (``continue``). A chosen
-    item's related closure joins the blocked set passed down. A complete
-    assignment therefore has distinct, mutually unrelated items, and the
-    leaf only checks that the candidate is not already a large itemset
-    and keeps the maximum expectation.
-    """
+) -> Iterator[tuple[int, float, int]]:
+    """Yield ``(prefix, accumulated, blocked)`` for every branch of
+    ``pools[depth:-2]`` that survives the bound and conflict cuts, in
+    depth-first order."""
     rest = suffix[depth + 1]
-    leaf = depth + 1 == len(pools)
-    prefix = fixed + chosen
-    for item, ratio in pools[depth]:
+    deeper = depth + 3 < len(pools)
+    for bit, ratio, closure in pools[depth]:
         value = accumulated * ratio
         if value * rest < threshold:
-            # Pools are ratio-descending: no later item can recover.
             break
-        if item in blocked:
+        if blocked & bit:
             continue
-        if not leaf:
-            _descend(
-                source, fixed, pools, suffix, depth + 1, chosen + (item,),
-                value, blocked | related(item), case, related, index,
-                threshold, out,
+        if deeper:
+            yield from _heads(
+                pools, suffix, depth + 1, prefix | bit, value,
+                blocked | closure, threshold,
             )
-            continue
-        candidate = tuple(sorted(prefix + (item,)))
-        if candidate in index:
-            continue
-        existing = out.get(candidate)
-        if existing is None or value > existing.expected_support:
-            out[candidate] = NegativeCandidate(
-                items=candidate,
-                expected_support=value,
-                source=source,
-                case=case,
-            )
+        else:
+            yield prefix | bit, value, blocked | closure

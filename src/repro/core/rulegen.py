@@ -192,9 +192,10 @@ def _rules_for_itemset(
     frontier: list[Itemset] = []
     for drop in range(size):
         consequent = (items[drop],)
+        # items is canonical, so slicing out one item is the difference.
         keep, rule = _evaluate(
-            negative, consequent, index, minri, prune_small_antecedents,
-            measure, minsup,
+            negative, consequent, items[:drop] + items[drop + 1:], index,
+            minri, prune_small_antecedents, measure, minsup,
         )
         if rule is not None:
             yield rule
@@ -205,8 +206,8 @@ def _rules_for_itemset(
         next_frontier: list[Itemset] = []
         for consequent in apriori_gen(frontier):
             keep, rule = _evaluate(
-                negative, consequent, index, minri,
-                prune_small_antecedents, measure, minsup,
+                negative, consequent, difference(items, consequent), index,
+                minri, prune_small_antecedents, measure, minsup,
             )
             if rule is not None:
                 yield rule
@@ -218,17 +219,20 @@ def _rules_for_itemset(
 def _evaluate(
     negative: NegativeItemset,
     consequent: Itemset,
+    antecedent: Itemset,
     index: LargeItemsetIndex,
     minri: float,
     prune_small_antecedents: bool,
     measure: InterestMeasure,
     minsup: float | None,
 ) -> tuple[bool, NegativeRule | None]:
-    """Judge one consequent; return (keep-in-frontier, emitted rule)."""
-    if not index.is_large(consequent):
+    """Judge one split of *negative*; return (keep-in-frontier, emitted
+    rule)."""
+    consequent_support = index.support_or_none(consequent)
+    if consequent_support is None:
         return False, None
-    antecedent = difference(negative.items, consequent)
-    if not index.is_large(antecedent):
+    antecedent_support = index.support_or_none(antecedent)
+    if antecedent_support is None:
         # Figure 4 deletes the consequent here; exhaustive mode keeps
         # extending (a superset consequent means a *smaller* antecedent,
         # which may be large even though this one is not).
@@ -236,8 +240,8 @@ def _evaluate(
     score = measure.rule_score(
         negative.expected_support,
         negative.actual_support,
-        index.support(antecedent),
-        index.support(consequent),
+        antecedent_support,
+        consequent_support,
     )
     if not measure.admits_rule(score, minsup, minri):
         # RI can never recover on a superset consequent (the antecedent
@@ -250,8 +254,8 @@ def _evaluate(
         ri=score,
         expected_support=negative.expected_support,
         actual_support=negative.actual_support,
-        antecedent_support=index.support(antecedent),
-        consequent_support=index.support(consequent),
+        antecedent_support=antecedent_support,
+        consequent_support=consequent_support,
         measure=measure.name,
     )
     return True, rule

@@ -83,21 +83,6 @@ def zeros(n_words: int) -> np.ndarray:
     return np.zeros(n_words, dtype=np.uint64)
 
 
-def pack_bigint(mask: int, n_words: int) -> np.ndarray:
-    """An arbitrary-precision bitmap as little-endian ``uint64`` words.
-
-    Bit ``t`` of *mask* lands in word ``t >> 6``, bit ``t & 63`` — rows
-    that are not a multiple of 64 leave the tail of the last word zero,
-    so popcounts need no masking.
-    """
-    return np.frombuffer(mask.to_bytes(n_words * 8, "little"), dtype="<u8")
-
-
-def unpack_to_bigint(words: np.ndarray) -> int:
-    """Inverse of :func:`pack_bigint`."""
-    return int.from_bytes(np.ascontiguousarray(words).tobytes(), "little")
-
-
 def _popcount_lut(words: np.ndarray) -> np.ndarray:
     """LUT popcount — the NumPy-1.x fallback (no ``np.bitwise_count``)."""
     as_bytes = np.ascontiguousarray(words).view(np.uint8)

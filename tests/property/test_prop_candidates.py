@@ -28,6 +28,7 @@ from repro.measures.ri import deviation_threshold
 from repro.mining.generalized import contains_item_and_ancestor
 from repro.mining.itemset_index import LargeItemsetIndex
 from repro.taxonomy.builders import taxonomy_from_parents
+from repro.taxonomy.prune import restrict_to_items
 
 # Three roots with three children each; one grandchild layer under the
 # first child to exercise deeper ancestor checks.
@@ -352,3 +353,152 @@ def test_equal_expectations_keep_the_first_source():
         items=(3, 4), expected_support=0.1, source=(1, 4), case="siblings"
     )
     assert list(optimized.items()) == list(reference.items())
+
+
+# ----------------------------------------------------------------------
+# Edge cases of the integer-mask kernel, each against the frozen oracle
+# ----------------------------------------------------------------------
+def _assert_matches_leaf_rejecting(index, taxonomy, minsup, minri, kwargs):
+    optimized = generate_negative_candidates(
+        index, taxonomy, minsup, minri, **kwargs
+    )
+    reference = leaf_rejecting(index, taxonomy, minsup, minri, **kwargs)
+    assert list(optimized) == list(reference)
+    for items, candidate in optimized.items():
+        assert candidate == reference[items]
+    return optimized
+
+
+def _wide_taxonomy():
+    """Six roots, four children each, three grandchildren per child: 102
+    nodes on sparse ids from 10,007 up, shuffled so that id order is not
+    the order the tree was built in."""
+    ids = [10_007 + 13 * k for k in range(102)]
+    random.Random(7).shuffle(ids)
+    parents = {}
+    roots, ids = ids[:6], ids[6:]
+    for r, root in enumerate(roots):
+        for c in range(4):
+            child = ids.pop()
+            parents[child] = root
+            for _ in range(3):
+                parents[ids.pop()] = child
+    return taxonomy_from_parents(parents), roots
+
+
+WIDE, WIDE_ROOTS = _wide_taxonomy()
+
+
+@st.composite
+def wide_indexes(draw):
+    """More than 64 large items, so candidate masks span machine words."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=100_000)))
+    index = LargeItemsetIndex()
+    for number, root in enumerate(WIDE_ROOTS):
+        root_support = rng.uniform(0.5, 0.95)
+        index.add((root,), root_support)
+        for child in WIDE.children(root):
+            child_support = rng.uniform(0.1, root_support)
+            index.add((child,), child_support)
+            for grandchild in WIDE.children(child):
+                # The first three roots keep every grandchild: 66 large
+                # items at least.
+                if number < 3 or rng.random() < 0.6:
+                    index.add(
+                        (grandchild,), rng.uniform(0.03, child_support)
+                    )
+    nodes = [items[0] for items in index.of_size(1)]
+    for _ in range(draw(st.integers(min_value=4, max_value=20))):
+        items = tuple(sorted(rng.sample(nodes, rng.choice((2, 3, 3, 4)))))
+        if contains_item_and_ancestor(items, WIDE) and rng.random() < 0.8:
+            continue
+        bound = min(index.support((item,)) for item in items)
+        index.add(items, rng.uniform(0.01, bound))
+    return index
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    wide_indexes(),
+    st.sampled_from([0.02, 0.05]),
+    st.sampled_from([0.3, 0.5]),
+    SIBLING_CAPS,
+    MAX_SIZES,
+)
+def test_sparse_ids_beyond_one_machine_word(index, minsup, minri, cap, size):
+    assert len(index.of_size(1)) > 64
+    assert min(WIDE.nodes) >= 10_000
+    _assert_matches_leaf_rejecting(
+        index, WIDE, minsup, minri,
+        {"max_sibling_replacements": cap, "max_size": size},
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(generation_args(), st.data())
+def test_stale_entries_of_a_pruned_taxonomy(args, data):
+    """Index entries holding a node the pruned taxonomy dropped are
+    neither sentinels nor sources."""
+    index, minsup, minri, kwargs = args
+    nodes = [items[0] for items in index.of_size(1)]
+    dropped = data.draw(st.sampled_from(nodes))
+    gone = {dropped, *TAXONOMY.descendants(dropped)}
+    for other in nodes:
+        if other not in gone and other not in TAXONOMY.ancestors(dropped):
+            pair = tuple(sorted((dropped, other)))
+            bound = min(index.support((item,)) for item in pair)
+            index.add(pair, bound / 2)
+            break
+    pruned = restrict_to_items(
+        TAXONOMY, [node for node in TAXONOMY.nodes if node not in gone]
+    )
+    optimized = _assert_matches_leaf_rejecting(
+        index, pruned, minsup, minri, kwargs
+    )
+    assert not any(gone.intersection(items) for items in optimized)
+
+
+def test_stale_entry_is_skipped():
+    """{1, 4} is large; 10 was pruned away but {4, 10} and (10,) stay in
+    the index."""
+    index = LargeItemsetIndex(
+        {
+            (100,): 0.8, (101,): 0.8, (1,): 0.4, (2,): 0.3, (3,): 0.3,
+            (4,): 0.4, (5,): 0.3, (10,): 0.2, (1, 4): 0.2, (4, 10): 0.1,
+        }
+    )
+    pruned = restrict_to_items(TAXONOMY, [100, 101, 1, 2, 3, 4, 5])
+    optimized = _assert_matches_leaf_rejecting(index, pruned, 0.1, 0.5, {})
+    assert optimized
+    assert all(10 not in items for items in optimized)
+    explicit = _assert_matches_leaf_rejecting(
+        index, pruned, 0.1, 0.5, {"sources": [(4, 10), (1, 4)]}
+    )
+    assert explicit == optimized
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    indexes(),
+    st.data(),
+    st.sampled_from([2, 3]),
+    SIBLING_CAPS,
+)
+def test_selective_call_shape(index, data, max_size, cap):
+    """Sources that touch a seed set, with ``max_size`` and a sibling cap,
+    as the selective serving path calls the generator."""
+    nodes = sorted(items[0] for items in index.of_size(1))
+    seeds = data.draw(st.sets(st.sampled_from(nodes), min_size=1))
+    sources = [
+        items
+        for items in index
+        if len(items) >= 2 and any(seed in items for seed in seeds)
+    ]
+    _assert_matches_leaf_rejecting(
+        index, TAXONOMY, 0.05, 0.5,
+        {
+            "sources": sources,
+            "max_size": max_size,
+            "max_sibling_replacements": cap,
+        },
+    )

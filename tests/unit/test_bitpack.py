@@ -10,9 +10,7 @@ from repro.mining.bitpack import (
     PackedMatrix,
     count_candidates,
     count_rows,
-    pack_bigint,
     popcount,
-    unpack_to_bigint,
     words_for,
     zeros,
 )
@@ -25,6 +23,14 @@ CANDIDATES = [(1,), (2,), (1, 2), (3, 4), (1, 2, 3), (9,)]
 
 # Two-level taxonomy: categories 100..101 over leaves 1..4.
 TAXONOMY = taxonomy_from_parents({1: 100, 2: 100, 3: 101, 4: 101})
+
+
+def words_of(mask, n_words):
+    """*mask* as little-endian 64-bit words: bit t in word t >> 6."""
+    return np.array(
+        [(mask >> (64 * word)) & ((1 << 64) - 1) for word in range(n_words)],
+        dtype=np.uint64,
+    )
 
 
 def brute(rows, candidates, taxonomy=None):
@@ -42,23 +48,13 @@ class TestWordHelpers:
     @pytest.mark.parametrize(
         "mask", [0, 1, 0b1011, (1 << 63), (1 << 64) - 1, (1 << 200) | 7]
     )
-    def test_pack_unpack_roundtrip(self, mask):
-        n_words = max(1, words_for(mask.bit_length()))
-        words = pack_bigint(mask, n_words)
-        assert words.dtype == np.dtype("<u8")
-        assert len(words) == n_words
-        assert unpack_to_bigint(words) == mask
-
-    @pytest.mark.parametrize(
-        "mask", [0, 1, 0b1011, (1 << 63), (1 << 64) - 1, (1 << 200) | 7]
-    )
     def test_popcount_matches_bit_count(self, mask):
         n_words = max(1, words_for(mask.bit_length()))
-        assert int(popcount(pack_bigint(mask, n_words))) == mask.bit_count()
+        assert int(popcount(words_of(mask, n_words))) == mask.bit_count()
 
     def test_popcount_batched_axis(self):
         masks = [0, 0xFF, (1 << 64) - 1, 0b101]
-        words = np.vstack([pack_bigint(mask, 1) for mask in masks])
+        words = np.vstack([words_of(mask, 1) for mask in masks])
         assert popcount(words).tolist() == [m.bit_count() for m in masks]
 
     def test_zeros_is_empty_row(self):

@@ -12,6 +12,8 @@ from repro.core.candidates import (
     generate_negative_candidates,
 )
 from repro.mining.itemset_index import LargeItemsetIndex
+from repro import obs
+from repro.obs import MetricsRegistry
 
 
 @pytest.fixture
@@ -240,3 +242,41 @@ class TestSourceFiltering:
             sources=[ids(names, "C", "D")],
         )
         assert candidates == {}
+
+
+class TestKernelCounters:
+    def test_counters_land_in_the_obs_registry(self, index, figure1_taxonomy):
+        registry = MetricsRegistry()
+        obs.configure(registry=registry)
+        try:
+            result = generate_negative_candidates(
+                index, figure1_taxonomy, 0.05, 0.5
+            )
+        finally:
+            obs.shutdown()
+        # {C, G}: C's children D, E and G's children J, K are large, so
+        # Cases 1-2 visit (C), (G) and (C, G); C's sibling B and G's
+        # sibling H are large, and Case 3 replaces one position: (C), (G).
+        assert registry.counter("candidates.position_subsets") == 5
+        # Every distinct non-large mask a leaf reaches is kept.
+        assert registry.counter("candidates.leaf_masks") == len(result)
+        assert registry.counter("candidates.kept") == len(result)
+        assert len(result) > 0
+
+    def test_counters_accumulate_per_call(self, index, figure1_taxonomy):
+        registry = MetricsRegistry()
+        obs.configure(registry=registry)
+        try:
+            first = generate_negative_candidates(
+                index, figure1_taxonomy, 0.05, 0.5
+            )
+            capped = generate_negative_candidates(
+                index, figure1_taxonomy, 0.05, 0.5,
+                max_sibling_replacements=0,
+            )
+        finally:
+            obs.shutdown()
+        assert registry.counter("candidates.position_subsets") == 5 + 3
+        assert registry.counter("candidates.kept") == len(first) + len(
+            capped
+        )
