@@ -5,10 +5,11 @@ compares each engine's mean wall-clock per logical pass against the
 committed baseline in ``BENCH_counting.json`` (the
 ``["quick"]["engine_matrix"]`` key, written by a ``--quick`` run on the
 maintainer's machine). It then does the same for the serving layer
-(``bench_serving --quick``): the cold and hot-LRU scoring paths are
-compared through their ``wall_per_10k_s`` figures (per-request latency
-times 10,000 — scaled so both sit above the measurement floor) under
-the ``["quick"]["serving"]`` key. Finally the parallel-scaling profile
+(``bench_serving --quick``): the cold (all matches and ``limit`` 10)
+and hot-LRU scoring paths are compared through their
+``wall_per_10k_s`` figures (per-request latency times 10,000 — scaled
+so all sit above the measurement floor) under the
+``["quick"]["serving"]`` key. Finally the parallel-scaling profile
 (``bench_parallel_scaling --quick``) is gated the same way: each
 variant's steady-state per-pass wall (serial numpy, process-per-task
 ``parallel:numpy``, shared-memory ``parallel-shm`` at several job
@@ -38,7 +39,7 @@ allows).
 Exits non-zero when any engine's normalized per-pass time — or either
 serving mode's normalized per-10k-request time — exceeds ``threshold``
 times its baseline share. ``--inject KEY`` doubles that engine's (or
-serving mode's — ``cold``/``hot``) measured time after the run,
+serving mode's — ``cold``/``cold-limit10``/``hot``) measured time after the run,
 demonstrating that the gate trips.
 
 Run::
@@ -147,7 +148,7 @@ def _run_quick_serving(out: Path, repeats: int) -> dict:
     """Run the quick serving benchmark *repeats* times; keep minima.
 
     The element-wise minimum over repeats is taken per serving mode
-    (``cold``/``hot``), mirroring :func:`_run_quick_matrix`.
+    (``cold``/``cold-limit10``/``hot``), mirroring :func:`_run_quick_matrix`.
     """
     from benchmarks import bench_serving
 
@@ -324,9 +325,9 @@ def main(argv: list[str] | None = None) -> int:
         "--inject",
         metavar="KEY",
         default=None,
-        help="double this engine's or serving mode's (cold/hot) "
-             "measured time after the run (self-test: the gate must "
-             "fail)",
+        help="double this engine's or serving mode's "
+             "(cold/cold-limit10/hot) measured time after the run "
+             "(self-test: the gate must fail)",
     )
     parser.add_argument(
         "--trace",

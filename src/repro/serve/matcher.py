@@ -8,14 +8,22 @@ bought Evian holds "Bottled water" and "Beverages" too — the same
 extension generalized support counting applies to transactions), so
 rules phrased at any taxonomy level fire.
 
-The fast path walks the index's antecedent postings and counts, per
-rule slot, how many distinct antecedent items the expanded basket
-covers; a rule fires exactly when the count reaches its antecedent
-size. That is the classic inverted-index subset test — cost proportional
-to the postings touched, not to the rule set. :func:`naive_match` is the
-verification oracle: a plain subset scan over *every* rule, kept
-deliberately independent of the postings so property tests can assert
-the two produce bit-identical results.
+The fast path works on *slot bitmasks*: every distinct antecedent item
+owns one ``int`` whose bit ``s`` is set when rule slot ``s`` holds the
+item in its antecedent. A rule fires exactly when none of its
+antecedent items is missing from the expanded basket, so one match is
+``all_slots & ~OR(mask[i] for antecedent items i not in the basket)``
+— one big-int OR per absent antecedent item, costing
+O(distinct antecedent items × slots / 64) machine words whatever the
+basket fires. The set bits are read in slot order, so a caller that
+keeps only the strongest *limit* matches builds only those
+(:meth:`BasketMatcher.match_top`). The masks are derived from the
+index's postings on the first match after a bind or rebind, never at
+compile or delta time, so paths that swap indexes without scoring pay
+nothing for them. :func:`naive_match` is the verification oracle: a
+plain subset scan over *every* rule, kept deliberately independent of
+the postings and the masks so property tests can assert the two
+produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from dataclasses import dataclass
 
 from ..core.rulegen import NegativeRule
 from ..mining.rules import AssociationRule
+from ..obs import api as obs
 from .rule_index import RuleIndex
 
 
@@ -72,22 +81,100 @@ def expand_basket(
     return frozenset(expanded)
 
 
+def _slot_mask(slots: tuple[int, ...]) -> int:
+    """The ``int`` with exactly the bits of the sorted *slots* set."""
+    bits = bytearray((slots[-1] >> 3) + 1)
+    for slot in slots:
+        bits[slot >> 3] |= 1 << (slot & 7)
+    return int.from_bytes(bits, "little")
+
+
+def _set_bits(fired: int, limit: int | None) -> list[int]:
+    """The first *limit* set bit positions of *fired*, lowest first
+    (all of them for ``None``)."""
+    # bin() renders bit 0 last; reversed, string position == slot.
+    bits = bin(fired)[:1:-1]
+    slots: list[int] = []
+    find = bits.find
+    position = find("1")
+    while position >= 0 and len(slots) != limit:
+        slots.append(position)
+        position = find("1", position + 1)
+    return slots
+
+
 class BasketMatcher:
     """Score baskets against one compiled rule index."""
 
-    __slots__ = ("_index",)
+    __slots__ = ("_index", "_masks")
 
     def __init__(self, index: RuleIndex) -> None:
         self._index = index
+        #: ``(index, {item: slot mask}, all-slots mask)`` for the index
+        #: the masks were built from, or ``None`` until the first match.
+        self._masks: tuple | None = None
 
     @property
     def index(self) -> RuleIndex:
         return self._index
 
     def rebind(self, index: RuleIndex) -> None:
-        """Swap in a new index (a pushed delta); the matcher is
-        stateless beyond the reference, so rebinding is atomic."""
+        """Swap in a new index (a pushed delta); its masks are built on
+        the next match."""
         self._index = index
+        self._masks = None
+
+    def _slot_masks(self, index: RuleIndex) -> tuple[dict[int, int], int]:
+        """The per-item slot masks of *index*, built once per index.
+
+        The cached masks carry the index they were built from and are
+        rebuilt whenever that is not *index*, so masks of a replaced
+        index can never answer a match.
+        """
+        built = self._masks
+        if built is None or built[0] is not index:
+            with obs.span("serve.matcher.build"):
+                masks = {
+                    item: _slot_mask(slots)
+                    for item, slots in index.all_postings()
+                }
+                built = (index, masks, (1 << len(index)) - 1)
+            self._masks = built
+            obs.incr("serve.matcher.builds")
+        return built[1], built[2]
+
+    def match_top(
+        self, basket: Iterable[int], limit: int | None = None
+    ) -> tuple[int, list[Match]]:
+        """The number of rules firing on *basket*, and the first *limit*
+        of them in slot order (all of them for ``None``).
+
+        Slot order ranks negatives by descending RI first, then
+        positives by descending confidence, so the kept matches are the
+        strongest; only those are built.
+        """
+        index = self._index
+        masks, all_slots = self._slot_masks(index)
+        expanded = expand_basket(basket, index)
+        missing = 0
+        for item in masks.keys() - expanded:
+            missing |= masks[item]
+        fired = all_slots & ~missing
+        rules = index.rules
+        matches = []
+        for slot in _set_bits(fired, limit):
+            entry = rules[slot]
+            matches.append(
+                Match(
+                    slot=slot,
+                    kind=entry.kind,
+                    rule=entry.rule,
+                    consequent_present=(
+                        expanded.issuperset(entry.consequent)
+                    ),
+                )
+            )
+        return fired.bit_count(), matches
 
     def match(self, basket: Iterable[int]) -> list[Match]:
         """All rules whose antecedent the (expanded) basket covers.
@@ -96,27 +183,7 @@ class BasketMatcher:
         first, then positives by descending confidence — so the
         strongest signals lead.
         """
-        index = self._index
-        expanded = expand_basket(basket, index)
-        covered: dict[int, int] = {}
-        for item in expanded:
-            for slot in index.postings(item):
-                covered[slot] = covered.get(slot, 0) + 1
-        matches: list[Match] = []
-        for slot in sorted(covered):
-            entry = index.rule(slot)
-            if covered[slot] == len(entry.antecedent):
-                matches.append(
-                    Match(
-                        slot=slot,
-                        kind=entry.kind,
-                        rule=entry.rule,
-                        consequent_present=(
-                            expanded.issuperset(entry.consequent)
-                        ),
-                    )
-                )
-        return matches
+        return self.match_top(basket)[1]
 
 
 def naive_match(index: RuleIndex, basket: Iterable[int]) -> list[Match]:
@@ -124,8 +191,8 @@ def naive_match(index: RuleIndex, basket: Iterable[int]) -> list[Match]:
 
     Shares only :func:`expand_basket` with the fast path; the firing
     test itself is an independent ``issubset`` per rule, so agreement
-    with :meth:`BasketMatcher.match` genuinely checks the postings
-    construction and the counting logic.
+    with :meth:`BasketMatcher.match` genuinely checks the slot masks
+    and the bit arithmetic.
     """
     expanded = expand_basket(basket, index)
     matches: list[Match] = []

@@ -24,7 +24,8 @@ The whole index serializes to one JSON document
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
+import os
+from collections.abc import ItemsView, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -162,6 +163,10 @@ class RuleIndex:
     def postings(self, item: int) -> tuple[int, ...]:
         """Slots of the rules whose antecedent contains *item*."""
         return self._postings.get(item, _EMPTY)
+
+    def all_postings(self) -> ItemsView[int, tuple[int, ...]]:
+        """Every ``(antecedent item, sorted slots)`` pair of the index."""
+        return self._postings.items()
 
     @property
     def taxonomy(self) -> Taxonomy | None:
@@ -337,8 +342,21 @@ class RuleIndex:
         return cls.from_payload(json.loads(text))
 
     def save(self, path: str | Path) -> None:
-        """Write the index as one JSON document at *path*."""
-        Path(path).write_text(self.to_json() + "\n")
+        """Write the index as one JSON document at *path*, atomically.
+
+        The document goes to a sibling temp file that then replaces
+        *path*, so a failed write (a crash, a full disk) leaves the
+        previous index in place instead of a truncated one; the temp
+        file is removed when the write fails.
+        """
+        path = Path(path)
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            tmp.write_text(self.to_json() + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "RuleIndex":

@@ -26,7 +26,10 @@ than framing. Requests carry an ``op``:
 Scoring is CPU-cheap and non-blocking, so request handling stays on the
 event loop; the hot path is the :class:`LRUCache` in front of the
 matcher — identical baskets (after canonicalization) are answered
-without touching the postings at all. Cache hits and misses are
+without touching the matcher at all. A cache miss costs one slot-mask
+match (:class:`~repro.serve.matcher.BasketMatcher`) plus payloads for
+the ``limit`` matches the request returns; the total is a bit count,
+so unreturned matches are never built. Cache hits and misses are
 reported both on the service (:meth:`RuleService.stats`) and through
 the observability layer (``serve.cache.hits`` / ``serve.cache.misses``
 counters), so the benchmark and the tests can assert on them.
@@ -201,7 +204,8 @@ class RuleService:
 
         *limit* keeps only the strongest matches (slot order ranks
         negatives by RI, then positives by confidence); the payload's
-        ``total_matches`` still reports the full count.
+        ``total_matches`` still reports the full count, and only the
+        kept matches are built.
         """
         with obs.span("serve.score") as span:
             self.requests += 1
@@ -220,11 +224,10 @@ class RuleService:
             cached = self._score_cache.get(key)
             if cached is not None:
                 return cached
-            matches = self.matcher.match(items)
-            kept = matches if limit is None else matches[:limit]
+            total, kept = self.matcher.match_top(items, limit)
             payload = {
                 "basket": list(items),
-                "total_matches": len(matches),
+                "total_matches": total,
                 "matches": [_match_payload(match) for match in kept],
             }
             self._score_cache.put(key, payload)

@@ -1,5 +1,8 @@
 """Unit tests for the compiled serving rule index."""
 
+import errno
+from pathlib import Path
+
 import pytest
 
 from repro.core.rulegen import NegativeRule
@@ -118,6 +121,31 @@ class TestPersistence:
         clone = RuleIndex.load(path)
         assert len(clone) == 1
         assert clone.rule(0).rule == index.rule(0).rule
+
+    def test_failed_save_keeps_the_previous_index(
+        self, tmp_path, monkeypatch
+    ):
+        """A write that dies partway (full disk) must neither truncate
+        the saved index nor leave its temp file behind."""
+        path = tmp_path / "index.json"
+        RuleIndex(negative_rules=[negative([1], [2])]).save(path)
+        real_write_text = Path.write_text
+
+        def half_then_enospc(self, data, *args, **kwargs):
+            real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", half_then_enospc)
+        bigger = RuleIndex(
+            negative_rules=[negative([1], [2]), negative([3], [4])]
+        )
+        with pytest.raises(OSError):
+            bigger.save(path)
+        monkeypatch.undo()
+        assert len(RuleIndex.load(path)) == 1
+        assert [entry.name for entry in tmp_path.iterdir()] == [
+            "index.json"
+        ]
 
     def test_wrong_kind_rejected(self):
         index = RuleIndex(negative_rules=[negative([1], [2])])

@@ -405,6 +405,50 @@ class TestServiceDeltaApplication:
         assert service.index.version == 1
         assert service.reload_delta(delta.to_payload())["ok"]
 
+    def test_masks_build_once_per_index_and_never_go_stale(
+        self, taxonomy
+    ):
+        """Misses on one index share one mask build; a delta forces a
+        rebuild, and an uncached service then answers exactly like a
+        fresh service on the new index."""
+        cola = taxonomy.id_of("cola")
+        lemonade = taxonomy.id_of("lemonade")
+        still = taxonomy.id_of("still")
+        old = RuleIndex(
+            negative_rules=[negative([cola], [still], ri=2.0)],
+            positive_rules=[positive([lemonade], [still])],
+            taxonomy=taxonomy,
+            version=1,
+        )
+        service = RuleService(old, cache_size=0)
+        baskets = [[cola], [lemonade], [cola, lemonade], [still], []]
+        # Slots shift: the added rule outranks cola's, which is removed.
+        delta = RuleIndexDelta(
+            from_version=1,
+            to_version=2,
+            added=(negative([lemonade], [cola], ri=3.0),
+                   positive([cola, still], [lemonade])),
+            removed=(("negative", (cola,), (still,)),),
+        )
+        registry = MetricsRegistry()
+        with obs_session(registry=registry):
+            for basket in baskets:
+                service.score(basket)
+            assert registry.counter("serve.matcher.builds") == 1
+            service.apply_delta(delta)
+            assert registry.counter("serve.matcher.builds") == 1
+            service.score([cola])
+            assert registry.counter("serve.matcher.builds") == 2
+        fresh = RuleService(service.index, cache_size=0)
+        for basket in baskets + [[cola, still]]:
+            for limit in (None, 1):
+                assert service.score(basket, limit) == fresh.score(
+                    basket, limit
+                )
+        assert service.score([lemonade])["matches"][0]["rule"][
+            "consequent"
+        ] == [cola]
+
     def test_taxonomy_change_flushes_the_whole_cache(self, taxonomy):
         service, _, cola, _ = self._service_and_delta(taxonomy)
         service.score([cola])
