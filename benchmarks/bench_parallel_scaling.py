@@ -1,21 +1,25 @@
-"""P1 — Parallel scaling: process-per-task vs shared-memory workers.
+"""P1 — Parallel scaling: shared-memory workers vs the best serial engine.
 
-Times one generalized counting pass (the pipeline's inner loop) on three
-configurations — the serial ``numpy`` kernel, the process-per-task
-``parallel:numpy`` wrapper, and the zero-copy ``parallel-shm`` engine —
-at n_jobs in {1, 2, 4}, splitting **setup** (first pass: matrix pack,
-segment publish, worker spawn + attach) from **steady state** (the
-minimum per-pass wall over the following passes, which is what a long
-mining run actually pays). All variants must return bit-identical
-counts.
+Times one generalized counting pass (the pipeline's inner loop) on the
+two fastest serial engines — ``numpy`` (the packed kernel) and
+``cached`` (the default vertical index) — and on the zero-copy
+``parallel-shm`` engine at n_jobs in {1, 2, 4}, splitting **setup**
+(first pass: matrix pack, segment publish, worker spawn + attach) from
+**steady state** (the minimum per-pass wall over the following passes,
+which is what a long mining run actually pays). All variants must
+return bit-identical counts.
 
-The built-in check pins the point of the shared-memory engine: at equal
-``n_jobs`` its steady-state pass must be at least ``SHM_MIN_SPEEDUP``
-times faster than the process-per-task wrapper, whose per-pass cost is
-dominated by re-spawning workers and re-pickling row slices. On hosts
-with >= 4 CPUs a second check asserts near-linear scaling of the shm
-steady state from 1 to 4 jobs; single-core CI boxes skip it (there is
-nothing to scale onto).
+Three built-in checks:
+
+* structural, on every host: after the steady passes each
+  ``parallel-shm@N`` (N > 1) has launched exactly ``N`` workers (no
+  respawn per pass) and published its segment exactly once;
+* timing, on hosts with >= 2 CPUs: ``parallel-shm@2``'s steady pass
+  must be no slower than the best serial steady pass (the minimum over
+  ``numpy`` and ``cached``) — a parallel engine that loses to serial
+  counting has no reason to exist;
+* on hosts with >= 4 CPUs, near-linear scaling of the shm steady state
+  from 1 to 4 jobs.
 
 Folds its report into ``BENCH_counting.json`` under the
 ``"parallel_scaling"`` key — or ``["quick"]["parallel_scaling"]`` on
@@ -37,9 +41,8 @@ from pathlib import Path
 
 import pytest
 
-#: Steady-state speedup the shm engine must show over process-per-task
-#: parallel counting at the same n_jobs (same passes, same counts).
-SHM_MIN_SPEEDUP = 2.0
+#: The serial baselines ``parallel-shm@2`` must match or beat.
+SERIAL_BASELINES = ("numpy", "cached")
 
 #: Shm steady-state speedup required from 1 -> 4 jobs on >=4-CPU hosts.
 LINEAR_MIN_SPEEDUP = 2.0
@@ -63,13 +66,8 @@ def _setup(kind="short"):
 
 
 def _variants() -> list[tuple[str, str, int]]:
-    """(label, engine spec, n_jobs) cells, serial baseline first."""
-    cells = [("numpy", "numpy", 1)]
-    for n_jobs in JOB_COUNTS:
-        if n_jobs > 1:
-            cells.append(
-                (f"parallel:numpy@{n_jobs}", "parallel:numpy", n_jobs)
-            )
+    """(label, engine, n_jobs) cells, serial baselines first."""
+    cells = [(name, name, 1) for name in SERIAL_BASELINES]
     for n_jobs in JOB_COUNTS:
         cells.append((f"parallel-shm@{n_jobs}", "parallel-shm", n_jobs))
     return cells
@@ -106,11 +104,10 @@ def _time_variant(data, candidates, spec: str, n_jobs: int, passes: int):
         }
         return counts, point
     finally:
-        if hasattr(session.engine, "close"):
-            session.engine.close()
+        session.close()
 
 
-def run(passes: int = 3, kind: str = "short") -> dict:
+def run(passes: int = 100, kind: str = "short") -> dict:
     """Measure every variant; returns the report (with agreement flags)."""
     from .common import paper_row
 
@@ -147,8 +144,10 @@ def run(passes: int = 3, kind: str = "short") -> dict:
             agrees=agrees,
         )
     steady = report["steady_wall_per_pass_s"]
-    report["shm_speedup_vs_process_per_task"] = round(
-        steady["parallel:numpy@2"] / steady["parallel-shm@2"], 2
+    report["shm_speedup_vs_best_serial"] = round(
+        min(steady[name] for name in SERIAL_BASELINES)
+        / steady["parallel-shm@2"],
+        2,
     )
     return report
 
@@ -161,24 +160,33 @@ def check(report: dict) -> list[str]:
             failures.append(
                 f"{point['variant']} disagrees with the serial counts"
             )
+        if point["engine"] == "parallel-shm" and point["n_jobs"] > 1:
+            expected = (point["n_jobs"], 1)
+            actual = (point["workers_launched"], point["shm_publishes"])
+            if actual != expected:
+                failures.append(
+                    f"{point['variant']} launched "
+                    f"{actual[0]} workers and published {actual[1]} "
+                    f"segments over {report['passes'] + 1} passes "
+                    f"(need exactly {expected[0]} and {expected[1]})"
+                )
     steady = report["steady_wall_per_pass_s"]
-    for n_jobs in (2, 4):
-        speedup = (
-            steady[f"parallel:numpy@{n_jobs}"]
-            / steady[f"parallel-shm@{n_jobs}"]
-        )
-        if speedup < SHM_MIN_SPEEDUP:
+    cpus = report["cpu_count"] or 1
+    if cpus >= 2:
+        best_serial = min(steady[name] for name in SERIAL_BASELINES)
+        if steady["parallel-shm@2"] > best_serial:
             failures.append(
-                f"parallel-shm@{n_jobs} steady state is only "
-                f"{speedup:.2f}x faster than parallel:numpy@{n_jobs} "
-                f"(need >= {SHM_MIN_SPEEDUP}x)"
+                f"parallel-shm@2 steady pass "
+                f"{steady['parallel-shm@2']:.5f}s is slower than the best "
+                f"serial engine ({best_serial:.5f}s, min over "
+                f"{', '.join(SERIAL_BASELINES)}) on a {cpus}-CPU host"
             )
-    if (report["cpu_count"] or 1) >= 4:
+    if cpus >= 4:
         scaling = steady["parallel-shm@1"] / steady["parallel-shm@4"]
         if scaling < LINEAR_MIN_SPEEDUP:
             failures.append(
                 f"parallel-shm scales only {scaling:.2f}x from 1 to 4 "
-                f"jobs on a {report['cpu_count']}-CPU host "
+                f"jobs on a {cpus}-CPU host "
                 f"(need >= {LINEAR_MIN_SPEEDUP}x)"
             )
     return failures
@@ -205,8 +213,7 @@ def test_parallel_scaling(benchmark, label, spec, n_jobs):
             iterations=1,
         )
     finally:
-        if hasattr(session.engine, "close"):
-            session.engine.close()
+        session.close()
     assert counts == serial
     benchmark.extra_info.update(
         candidates=len(candidates), transactions=len(data.database)
@@ -223,9 +230,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--passes",
         type=int,
-        default=3,
+        default=100,
         help="steady-state passes per variant; the minimum is reported "
-             "(default %(default)s)",
+             "(default %(default)s: on a shared 2-vCPU host fewer "
+             "passes let one busy window decide the timing check)",
     )
     parser.add_argument(
         "--out",
@@ -238,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
         "--no-check",
         action="store_false",
         dest="check",
-        help="report only; do not fail the built-in speedup assertions",
+        help="report only; do not fail the built-in checks",
     )
     args = parser.parse_args(argv)
 
@@ -251,8 +259,8 @@ def main(argv: list[str] | None = None) -> int:
     report = run(passes=args.passes)
     fold_report(args.out, "parallel_scaling", report, quick=args.quick)
     paper_row(
-        "shm vs process-per-task",
-        speedup=report["shm_speedup_vs_process_per_task"],
+        "shm@2 vs best serial",
+        speedup=report["shm_speedup_vs_best_serial"],
     )
     print(f"wrote parallel_scaling into {args.out}")
 

@@ -11,9 +11,10 @@ and hot-LRU scoring paths are compared through their
 so all sit above the measurement floor) under the
 ``["quick"]["serving"]`` key. Finally the parallel-scaling profile
 (``bench_parallel_scaling --quick``) is gated the same way: each
-variant's steady-state per-pass wall (serial numpy, process-per-task
-``parallel:numpy``, shared-memory ``parallel-shm`` at several job
-counts) under ``["quick"]["parallel_scaling"]``. The
+variant's steady-state per-pass wall (serial numpy and cached,
+shared-memory ``parallel-shm`` at several job counts) under
+``["quick"]["parallel_scaling"]``; only the variants present in both
+the baseline and the run are compared. The
 incremental-maintenance profile (``bench_incremental --quick``) gates
 the append-then-recount walls of the ``mmap`` and ``cached`` engines —
 incremental and full-invalidation modes — under
@@ -174,7 +175,7 @@ def _run_quick_parallel(out: Path, repeats: int) -> dict:
     """Run the quick parallel-scaling benchmark; keep per-variant minima.
 
     The element-wise minimum over repeats is taken per variant label
-    (``parallel-shm@2``, ``parallel:numpy@4``, …), mirroring
+    (``numpy``, ``parallel-shm@2``, …), mirroring
     :func:`_run_quick_matrix`.
     """
     from benchmarks import bench_parallel_scaling

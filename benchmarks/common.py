@@ -61,7 +61,8 @@ def dataset(kind: str) -> SyntheticDataset:
 def engine_matrix_configurations() -> list[tuple[str, dict]]:
     """The serial engine cells, derived from the registry.
 
-    One cell per registered serial (shardable) engine, labelled by its
+    One cell per registered in-process engine (every engine but the
+    shared-memory one, which E11 benchmarks apart), labelled by its
     name. Each entry is ``(label, session_kwargs)`` — the kwargs to build a
     :class:`~repro.core.session.MiningSession` for that cell. Adding an
     engine to the registry adds its row here (and in the regression
@@ -71,7 +72,7 @@ def engine_matrix_configurations() -> list[tuple[str, dict]]:
 
     cells: list[tuple[str, dict]] = []
     for name, cls in registered_engines().items():
-        if cls.capabilities.shardable:  # parallel is benchmarked apart
+        if not cls.capabilities.shared_memory:
             cells.append((name, {"engine": name}))
     return cells
 

@@ -46,13 +46,7 @@ from .mining.apriori import find_large_itemsets
 from .mining.generalized import mine_generalized
 from .mining.itemset_index import LargeItemsetIndex
 from .mining.rules import AssociationRule, generate_rules
-from .parallel import (
-    ParallelStats,
-    PoolConfig,
-    WorkerPool,
-    parallel_count_supports,
-    parallel_partition,
-)
+from .parallel import ParallelStats, PoolConfig
 from .taxonomy.tree import Taxonomy
 
 __version__ = "1.0.0"
@@ -83,9 +77,6 @@ __all__ = [
     # parallel execution
     "ParallelStats",
     "PoolConfig",
-    "WorkerPool",
-    "parallel_count_supports",
-    "parallel_partition",
     # errors
     "ReproError",
     "ConfigError",

@@ -49,7 +49,6 @@ from .mining.engines import (
     DEFAULT_ENGINE,
     capability_table,
     engine_names,
-    serial_engine_names,
     validate_spec,
 )
 from .obs.api import METRICS_MODES
@@ -83,10 +82,9 @@ from .synthetic.params import SHORT, TALL, GeneratorParams
 
 
 def _engine_spec(value: str) -> str:
-    """argparse type for ``--engine``: any registered spec.
+    """argparse type for ``--engine``: any registered engine name.
 
-    Plain names (``bitmap``) and compositions (``parallel:numpy``) both
-    pass; anything else fails parsing with the registry's message.
+    Anything else fails parsing with the registry's message.
     """
     try:
         validate_spec(value)
@@ -102,6 +100,20 @@ def _measure_spec(value: str) -> str:
     except ReproError as error:
         raise argparse.ArgumentTypeError(str(error)) from error
     return value
+
+
+_JOBS_HELP = (
+    "worker processes for the parallel-shm engine (1 = count "
+    "in-process); > 1 selects parallel-shm when no --engine is given"
+)
+
+
+def _mining_engine(engine: str | None, n_jobs: int) -> str:
+    """The engine a ``mine``/``positive`` run uses: ``--jobs`` means
+    ``parallel-shm`` unless ``--engine`` names one explicitly."""
+    if engine is not None:
+        return engine
+    return "parallel-shm" if n_jobs > 1 else DEFAULT_ENGINE
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -144,12 +156,11 @@ def _build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--algorithm",
                       choices=("basic", "cumulate", "estmerge"),
                       default="cumulate")
-    mine.add_argument("--engine", type=_engine_spec,
-                      default=DEFAULT_ENGINE,
-                      metavar="SPEC",
-                      help="counting engine spec: a registered name or "
-                           "'parallel:<inner>' (list with "
-                           "'python -m repro engines')")
+    mine.add_argument("--engine", type=_engine_spec, default=None,
+                      metavar="NAME",
+                      help=f"counting engine (default: {DEFAULT_ENGINE}, "
+                           f"or parallel-shm with --jobs > 1; list with "
+                           f"'python -m repro engines')")
     mine.add_argument("--measure", type=_measure_spec, default="ri",
                       metavar="NAME",
                       help="interestingness measure judging candidates "
@@ -157,12 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            "'python -m repro measures')")
     mine.add_argument("--max-size", type=int, default=None)
     mine.add_argument("--jobs", type=int, default=1, dest="n_jobs",
-                      help="worker processes for sharded counting "
-                           "(1 = serial)")
-    mine.add_argument("--shard-rows", type=int, default=None,
-                      dest="shard_rows",
-                      help="target rows per shard (default: split each "
-                           "pass into --jobs equal shards)")
+                      help=_JOBS_HELP)
     mine.add_argument("--cache-bytes", type=int, default=None,
                       dest="cache_bytes",
                       help="cached engine: LRU memory budget in bytes for "
@@ -213,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           choices=("basic", "cumulate", "estmerge"),
                           default="cumulate")
     positive.add_argument("--jobs", type=int, default=1, dest="n_jobs",
-                          help="worker processes for sharded counting")
+                          help=_JOBS_HELP)
     positive.add_argument("--limit", type=int, default=25)
 
     inspect = commands.add_parser(
@@ -398,12 +404,11 @@ def _command_mine(args: argparse.Namespace) -> int:
         minri=args.minri,
         miner=args.miner,
         algorithm=args.algorithm,
-        engine=args.engine,
+        engine=_mining_engine(args.engine, args.n_jobs),
         measure=args.measure,
         max_size=args.max_size,
         max_sibling_replacements=args.max_sibling_replacements,
         n_jobs=args.n_jobs,
-        shard_rows=args.shard_rows,
         cache_bytes=args.cache_bytes,
         segment_rows=args.segment_rows,
         max_resident_bytes=args.max_resident_bytes,
@@ -411,7 +416,13 @@ def _command_mine(args: argparse.Namespace) -> int:
         trace_path=args.trace_path,
         metrics=args.metrics,
     )
-    result = mine_negative_rules(database, taxonomy, config=config)
+    session = MiningSession.from_config(database, taxonomy, config)
+    try:
+        result = mine_negative_rules(
+            database, taxonomy, config=config, session=session
+        )
+    finally:
+        session.close()
     print(result.summary(taxonomy, limit=args.limit))
     comparison = None
     if args.agreement:
@@ -442,11 +453,19 @@ def _command_mine(args: argparse.Namespace) -> int:
 def _command_positive(args: argparse.Namespace) -> int:
     database = load_basket_file(args.baskets)
     taxonomy = load_taxonomy_file(args.taxonomy)
-    session = MiningSession(database, taxonomy, n_jobs=args.n_jobs)
-    index = mine_generalized(
-        database, taxonomy, args.minsup, algorithm=args.algorithm,
-        session=session,
+    session = MiningSession(
+        database,
+        taxonomy,
+        engine=_mining_engine(None, args.n_jobs),
+        n_jobs=args.n_jobs,
     )
+    try:
+        index = mine_generalized(
+            database, taxonomy, args.minsup, algorithm=args.algorithm,
+            session=session,
+        )
+    finally:
+        session.close()
     rules = generate_rules(index, args.minconf)
     print(f"large itemsets : {len(index)}")
     print(f"rules          : {len(rules)}")
@@ -502,18 +521,12 @@ def _command_analyze(args: argparse.Namespace) -> int:
 
 
 def _serving_engine_specs() -> str:
-    """The engine specs ``repro serve --engine`` accepts, spelled out.
+    """The engines ``repro serve --engine`` accepts, spelled out.
 
     Selective generation counts through the same registry as offline
-    mining, so the supported set is every registered name plus the
-    ``parallel:<serial>`` compositions.
+    mining, so the supported set is every registered name.
     """
-    specs = list(engine_names())
-    specs.extend(
-        f"parallel:{inner}" for inner in serial_engine_names()
-        if inner != "parallel"
-    )
-    return ", ".join(f"`{spec}`" for spec in specs)
+    return ", ".join(f"`{name}`" for name in engine_names())
 
 
 def _command_engines(args: argparse.Namespace) -> int:

@@ -56,11 +56,9 @@ class MiningConfig:
         ``"estmerge"`` (Improved miner only; Naive is level-wise by
         nature).
     engine:
-        Support-counting engine spec: a registered engine name
+        Support-counting engine: a registered engine name
         (``"cached"``, ``"bitmap"``, ``"hashtree"``, ``"brute"``,
-        ``"numpy"``, ``"mmap"``, ``"parallel"``, ``"parallel-shm"``) or
-        a composition ``"parallel:<inner>"`` (e.g.
-        ``"parallel:numpy"``). Defaults
+        ``"numpy"``, ``"mmap"``, ``"parallel-shm"``). Defaults
         to :data:`~repro.mining.engines.DEFAULT_ENGINE` (``"cached"``:
         one physical scan builds a vertical index that serves every
         pass). Run ``python -m repro engines`` for the full capability
@@ -95,13 +93,11 @@ class MiningConfig:
     seed:
         Seed for the EstMerge sample, when used.
     n_jobs:
-        Worker processes for sharded support counting (see
-        :mod:`repro.parallel`). ``1`` (default) runs fully serial; any
-        higher value fans each counting pass out across that many
-        processes. Counts are bit-identical either way.
-    shard_rows:
-        Target rows per shard for parallel counting; ``None`` splits
-        each pass into ``n_jobs`` equal shards.
+        ``engine="parallel-shm"`` only: worker processes that split each
+        counting pass's candidates (see :mod:`repro.parallel`). ``1``
+        (default) counts in-process. Any higher value with another
+        engine raises :class:`~repro.errors.ConfigError`. Counts are
+        bit-identical either way.
     cache_bytes:
         ``engine="cached"`` only: LRU memory budget (bytes) for the
         vertical index; least-recently-used bitmaps are evicted and
@@ -123,7 +119,7 @@ class MiningConfig:
         the process) goes away.
     trace_path:
         Write a JSON-lines trace of every span (counting passes, cache
-        builds, parallel shards, miner phases) plus a final metrics
+        builds, worker batches, miner phases) plus a final metrics
         snapshot to this file (see :mod:`repro.obs`). ``None`` (default)
         disables tracing entirely — the no-op path costs one ``is None``
         check per instrumentation point.
@@ -148,7 +144,6 @@ class MiningConfig:
     max_sibling_replacements: int | None = None
     seed: int | None = None
     n_jobs: int = 1
-    shard_rows: int | None = None
     cache_bytes: int | None = None
     segment_rows: int | None = None
     max_resident_bytes: int | None = None
@@ -168,7 +163,8 @@ class MiningConfig:
                 f"unknown algorithm {self.algorithm!r}; "
                 f"choose from {ALGORITHMS}"
             )
-        validate_spec(self.engine)
+        check_positive(self.n_jobs, "n_jobs")
+        validate_spec(self.engine, n_jobs=self.n_jobs)
         validate_measure_spec(self.measure)
         if self.figure3_literal and self.measure != "ri":
             raise ConfigError(
@@ -182,9 +178,6 @@ class MiningConfig:
             check_nonnegative(
                 self.max_sibling_replacements, "max_sibling_replacements"
             )
-        check_positive(self.n_jobs, "n_jobs")
-        if self.shard_rows is not None:
-            check_positive(self.shard_rows, "shard_rows")
         if self.cache_bytes is not None:
             check_positive(self.cache_bytes, "cache_bytes")
         if self.segment_rows is not None:
@@ -274,17 +267,12 @@ class NegativeMiningResult:
                 f"segments {self.stats.segments_resident_bytes} B "
                 f"resident / {self.stats.segments_spilled_bytes} B spilled"
             )
-        if self.stats.shards:
-            lines.append(
-                f"shards         : {self.stats.shards} "
-                f"(workers {self.stats.workers_launched}, "
-                f"retries {self.stats.worker_retries}, "
-                f"fallbacks {self.stats.worker_fallbacks})"
-            )
         if self.stats.shm_batches:
             lines.append(
                 f"shared memory  : {self.stats.shm_batches} batches "
                 f"(workers {self.stats.workers_launched}, "
+                f"retries {self.stats.worker_retries}, "
+                f"fallbacks {self.stats.worker_fallbacks}, "
                 f"publishes {self.stats.shm_publishes}, "
                 f"{self.stats.shm_bytes} bytes)"
             )

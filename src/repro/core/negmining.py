@@ -41,7 +41,7 @@ from ..mining.generalized import iter_generalized_levels, mine_generalized
 from ..mining.itemset_index import LargeItemsetIndex
 from ..mining.vertical import CacheStats
 from ..obs import api as obs
-from ..parallel.engine import ParallelStats
+from ..parallel.pool import ParallelStats
 from ..taxonomy.prune import restrict_to_items
 from ..taxonomy.tree import Taxonomy
 from .candidates import NegativeCandidate, generate_negative_candidates
@@ -80,11 +80,11 @@ class NegativeItemset:
 class MiningStats:
     """Bookkeeping reported alongside mining results.
 
-    The ``shards``/``worker*`` fields are zero for serial runs; with
-    ``n_jobs > 1`` they record the sharded-counting activity (see
-    :mod:`repro.parallel`) so speedups and degraded runs are observable:
-    a crashed worker shows up as retries and, past the retry budget, as
-    serial fallbacks.
+    The ``worker*``/``shm_*`` fields are zero for serial runs; with
+    ``engine="parallel-shm", n_jobs > 1`` they record the worker
+    activity (see :mod:`repro.parallel`) so speedups and degraded runs
+    are observable: a crashed worker shows up as retries and, past the
+    retry budget, as serial fallbacks.
 
     ``data_passes`` counts *logical* passes — counting passes in the
     paper's cost model. For the row-scanning engines every logical pass
@@ -115,7 +115,6 @@ class MiningStats:
     negative_itemsets: int = 0
     counting_batches: int = 0
     candidates_by_size: dict[int, int] = field(default_factory=dict)
-    shards: int = 0
     worker_tasks: int = 0
     workers_launched: int = 0
     worker_retries: int = 0
@@ -593,7 +592,7 @@ def _build_stats(
     candidates: dict[Itemset, NegativeCandidate],
     negatives: list[NegativeItemset],
     batches: int,
-    parallel: ParallelStats | None = None,
+    workers: ParallelStats | None = None,
     physical_passes: int | None = None,
     cache: CacheStats | None = None,
 ) -> MiningStats:
@@ -610,15 +609,14 @@ def _build_stats(
         physical_passes=physical_passes if physical_passes is not None
         else passes,
     )
-    if parallel is not None:
-        stats.shards = parallel.shards
-        stats.worker_tasks = parallel.worker_tasks
-        stats.workers_launched = parallel.workers_launched
-        stats.worker_retries = parallel.worker_retries
-        stats.worker_fallbacks = parallel.worker_fallbacks
-        stats.shm_publishes = parallel.shm_publishes
-        stats.shm_batches = parallel.shm_batches
-        stats.shm_bytes = parallel.shm_bytes
+    if workers is not None:
+        stats.worker_tasks = workers.worker_tasks
+        stats.workers_launched = workers.workers_launched
+        stats.worker_retries = workers.worker_retries
+        stats.worker_fallbacks = workers.worker_fallbacks
+        stats.shm_publishes = workers.shm_publishes
+        stats.shm_batches = workers.shm_batches
+        stats.shm_bytes = workers.shm_bytes
     if cache is not None:
         stats.cache_hits = cache.hits
         stats.cache_misses = cache.misses

@@ -1,26 +1,22 @@
 """MiningSession: one execution context from the CLI down to the kernel.
 
-Before this module existed, every layer of the pipeline threaded the
-same engine kwargs (``engine``, ``n_jobs``, ``cache_bytes``,
-``cache_stats``, ``batch_words``, …) from
-:class:`~repro.core.api.MiningConfig` through the miners down to
-``count_supports``. A :class:`MiningSession` binds all of it once —
+A :class:`MiningSession` binds everything a counting pass needs once —
 database, taxonomy, the resolved :class:`~repro.mining.engines.
 CountingEngine`, cache/parallel policy and the observability sinks — and
-is the only object passed down. ``count_supports`` survives only in
-its plain default-engine form (:mod:`repro.mining.counting`); the
-policy-kwargs shim was removed in PR 7.
+is the only object passed from :class:`~repro.core.api.MiningConfig`
+down through the miners.
 
 Lifecycle
 ---------
 ``MiningSession.from_config`` resolves the config's engine spec through
-the registry (including ``"parallel:<inner>"`` compositions and the
-``n_jobs > 1`` auto-wrap). ``prepare()`` runs once per session for the
+the registry (``n_jobs > 1`` is valid only with ``"parallel-shm"``).
+``prepare()`` runs once per session for the
 bound database, so engines with per-database state build it a single
 time. Each miner ``mine()`` run brackets itself with :meth:`begin_run`
 (fresh per-run stats accumulators — a second run never reports the
 first run's numbers) and :meth:`publish_run` (folds the run's private
-registries into the active observability session).
+registries into the active observability session). :meth:`close`
+releases the engine's workers, segments and spill files.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ from ..mining.engines import (
 )
 from ..mining.vertical import CacheStats
 from ..obs import api as obs
-from ..parallel.engine import ParallelStats
+from ..parallel.pool import ParallelStats
 from ..taxonomy.tree import Taxonomy
 
 _UNSET = object()
@@ -73,12 +69,12 @@ class MiningSession:
     taxonomy:
         Default taxonomy for :meth:`count`; ``None`` for flat mining.
     engine:
-        An engine spec (``"bitmap"``, ``"parallel:numpy"``, …) or an
+        An engine spec (``"bitmap"``, ``"parallel-shm"``, …) or an
         already-built :class:`CountingEngine`.
-    n_jobs, shard_rows:
-        Parallel policy. ``n_jobs > 1`` auto-wraps a serial engine spec
-        in the parallel wrapper; ``None`` leaves serial engines serial
-        (and means one worker per CPU for explicit ``parallel`` specs).
+    n_jobs:
+        Worker processes of the ``"parallel-shm"`` engine (``None`` =
+        one per CPU). ``n_jobs > 1`` with any other engine raises
+        :class:`~repro.errors.ConfigError`.
     cache_bytes, batch_words:
         Cache/kernel policy consumed by the engines that understand it:
         the ``"cached"`` index budget (``None`` = unbounded) and the
@@ -105,7 +101,6 @@ class MiningSession:
         engine: str | CountingEngine = DEFAULT_ENGINE,
         *,
         n_jobs: int | None = None,
-        shard_rows: int | None = None,
         cache_bytes: int | None = None,
         batch_words: int | None = None,
         segment_rows: int | None = None,
@@ -122,7 +117,6 @@ class MiningSession:
             engine,
             EnginePolicy(
                 n_jobs=n_jobs,
-                shard_rows=shard_rows,
                 cache_bytes=cache_bytes,
                 batch_words=batch_words,
                 segment_rows=segment_rows,
@@ -165,7 +159,6 @@ class MiningSession:
             taxonomy,
             engine=config.engine,
             n_jobs=config.n_jobs,
-            shard_rows=config.shard_rows,
             cache_bytes=config.cache_bytes,
             segment_rows=config.segment_rows,
             max_resident_bytes=config.max_resident_bytes,
@@ -188,25 +181,17 @@ class MiningSession:
         transactions: Any = None,
         taxonomy: Taxonomy | None | object = _UNSET,
         restrict_to_candidate_items: bool = False,
-        serial: bool = False,
     ) -> dict[Itemset, int]:
         """Count one logical pass with the session's engine.
 
         *transactions* / *taxonomy* override the session's defaults for
         this pass only (the EstMerge sample, a flat count under a
-        generalized session). *serial* unwraps the parallel wrapper for
-        passes too small to shard profitably.
+        generalized session).
         """
         engine = self.engine
-        if serial and engine.wraps:
-            engine = engine.inner
         source = self.transactions if transactions is None else transactions
         tax = self.taxonomy if taxonomy is _UNSET else taxonomy
-        if (
-            engine is self.engine
-            and source is self.transactions
-            and tax is self.taxonomy
-        ):
+        if source is self.transactions and tax is self.taxonomy:
             if self._state is None:
                 self._state = engine.prepare(source, tax)
             state = self._state
@@ -227,7 +212,7 @@ class MiningSession:
         """Start a fresh run of the given kind: reset the accumulators.
 
         A second ``mine()`` on the same session must never report the
-        first run's cache/shard activity. *kind* (one of
+        first run's cache/worker activity. *kind* (one of
         :data:`RUN_KINDS`; ``None`` means the session's
         ``default_run_kind``) selects the counter prefix
         :meth:`publish_run` reports under: the offline miners open runs
@@ -245,6 +230,10 @@ class MiningSession:
         self._run_kind = kind
         self.cache_stats = CacheStats()
         self.parallel_stats = ParallelStats()
+
+    def close(self) -> None:
+        """Release the engine's workers, segments and spill files."""
+        self.engine.close()
 
     def observed(self) -> contextlib.AbstractContextManager:
         """An observability session with this session's sinks."""

@@ -38,7 +38,6 @@ class TransactionDatabase:
         "_logical_scans",
         "_item_counts",
         "_vertical_index",
-        "_shard_cache",
         "_epoch",
         "_epoch_rows",
     )
@@ -57,7 +56,6 @@ class TransactionDatabase:
         self._logical_scans = 0
         self._item_counts: dict[int, int] | None = None
         self._vertical_index = None
-        self._shard_cache = None
         self._epoch = object()
         self._epoch_rows = self._transactions
 
@@ -67,7 +65,7 @@ class TransactionDatabase:
     ):
         """Build a database from rows that are *already canonical*.
 
-        Trusted fast path used by sharding and slicing: rows must be
+        Trusted fast path used by :meth:`slice`: rows must be
         sorted, de-duplicated, non-empty tuples (the invariant every row
         in an existing database already satisfies), and are stored
         without re-canonicalization. Prefer the regular constructor for
@@ -79,7 +77,6 @@ class TransactionDatabase:
         database._logical_scans = 0
         database._item_counts = None
         database._vertical_index = None
-        database._shard_cache = None
         database._epoch = object()
         database._epoch_rows = database._transactions
         if not database._transactions:
@@ -139,11 +136,8 @@ class TransactionDatabase:
 
         Rows are shared (no copy, no re-canonicalization). The slice is
         an independent database with its own pass counter starting at
-        zero: scans of the slice — e.g. worker-local counting over one
-        shard — do **not** increment the parent's :attr:`scans`. Callers
-        modeling the paper's cost must account sharded passes at the
-        parent (see :func:`repro.parallel.shards.plan_shards`, which
-        records one parent pass for the whole plan).
+        zero: scans of the slice do **not** increment the parent's
+        :attr:`scans`.
         """
         rows = self._transactions[start:stop]
         if not rows:

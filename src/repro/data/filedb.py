@@ -54,7 +54,6 @@ class FileBackedDatabase:
         "_total_items",
         "_item_counts",
         "_vertical_index",
-        "_shard_cache",
         "_epoch",
         "_epoch_token",
         "_offsets",
@@ -67,7 +66,6 @@ class FileBackedDatabase:
         self._scans = 0
         self._logical_scans = 0
         self._vertical_index = None
-        self._shard_cache = None
         self._item_counts: dict[int, int] | None = None
         self._validate()
         self._epoch = object()

@@ -11,8 +11,7 @@ scratch:
   candidate join/prune.
 * :mod:`~repro.mining.hash_tree` — the classic subset-counting hash tree.
 * :mod:`~repro.mining.engines` — the registry of pluggable
-  support-counting engines; :mod:`~repro.mining.counting` keeps the plain
-  ``count_supports`` helper over the default engine.
+  support-counting engines.
 * :mod:`~repro.mining.vertical` — the ``"cached"`` engine's persistent
   vertical index (one big-int bitmap per item).
 * :mod:`~repro.mining.generalized` — Basic / Cumulate / EstMerge miners over
@@ -31,7 +30,6 @@ from .aprioritid import (
     find_large_itemsets_aprioritid,
     find_large_itemsets_hybrid,
 )
-from .counting import count_supports
 from .generalized import extend_database, mine_generalized
 from .hash_tree import HashTree
 from .itemset_index import LargeItemsetIndex
@@ -44,7 +42,6 @@ __all__ = [
     "find_large_itemsets_partition",
     "find_large_itemsets_aprioritid",
     "find_large_itemsets_hybrid",
-    "count_supports",
     "mine_generalized",
     "extend_database",
     "HashTree",

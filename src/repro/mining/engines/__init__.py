@@ -13,14 +13,12 @@ from .base import (
     CountingEngine,
     EnginePolicy,
     EngineState,
-    all_engine_specs,
     count_pass,
     create_engine,
     engine_names,
     parse_spec,
     register_engine,
     registered_engines,
-    serial_engine_names,
     validate_candidates,
     validate_spec,
 )
@@ -35,7 +33,7 @@ from . import parallel as _parallel  # noqa: E402
 from .cached import CachedEngine
 from .outofcore import MmapEngine
 from .packed import NumpyEngine
-from .parallel import ParallelEngine, ParallelShmEngine
+from .parallel import ParallelShmEngine
 from .serial import (
     BitmapEngine,
     BruteEngine,
@@ -48,10 +46,6 @@ del _serial, _cached, _packed, _outofcore, _parallel
 
 #: All registered engine names, in registration order.
 ENGINES = engine_names()
-
-#: The engines that count rows in-process; ``"parallel"`` delegates each
-#: shard to one of these.
-SERIAL_ENGINES = serial_engine_names()
 
 #: The engine ``MiningConfig``, ``MiningSession`` and every CLI
 #: ``--engine`` flag default to: one physical scan serves every pass,
@@ -129,13 +123,10 @@ __all__ = [
     "HashTreeEngine",
     "MmapEngine",
     "NumpyEngine",
-    "ParallelEngine",
     "ParallelShmEngine",
     "RowScanEngine",
     "ENGINES",
-    "SERIAL_ENGINES",
     "DEFAULT_ENGINE",
-    "all_engine_specs",
     "capability_table",
     "count_pass",
     "create_engine",
@@ -144,7 +135,6 @@ __all__ = [
     "parse_spec",
     "register_engine",
     "registered_engines",
-    "serial_engine_names",
     "validate_candidates",
     "validate_spec",
 ]

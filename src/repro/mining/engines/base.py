@@ -12,14 +12,11 @@ registry-parametrized equivalence test.
 
 Specs
 -----
-An engine *spec* is either a plain registered name (``"bitmap"``,
-``"numpy"``, …) or a composition ``"parallel:<inner>"`` selecting the
-sharding wrapper around a serial engine (``"parallel:numpy"`` counts
-shards with the bit-packed kernel). :func:`create_engine` resolves a spec
-plus a policy into a ready engine object; it also auto-wraps any
-shardable engine in the parallel wrapper when the policy asks for more
-than one worker, which is how ``n_jobs=4`` with ``engine="bitmap"``
-keeps working exactly as before the registry existed.
+An engine *spec* is a plain registered name (``"bitmap"``, ``"numpy"``,
+…). :func:`create_engine` resolves a spec plus a policy into a ready
+engine object. ``n_jobs > 1`` is a setting of the one parallel engine,
+``"parallel-shm"``; with any other spec it is a
+:class:`~repro.errors.ConfigError`, never silently ignored.
 
 Validation
 ----------
@@ -60,23 +57,18 @@ class Capabilities:
     caching:
         Maintains a persistent per-database structure across passes
         (physical passes can drop below logical passes).
-    shardable:
-        Row ranges can be counted independently and summed, so the
-        parallel wrapper may use it as a per-shard inner engine.
     shared_memory:
         Publishes its packed data via ``multiprocessing.shared_memory``
         and counts through persistent workers attached zero-copy
-        (:mod:`repro.parallel.shm`).
+        (:mod:`repro.parallel.shm`); the only engine that accepts
+        ``n_jobs > 1``.
     out_of_core:
         Keeps its packed data in memory-mapped spill files with bounded
-        resident bytes (:mod:`repro.mining.segmatrix`); under the
-        parallel wrapper, workers map their own segments instead of
-        receiving pickled row slices.
+        resident bytes (:mod:`repro.mining.segmatrix`).
     """
 
     packed: bool = False
     caching: bool = False
-    shardable: bool = True
     shared_memory: bool = False
     out_of_core: bool = False
 
@@ -97,7 +89,6 @@ class EnginePolicy:
     """
 
     n_jobs: int | None = None
-    shard_rows: int | None = None
     cache_bytes: int | None = None
     batch_words: int | None = None
     segment_rows: int | None = None
@@ -107,8 +98,6 @@ class EnginePolicy:
     def __post_init__(self) -> None:
         if self.n_jobs is not None:
             check_positive(self.n_jobs, "n_jobs")
-        if self.shard_rows is not None:
-            check_positive(self.shard_rows, "shard_rows")
         if self.cache_bytes is not None:
             check_positive(self.cache_bytes, "cache_bytes")
         if self.batch_words is not None:
@@ -124,10 +113,9 @@ class EngineState:
     """One prepared (transactions, taxonomy) binding.
 
     *transactions* is either the scan-counted database or the plain rows
-    of one pass — exactly the two forms ``count_supports`` always
-    accepted. ``prepare()`` exists so engines that build per-database
-    structures (the cached engine today, a disk-resident layout tomorrow)
-    have a place to do it once per session instead of once per pass.
+    of one pass. ``prepare()`` exists so engines that build per-database
+    structures (the cached, mmap and parallel-shm engines) have a place
+    to do it once per session instead of once per pass.
     """
 
     transactions: Any
@@ -143,8 +131,7 @@ class EngineState:
         ancestors; the vertical and packed engines never extend rows. So
         the binding checks the database's distinct items itself, once
         per append epoch: an append or rewrite re-checks, a plain
-        re-count does not. Plain rows (one pass, or a shard of a
-        database the driver already checked) are left to the engine.
+        re-count does not. Plain rows (one pass) are left to the engine.
         """
         epoch_fn = getattr(self.transactions, "append_epoch", None)
         if self.taxonomy is None or epoch_fn is None:
@@ -178,13 +165,10 @@ class CountingEngine:
 
     name: ClassVar[str] = ""
     capabilities: ClassVar[Capabilities] = Capabilities()
-    #: True for wrapper engines (the parallel wrapper) that hold an inner
-    #: engine; create_engine never auto-wraps an engine twice.
-    wraps: ClassVar[bool] = False
 
     @property
     def spec(self) -> str:
-        """The spec string that would recreate this engine's shape."""
+        """The spec string that would recreate this engine."""
         return self.name
 
     @property
@@ -198,20 +182,9 @@ class CountingEngine:
         return False
 
     @classmethod
-    def from_policy(
-        cls, policy: EnginePolicy, inner: "str | CountingEngine | None" = None
-    ) -> "CountingEngine":
-        """Build an engine from *policy*; non-wrappers reject *inner*."""
-        cls._reject_inner(inner)
+    def from_policy(cls, policy: EnginePolicy) -> "CountingEngine":
+        """Build an engine from *policy*."""
         return cls()
-
-    @classmethod
-    def _reject_inner(cls, inner: "str | CountingEngine | None") -> None:
-        if inner is not None:
-            raise ConfigError(
-                f"engine {cls.name!r} does not compose with an inner "
-                f"engine; only 'parallel:<engine>' specs are valid"
-            )
 
     def prepare(
         self, transactions: Any, taxonomy: Taxonomy | None = None
@@ -231,6 +204,9 @@ class CountingEngine:
         """Count one validated pass; implemented by each engine."""
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release workers, segments or spill files (default: none)."""
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.spec!r}>"
 
@@ -238,7 +214,7 @@ class CountingEngine:
 _REGISTRY: dict[str, type[CountingEngine]] = {}
 
 #: Removed engine names and the registered engine that replaces each.
-_RETIRED = {"index": "bitmap"}
+_RETIRED = {"index": "bitmap", "parallel": "parallel-shm"}
 
 
 def register_engine(name: str):
@@ -264,69 +240,60 @@ def engine_names() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def serial_engine_names() -> tuple[str, ...]:
-    """The shardable (per-shard capable) engine names."""
-    return tuple(
-        name
-        for name, cls in _REGISTRY.items()
-        if cls.capabilities.shardable
-    )
-
-
-def all_engine_specs() -> tuple[str, ...]:
-    """Every reachable spec: plain names plus ``parallel:<inner>``.
-
-    This is what the registry-parametrized property test enumerates, so
-    a newly registered engine (and its parallel composition, when
-    shardable) is covered automatically.
-    """
-    specs = list(_REGISTRY)
-    if "parallel" in _REGISTRY:
-        specs.extend(
-            f"parallel:{name}" for name in serial_engine_names()
-        )
-    return tuple(specs)
-
-
-def parse_spec(spec: str) -> tuple[str, str | None]:
-    """Split ``"name"`` / ``"name:inner"``, validating both names."""
+def parse_spec(spec: str) -> str:
+    """Validate a spec string and return the registered engine name."""
     if not isinstance(spec, str):
         raise ConfigError(
             f"engine spec must be a string or CountingEngine, got "
             f"{type(spec).__name__}"
         )
-    name, _, inner = spec.partition(":")
-    _require_known(name)
-    if not _:
-        return name, None
-    if not _REGISTRY[name].wraps:
+    if ":" in spec:
         raise ConfigError(
-            f"engine {name!r} does not compose with an inner engine; "
-            f"only 'parallel:<engine>' specs are valid"
+            f"engine spec {spec!r} is not a registered name: "
+            f"'name:inner' compositions were removed; for parallel "
+            f"counting use engine='parallel-shm' with n_jobs"
         )
-    _require_known(inner)
-    return name, inner
-
-
-def _require_known(name: str) -> None:
-    if name in _RETIRED:
+    if spec in _RETIRED:
         raise ConfigError(
-            f"counting engine {name!r} was removed; "
-            f"use {_RETIRED[name]!r} instead"
+            f"counting engine {spec!r} was removed; "
+            f"use {_RETIRED[spec]!r} instead"
         )
-    if name not in _REGISTRY:
+    if spec not in _REGISTRY:
         raise ConfigError(
-            f"unknown counting engine {name!r}; "
+            f"unknown counting engine {spec!r}; "
             f"choose from {engine_names()}"
         )
-
-
-def validate_spec(spec: "str | CountingEngine") -> str:
-    """Validate an engine spec and return it normalized (for configs)."""
-    if isinstance(spec, CountingEngine):
-        return spec.spec
-    parse_spec(spec)
     return spec
+
+
+def validate_spec(
+    spec: "str | CountingEngine", n_jobs: int | None = None
+) -> str:
+    """Validate an engine spec (and its *n_jobs*); return it normalized.
+
+    ``n_jobs > 1`` is accepted only by an engine that declares the
+    ``shared_memory`` capability (``"parallel-shm"``); any other spec
+    raises :class:`~repro.errors.ConfigError` rather than silently
+    counting serially.
+    """
+    if isinstance(spec, CountingEngine):
+        engine_cls = type(spec)
+        normalized = spec.spec
+    else:
+        normalized = parse_spec(spec)
+        engine_cls = _REGISTRY[normalized]
+    if (
+        n_jobs is not None
+        and n_jobs > 1
+        and not engine_cls.capabilities.shared_memory
+    ):
+        raise ConfigError(
+            f"n_jobs={n_jobs} needs the parallel engine, but engine="
+            f"{normalized!r} counts in one process; pass "
+            f"engine=\"parallel-shm\" (CLI: --engine parallel-shm, or "
+            f"--jobs alone) or n_jobs=1"
+        )
+    return normalized
 
 
 def create_engine(
@@ -335,27 +302,16 @@ def create_engine(
 ) -> CountingEngine:
     """Resolve a spec + policy into a ready engine object.
 
-    A :class:`CountingEngine` instance passes through unchanged. When the
-    policy requests more than one worker and the resolved engine is a
-    shardable serial engine, it is wrapped in the parallel engine
-    automatically — ``engine="bitmap", n_jobs=4`` shards exactly as it
-    did before the registry existed.
+    A :class:`CountingEngine` instance passes through unchanged (its
+    own settings win), but ``policy.n_jobs > 1`` is still checked
+    against it: see :func:`validate_spec`.
     """
-    if isinstance(spec, CountingEngine):
-        return spec
     if policy is None:
         policy = EnginePolicy()
-    name, inner = parse_spec(spec)
-    engine = _REGISTRY[name].from_policy(policy, inner=inner)
-    if (
-        not engine.wraps
-        and engine.capabilities.shardable
-        and policy.n_jobs is not None
-        and policy.n_jobs > 1
-        and "parallel" in _REGISTRY
-    ):
-        engine = _REGISTRY["parallel"].from_policy(policy, inner=engine)
-    return engine
+    validate_spec(spec, policy.n_jobs)
+    if isinstance(spec, CountingEngine):
+        return spec
+    return _REGISTRY[spec].from_policy(policy)
 
 
 def validate_candidates(candidates: Collection[Itemset]) -> None:
@@ -385,11 +341,10 @@ def count_pass(
     """Run one validated, instrumented counting pass through *engine*.
 
     This is the single entry point every caller (MiningSession, the
-    plain ``count_supports`` helper, the parallel shard workers) funnels
-    through: it applies the registry-level precheck and rejects basket
-    items outside the bound taxonomy, then — only when an
-    observability session is active — records the driver/worker
-    ``counting.*`` metrics, auto-creates stats accumulators the engine
+    engine-agreement tests) funnels through: it applies the
+    registry-level precheck and rejects basket items outside the bound
+    taxonomy, then — only when an observability session is active —
+    records the ``counting.*`` metrics, auto-creates stats accumulators the engine
     declares a use for, and wraps the pass in a ``count.<name>`` span.
     With observability off it adds zero work beyond the precheck.
     """
@@ -410,21 +365,17 @@ def count_pass(
         )
     prefix = "" if obs_state.scope == "driver" else obs_state.scope + "."
     n_rows = state.n_rows()
-    # Top-level counts only: the parallel engine's serial-fallback path
-    # re-enters count_pass for the same logical pass, and counting it
-    # twice would break parallel == serial metric totals.
-    if not obs_state.in_span("count."):
-        registry = obs_state.registry
-        registry.incr(prefix + "counting.passes")
-        registry.incr(prefix + "counting.candidates", len(candidates))
-        if n_rows is not None:
-            registry.incr(prefix + "counting.rows", n_rows)
+    registry = obs_state.registry
+    registry.incr(prefix + "counting.passes")
+    registry.incr(prefix + "counting.candidates", len(candidates))
+    if n_rows is not None:
+        registry.incr(prefix + "counting.rows", n_rows)
     if cache_stats is None and engine.wants_cache_stats:
         cache_stats = vertical.CacheStats(
             registry=obs_state.registry, prefix=prefix
         )
     if parallel_stats is None and engine.wants_parallel_stats:
-        from ...parallel.engine import ParallelStats
+        from ...parallel.pool import ParallelStats
 
         parallel_stats = ParallelStats(
             registry=obs_state.registry, prefix=prefix

@@ -34,16 +34,13 @@ class CachedEngine(CountingEngine):
     materialized in the first place.
     """
 
-    capabilities = Capabilities(packed=False, caching=True, shardable=True)
+    capabilities = Capabilities(packed=False, caching=True)
 
     def __init__(self, cache_bytes: int | None = None) -> None:
         self.cache_bytes = cache_bytes
 
     @classmethod
-    def from_policy(
-        cls, policy: EnginePolicy, inner=None
-    ) -> "CachedEngine":
-        cls._reject_inner(inner)
+    def from_policy(cls, policy: EnginePolicy) -> "CachedEngine":
         return cls(cache_bytes=policy.cache_bytes)
 
     def count(

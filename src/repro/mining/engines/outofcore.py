@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections.abc import Collection
 
-from ...errors import ConfigError
 from ...itemset import Itemset
 from ..segmatrix import SegmentedPackedMatrix
 from .base import (
@@ -50,7 +49,6 @@ class MmapEngine(CountingEngine):
     capabilities = Capabilities(
         packed=True,
         caching=True,
-        shardable=True,
         out_of_core=True,
     )
 
@@ -68,18 +66,7 @@ class MmapEngine(CountingEngine):
         self._matrix: SegmentedPackedMatrix | None = None
 
     @classmethod
-    def from_policy(
-        cls, policy: EnginePolicy, inner=None
-    ) -> "MmapEngine":
-        cls._reject_inner(inner)
-        from .parallel import _numpy_available
-
-        if not _numpy_available():
-            raise ConfigError(
-                "engine 'mmap' requires NumPy (segments are bit-packed "
-                "word blocks); install numpy or choose a pure-Python "
-                "engine"
-            )
+    def from_policy(cls, policy: EnginePolicy) -> "MmapEngine":
         return cls(
             segment_rows=policy.segment_rows,
             max_resident_bytes=policy.max_resident_bytes,
@@ -100,22 +87,6 @@ class MmapEngine(CountingEngine):
             self.close()
         except Exception:
             pass
-
-    def __getstate__(self):
-        # Workers counting plain row shards rebuild their own one-shot
-        # matrices; the parent-owned matrix (spill dir, finalizer, LRU)
-        # never crosses a pipe.
-        return (
-            self.segment_rows, self.max_resident_bytes, self.spill_dir,
-            self.batch_words,
-        )
-
-    def __setstate__(self, state):
-        (
-            self.segment_rows, self.max_resident_bytes, self.spill_dir,
-            self.batch_words,
-        ) = state
-        self._matrix = None
 
     # -- counting ------------------------------------------------------
 

@@ -29,16 +29,13 @@ from .base import (
 class NumpyEngine(CountingEngine):
     """One-shot bit-packed counting through the NumPy kernel."""
 
-    capabilities = Capabilities(packed=True, shardable=True)
+    capabilities = Capabilities(packed=True)
 
     def __init__(self, batch_words: int | None = None) -> None:
         self.batch_words = batch_words
 
     @classmethod
-    def from_policy(
-        cls, policy: EnginePolicy, inner=None
-    ) -> "NumpyEngine":
-        cls._reject_inner(inner)
+    def from_policy(cls, policy: EnginePolicy) -> "NumpyEngine":
         return cls(batch_words=policy.batch_words)
 
     def count(

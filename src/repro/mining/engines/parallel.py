@@ -1,23 +1,11 @@
-"""The ``parallel`` engines: sharding wrapper and shared-memory kernel.
+"""The ``parallel-shm`` engine: shared-memory counting over workers.
 
-Unlike the serial engines, ``parallel`` is not a counting strategy of
-its own — it wraps any shardable inner engine, splits each pass into
-contiguous row ranges, counts every shard with the inner engine in a
-worker process and sums the partial counts (bit-identical to a serial
-count; see :mod:`repro.parallel`). The spec syntax is
-``"parallel:<inner>"`` (``"parallel"`` alone wraps the ``bitmap`` engine),
-so ``--engine parallel:numpy`` runs the bit-packed kernel per shard and
-``"parallel:cached"`` ships shard-local vertical indexes. ``n_jobs > 1``
-on a plain serial spec wraps that engine instead, so ``--jobs N`` with
-no ``--engine`` runs ``parallel:cached``, the default engine sharded.
-
-``parallel-shm`` (:class:`ParallelShmEngine`) is the zero-copy
-evolution of ``parallel:numpy``: the driver packs the database once,
-publishes the word matrix into OS shared memory
-(:mod:`repro.parallel.shm`), and a persistent worker pool attaches the
-segment and counts candidate *batches* against the whole matrix —
-nothing row-shaped ever crosses a pipe. It is reachable only by its
-spec (``--engine parallel-shm``; DESIGN.md §11).
+The parent process packs the database once, publishes the word matrix
+into OS shared memory (:mod:`repro.parallel.shm`), and a persistent
+worker pool attaches the segment and counts candidate *batches* against
+the whole matrix — nothing row-shaped ever crosses a pipe. It is the only engine
+that accepts ``n_jobs > 1``; ``--jobs N`` on the CLI selects it when no
+``--engine`` is given (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -25,9 +13,7 @@ from __future__ import annotations
 import atexit
 import weakref
 from collections.abc import Collection
-from dataclasses import replace
 
-from ...errors import ConfigError
 from ...itemset import Itemset
 from ...obs import api as obs
 from .base import (
@@ -35,110 +21,8 @@ from .base import (
     CountingEngine,
     EnginePolicy,
     EngineState,
-    create_engine,
     register_engine,
 )
-
-#: The inner engine used by a bare ``"parallel"`` spec.
-DEFAULT_INNER = "bitmap"
-
-
-@register_engine("parallel")
-class ParallelEngine(CountingEngine):
-    """Shard the pass across worker processes; sum partial counts.
-
-    ``n_jobs=None`` means one worker per CPU; ``n_jobs=1`` (or a single
-    shard) degrades to an in-process serial count with no worker
-    transport. Worker failures follow the pool's retry-then-serial
-    ladder.
-    """
-
-    capabilities = Capabilities(shardable=False)
-    wraps = True
-
-    def __init__(
-        self,
-        inner: CountingEngine | None = None,
-        n_jobs: int | None = None,
-        shard_rows: int | None = None,
-        pool_config=None,
-    ) -> None:
-        if inner is None:
-            inner = create_engine(DEFAULT_INNER)
-        if inner.wraps or not inner.capabilities.shardable:
-            raise ConfigError(
-                f"engine 'parallel' cannot wrap {inner.spec!r}; the "
-                f"inner engine must be a shardable serial engine"
-            )
-        self.inner = inner
-        self.n_jobs = n_jobs
-        self.shard_rows = shard_rows
-        self.pool_config = pool_config
-
-    @classmethod
-    def from_policy(
-        cls, policy: EnginePolicy, inner=None
-    ) -> "ParallelEngine":
-        if inner is None:
-            inner = DEFAULT_INNER
-        if not isinstance(inner, CountingEngine):
-            # The inner engine runs one shard in one process: build it
-            # from the same policy, minus the parallelism fields.
-            inner = create_engine(
-                inner, replace(policy, n_jobs=None)
-            )
-        return cls(
-            inner,
-            n_jobs=policy.n_jobs,
-            shard_rows=policy.shard_rows,
-        )
-
-    @property
-    def spec(self) -> str:
-        return f"parallel:{self.inner.spec}"
-
-    @property
-    def wants_cache_stats(self) -> bool:
-        return self.inner.wants_cache_stats
-
-    @property
-    def wants_parallel_stats(self) -> bool:
-        return True
-
-    def count(
-        self,
-        state: EngineState,
-        candidates: Collection[Itemset],
-        *,
-        restrict_to_candidate_items: bool = False,
-        cache_stats=None,
-        parallel_stats=None,
-    ) -> dict[Itemset, int]:
-        # Imported lazily: repro.parallel.engine imports this package.
-        from ...parallel.engine import parallel_count_supports
-
-        return parallel_count_supports(
-            state.transactions,
-            candidates,
-            taxonomy=state.taxonomy,
-            engine=self.inner,
-            restrict_to_candidate_items=restrict_to_candidate_items,
-            n_jobs=self.n_jobs,
-            shard_rows=self.shard_rows,
-            pool_config=self.pool_config,
-            stats=parallel_stats,
-            cache_stats=cache_stats,
-        )
-
-
-def _numpy_available() -> bool:
-    """Patchable probe so spec validation can be tested without NumPy."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover — NumPy is installed in CI
-        return False
-    return True
-
 
 #: Engines with live pools/segments; the atexit sweep closes whatever a
 #: caller forgot so no /dev/shm name outlives the process.
@@ -181,7 +65,6 @@ class ParallelShmEngine(CountingEngine):
     capabilities = Capabilities(
         packed=True,
         caching=True,
-        shardable=False,
         shared_memory=True,
     )
 
@@ -204,16 +87,7 @@ class ParallelShmEngine(CountingEngine):
         _LIVE_SHM_ENGINES.add(self)
 
     @classmethod
-    def from_policy(
-        cls, policy: EnginePolicy, inner=None
-    ) -> "ParallelShmEngine":
-        cls._reject_inner(inner)
-        if not _numpy_available():
-            raise ConfigError(
-                "engine 'parallel-shm' requires NumPy (the packed word "
-                "matrix is published through the bit-packed kernel); "
-                "install numpy or choose a pure-Python engine"
-            )
+    def from_policy(cls, policy: EnginePolicy) -> "ParallelShmEngine":
         return cls(
             n_jobs=policy.n_jobs,
             batch_words=policy.batch_words,

@@ -38,7 +38,7 @@ def extended_rows(
 class RowScanEngine(CountingEngine):
     """Shared pass shape of the serial row-scanning engines."""
 
-    capabilities = Capabilities(shardable=True)
+    capabilities = Capabilities()
 
     def count(
         self,
@@ -74,8 +74,7 @@ class BitmapEngine(RowScanEngine):
     ``t`` is set when transaction ``t`` contains the item — restricted
     to items that occur in some candidate, then intersects masks per
     candidate and popcounts. By far the fastest row-scanning engine,
-    and the inner engine of a bare ``"parallel"`` spec; the default
-    ``cached`` engine keeps the same bitsets across passes instead.
+    and the default ``cached`` engine keeps the same bitsets across passes instead.
     The 1998 paper predates the vertical-layout literature, so both are
     an engineering substitution (documented in DESIGN.md) — the
     paper-faithful hash tree remains available and equivalent.

@@ -346,14 +346,10 @@ def _mine_estmerge(
             break
 
         if fresh:
-            # The sample is small by construction; estimating on it stays
-            # serial (the parallel wrapper is unwrapped) — sharding it
-            # would cost more than it saves.
             estimates = session.count(
                 fresh,
                 transactions=sample,
                 taxonomy=taxonomy,
-                serial=True,
             )
             probably_large = [
                 candidate

@@ -80,20 +80,6 @@ def _intersect(left: list[int], right: list[int]) -> list[int]:
     return out
 
 
-def mine_local_partition(
-    rows: list[Itemset], minsup: float, max_size: int | None = None
-) -> set[Itemset]:
-    """Mine the locally large itemsets of one in-memory partition.
-
-    This is phase 1 of Partition for a single partition, exposed so the
-    parallel driver (:func:`repro.parallel.engine.parallel_partition`)
-    can run one partition per worker process. *minsup* is applied against
-    ``len(rows)``, i.e. locally.
-    """
-    check_fraction(minsup, "minsup")
-    return _local_large(list(rows), minsup, max_size)
-
-
 def find_large_itemsets_partition(
     database: TransactionDatabase,
     minsup: float,

@@ -32,13 +32,10 @@ per-segment fingerprints
     new segments are packed from the remaining tail rows. Appending 1 %%
     new rows therefore repacks O(append) bits, not O(|D|).
 
-segment-aligned parallelism
-    A :class:`Segment` is picklable *without* its block: workers receive
-    ``(path, nodes, words)`` descriptors and ``mmap`` their own blocks,
-    so nothing row-shaped — and nothing block-shaped — crosses a pipe
-    (see ``repro.parallel.engine``). Spill files are never rewritten in
-    place (every repack writes a fresh file and unlinks the old name),
-    so a worker holding a stale mapping keeps reading consistent bits.
+immutable spill files
+    Spill files are never rewritten in place (every repack writes a
+    fresh file and unlinks the old name), so a reader holding a stale
+    mapping keeps reading consistent bits.
 
 Spill directories are temporary and crash-safe: every live matrix holds
 a ``weakref.finalize`` on its directory (runs on garbage collection
@@ -91,9 +88,7 @@ class Segment:
 
     Holds everything needed to count against the segment *except* the
     word block itself: the block lives either in the owning matrix's
-    resident LRU or on disk at :attr:`path`. Instances are picklable
-    (the parallel engine ships them as worker payloads; the worker
-    memory-maps :attr:`path` on its side).
+    resident LRU or on disk at :attr:`path`.
 
     The block on disk is ``(len(nodes), words)`` little-endian
     ``uint64``, *words* being the segment's fixed capacity width
@@ -140,13 +135,6 @@ class Segment:
             shape=(len(self.nodes), self.words),
         )
 
-    def __getstate__(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setstate__(self, state):
-        for name, value in zip(self.__slots__, state):
-            setattr(self, name, value)
-
     def __repr__(self) -> str:
         return (
             f"Segment(index={self.index}, start={self.start}, "
@@ -164,8 +152,7 @@ def count_segment_block(
 ) -> dict[Itemset, int]:
     """Count all candidates within one segment's word block.
 
-    Shared by the serial matrix and the parallel workers (which open
-    *block* from their own memmap). A transient
+    A transient
     :class:`~repro.mining.bitpack.PackedMatrix` wraps the block so
     taxonomy candidates get the usual descendant-OR treatment; the
     wrapper's row count is the capacity in bits (``words * 64``) so its

@@ -189,7 +189,7 @@ class VerticalIndex:
 
     Build through :meth:`build` (physical pass over a scan-counted
     database, rebuildable after eviction) or :meth:`from_rows` (one-shot
-    over materialized rows, e.g. a parallel shard; no rebuild source).
+    over materialized rows; no rebuild source).
     """
 
     __slots__ = (
@@ -253,9 +253,9 @@ class VerticalIndex:
     def from_rows(cls, rows: Iterable[Itemset]) -> "VerticalIndex":
         """Build over already-materialized rows (no rebuild source).
 
-        Used for one-shot counting over plain iterables and for parallel
-        shard-local indexes. No memory budget: without a source there is
-        no way to restore an evicted base bitmap.
+        Used for one-shot counting over plain iterables. No memory
+        budget: without a source there is no way to restore an evicted
+        base bitmap.
         """
         materialized = rows if isinstance(rows, (list, tuple)) else list(rows)
         index = cls(len(materialized))
@@ -470,27 +470,11 @@ class VerticalIndex:
         if stats is not None:
             stats.rebuilt_items += len(missing)
 
-    # ------------------------------------------------------------------
-    # Transport
-    # ------------------------------------------------------------------
-    def __reduce__(self):
-        # Ship only the row count and base bitmaps: the data source,
-        # memory budget and derived memos are parent-process concerns.
-        return (_unpickle_index, (self.n_rows, tuple(self._bits.items())))
-
     def __repr__(self) -> str:
         return (
             f"VerticalIndex(rows={self.n_rows}, items={len(self._bits)}, "
             f"evicted={len(self._evicted)}, bytes={self._nbytes})"
         )
-
-
-def _unpickle_index(n_rows: int, items: tuple) -> VerticalIndex:
-    index = VerticalIndex(n_rows)
-    for item, bitmap in items:
-        index._bits[item] = bitmap
-        index._nbytes += _entry_bytes(bitmap)
-    return index
 
 
 # ----------------------------------------------------------------------
@@ -539,55 +523,12 @@ def get_index(
     return index
 
 
-def get_shard_indexes(
-    database,
-    shard_rows: int | None = None,
-    n_shards: int | None = None,
-    stats: CacheStats | None = None,
-) -> list[VerticalIndex]:
-    """Shard-local vertical indexes for parallel counting, built once.
-
-    One physical pass plans the shards and builds a per-shard index;
-    later passes at the same shard layout reuse (and re-ship) the built
-    bitmaps, so workers never re-derive item bitsets from raw rows. The
-    plan is attached to the database keyed by fingerprint + layout.
-    """
-    from ..parallel.shards import plan_shards  # lazy: avoid import cycle
-
-    layout = (shard_rows, n_shards)
-    cached = getattr(database, "_shard_cache", None)
-    if cached is not None:
-        token, cached_layout, indexes = cached
-        fresh = database.cache_token()
-        if cached_layout == layout and (fresh is token or fresh == token):
-            if stats is not None:
-                stats.hits += 1
-            return indexes
-        if stats is not None:
-            stats.invalidations += 1
-    if stats is not None:
-        stats.misses += 1
-    token = database.cache_token()
-    with obs.span("cache.shard_build") as span:
-        rows = tuple(database.physical_scan())
-        shards = plan_shards(rows, shard_rows=shard_rows, n_shards=n_shards)
-        indexes = [VerticalIndex.from_rows(shard.rows) for shard in shards]
-        span.annotate("rows", len(rows))
-        span.annotate("shards", len(indexes))
+def invalidate(database) -> None:
+    """Drop the vertical index attached to *database*."""
     try:
-        database._shard_cache = (token, layout, indexes)
+        database._vertical_index = None
     except AttributeError:
         pass
-    return indexes
-
-
-def invalidate(database) -> None:
-    """Drop any vertical caches attached to *database*."""
-    for attribute in ("_vertical_index", "_shard_cache"):
-        try:
-            setattr(database, attribute, None)
-        except AttributeError:
-            pass
 
 
 def count_with_index(

@@ -6,7 +6,7 @@ the worker pool, and the miners all record named metrics here instead of
 threading ad-hoc counter fields through every call chain (the legacy
 ``CacheStats``/``ParallelStats`` accumulators are now thin views over a
 registry; see :mod:`repro.mining.vertical` and
-:mod:`repro.parallel.engine`).
+:mod:`repro.parallel.pool`).
 
 Three metric kinds, all plain data:
 

@@ -1,18 +1,17 @@
-"""Process worker pool with per-task timeouts, retries and serial fallback.
+"""Persistent worker pool with per-task timeouts, retries and serial fallback.
 
-:class:`WorkerPool` is the execution substrate of the parallel engine. It
-deliberately does **not** reuse :class:`multiprocessing.Pool` /
-``concurrent.futures``: both lose track of tasks when a worker dies
-abruptly (a killed child can hang a pending ``get()`` forever), and the
-whole point of this pool is that a crashed or wedged worker degrades to a
-retry and finally to in-process serial execution rather than a hang.
+:class:`PersistentWorkerPool` is the execution substrate of the
+``"parallel-shm"`` engine. It deliberately does **not** reuse
+:class:`multiprocessing.Pool` / ``concurrent.futures``: both lose track of
+tasks when a worker dies abruptly (a killed child can hang a pending
+``get()`` forever), and the whole point of this pool is that a crashed or
+wedged worker degrades to a retry and finally to in-process serial
+execution rather than a hang.
 
-Design: one short-lived process per task *attempt*, at most ``n_jobs``
-in flight, results returned over a one-way pipe. On Linux (fork start
-method) process creation costs milliseconds, which is negligible against a
-counting pass; the scheme buys exact crash detection (pipe EOF), exact
-timeout enforcement (``terminate()``), and zero shared state between
-attempts.
+Design: ``n_jobs`` long-lived processes, each set up once (attach a
+shared-memory segment) and then fed tasks over its own duplex pipe. Pipe
+EOF detects a crash exactly, ``terminate()`` enforces a timeout exactly,
+and a fresh worker is spawned in place of a lost one.
 
 Failure ladder per task::
 
@@ -37,6 +36,7 @@ from multiprocessing.connection import wait as _connection_wait
 from .._util import check_nonnegative, check_positive
 from ..errors import ConfigError
 from ..obs import api as _obs
+from ..obs.registry import MetricsRegistry, stats_property
 
 
 def resolve_n_jobs(n_jobs: int | None) -> int:
@@ -48,7 +48,7 @@ def resolve_n_jobs(n_jobs: int | None) -> int:
 
 @dataclass(frozen=True, slots=True)
 class PoolConfig:
-    """Tunables of one :class:`WorkerPool`.
+    """Tunables of one :class:`PersistentWorkerPool`.
 
     Attributes
     ----------
@@ -91,9 +91,9 @@ class PoolStats:
     Attributes
     ----------
     tasks:
-        Tasks submitted via :meth:`WorkerPool.map`.
+        Tasks submitted via :meth:`PersistentWorkerPool.map`.
     workers_launched:
-        Worker processes started (attempts, not tasks).
+        Worker processes started (first spawns and respawns).
     retries:
         Failed attempts that were re-queued.
     timeouts:
@@ -119,203 +119,79 @@ class PoolStats:
     fallbacks: int = 0
 
 
-def _child(func: Callable, payload, connection) -> None:
-    """Worker entry point: run one task, report over the pipe, exit."""
-    # A forked child inherits the parent's observability state, including
-    # open trace-file handles it must never write to or close; start
-    # clean. Tasks that should measure open their own worker-scope
-    # collection and ship the registry back in their result.
-    _obs.detach()
-    try:
-        result = func(payload)
-    except BaseException as exc:  # noqa: BLE001 — report, parent decides
-        try:
-            connection.send(("error", f"{type(exc).__name__}: {exc}"))
-        finally:
-            connection.close()
-        return
-    connection.send(("ok", result))
-    connection.close()
+class ParallelStats:
+    """Accumulated worker accounting across parallel counting passes.
 
-
-class _Task:
-    __slots__ = ("index", "payload", "attempts", "process", "connection",
-                 "deadline")
-
-    def __init__(self, index: int, payload) -> None:
-        self.index = index
-        self.payload = payload
-        self.attempts = 0
-        self.process = None
-        self.connection = None
-        self.deadline: float | None = None
-
-
-class WorkerPool:
-    """Run independent tasks across worker processes; never hang.
-
-    Parameters
-    ----------
-    config:
-        A :class:`PoolConfig`; defaults to serial (``n_jobs=1``).
-
-    Notes
-    -----
-    Task functions and payloads must be picklable under the chosen start
-    method (top-level functions; payloads of plain tuples). Results are
-    returned in submission order regardless of completion order, so a
-    caller merging partial results gets a deterministic reduction.
+    One instance is typically threaded through a whole mining run (see
+    ``MiningConfig.n_jobs``) and absorbs the pool statistics of every
+    ``parallel-shm`` pass. Since the observability layer (DESIGN.md §8)
+    every field is a view over a
+    :class:`~repro.obs.registry.MetricsRegistry` under ``parallel.*``
+    metric names — by default a private registry (the classic
+    standalone-accumulator behavior); pass ``registry=`` to record into
+    a shared one and ``prefix=`` to namespace the metrics.
     """
 
-    def __init__(self, config: PoolConfig | None = None) -> None:
-        self.config = config or PoolConfig()
-        self.stats = PoolStats()
-        self._context = multiprocessing.get_context(self.config.start_method)
+    #: field name -> registry counter name
+    _FIELDS = {
+        "worker_tasks": "parallel.worker_tasks",
+        "workers_launched": "parallel.workers_launched",
+        "worker_retries": "parallel.worker_retries",
+        "worker_timeouts": "parallel.worker_timeouts",
+        "worker_crashes": "parallel.worker_crashes",
+        "worker_fallbacks": "parallel.worker_fallbacks",
+        "serial_tasks": "parallel.serial_tasks",
+        "shm_publishes": "parallel.shm.publishes",
+        "shm_batches": "parallel.shm.batches",
+        "shm_bytes": "parallel.shm.bytes",
+    }
 
-    def map(self, func: Callable, payloads: Iterable) -> list:
-        """Apply *func* to every payload; return results in order.
+    #: Fields backed by a gauge (merge keeps the maximum) instead of a
+    #: counter: segment size is a high-water mark, not a running total.
+    _GAUGE_FIELDS = frozenset({"shm_bytes"})
 
-        Failures follow the module-level ladder: retry with backoff, then
-        serial fallback in the parent. Exceptions raised by the serial
-        fallback (or by any task when ``n_jobs == 1``) propagate.
-        """
-        items: Sequence = list(payloads)
-        results: list = [None] * len(items)
-        self.stats.tasks += len(items)
-        if not items:
-            return results
-        if self.config.n_jobs == 1:
-            for index, payload in enumerate(items):
-                results[index] = func(payload)
-                self.stats.serial_tasks += 1
-            return results
-        self._run_parallel(func, items, results)
-        return results
+    __slots__ = ("registry", "_prefix")
 
-    # ------------------------------------------------------------------
-    # Parallel scheduler
-    # ------------------------------------------------------------------
-    def _run_parallel(
-        self, func: Callable, items: Sequence, results: list
+    def __init__(
+        self,
+        registry: MetricsRegistry | None = None,
+        prefix: str = "",
+        **values: int,
     ) -> None:
-        pending: deque[_Task] = deque(
-            _Task(index, payload) for index, payload in enumerate(items)
+        self.registry = (
+            registry if registry is not None else MetricsRegistry()
         )
-        running: dict = {}  # recv connection -> _Task
-        try:
-            while pending or running:
-                while pending and len(running) < self.config.n_jobs:
-                    task = pending.popleft()
-                    if not self._launch(func, task):
-                        # Process creation failed: finish in-parent.
-                        results[task.index] = func(task.payload)
-                        self.stats.fallbacks += 1
-                        continue
-                    running[task.connection] = task
-                if not running:
-                    continue
-                for connection in self._wait(running):
-                    task = running.pop(connection)
-                    self._finish(func, task, pending, results)
-                self._reap_timeouts(func, running, pending, results)
-        finally:
-            for task in running.values():
-                self._kill(task)
+        self._prefix = prefix
+        for name, value in values.items():
+            if name not in self._FIELDS:
+                raise TypeError(
+                    f"ParallelStats has no field {name!r}; "
+                    f"choose from {tuple(self._FIELDS)}"
+                )
+            setattr(self, name, value)
 
-    def _launch(self, func: Callable, task: _Task) -> bool:
-        receiver, sender = self._context.Pipe(duplex=False)
-        process = self._context.Process(
-            target=_child, args=(func, task.payload, sender), daemon=True
+    def absorb(self, pool_stats: PoolStats) -> None:
+        """Fold one pool's statistics into this accumulator."""
+        self.worker_tasks += pool_stats.tasks
+        self.workers_launched += pool_stats.workers_launched
+        self.worker_retries += pool_stats.retries
+        self.worker_timeouts += pool_stats.timeouts
+        self.worker_crashes += pool_stats.crashes + pool_stats.errors
+        self.worker_fallbacks += pool_stats.fallbacks
+        self.serial_tasks += pool_stats.serial_tasks
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)}" for name in self._FIELDS
         )
-        try:
-            process.start()
-        except OSError:
-            receiver.close()
-            sender.close()
-            return False
-        sender.close()  # parent's copy — EOF then tracks the child alone
-        task.process = process
-        task.connection = receiver
-        task.attempts += 1
-        if self.config.timeout is not None:
-            task.deadline = time.monotonic() + self.config.timeout
-        self.stats.workers_launched += 1
-        return True
-
-    def _wait(self, running: dict) -> list:
-        timeout = None
-        deadlines = [
-            task.deadline
-            for task in running.values()
-            if task.deadline is not None
-        ]
-        if deadlines:
-            timeout = max(0.0, min(deadlines) - time.monotonic())
-        return _connection_wait(list(running), timeout)
-
-    def _finish(
-        self, func: Callable, task: _Task, pending: deque, results: list
-    ) -> None:
-        try:
-            status, value = task.connection.recv()
-        except (EOFError, OSError):
-            status, value = "crashed", None
-        task.connection.close()
-        task.process.join()
-        if status == "ok":
-            results[task.index] = value
-            return
-        if status == "crashed":
-            self.stats.crashes += 1
-        else:
-            self.stats.errors += 1
-        self._retry_or_fallback(func, task, pending, results)
-
-    def _reap_timeouts(
-        self, func: Callable, running: dict, pending: deque, results: list
-    ) -> None:
-        now = time.monotonic()
-        for connection, task in list(running.items()):
-            if task.deadline is not None and now >= task.deadline:
-                del running[connection]
-                self._kill(task)
-                self.stats.timeouts += 1
-                self._retry_or_fallback(func, task, pending, results)
-
-    def _retry_or_fallback(
-        self, func: Callable, task: _Task, pending: deque, results: list
-    ) -> None:
-        if task.attempts <= self.config.retries:
-            self.stats.retries += 1
-            if self.config.backoff:
-                time.sleep(self.config.backoff * task.attempts)
-            task.process = None
-            task.connection = None
-            task.deadline = None
-            pending.append(task)
-            return
-        results[task.index] = func(task.payload)
-        self.stats.fallbacks += 1
-
-    def _kill(self, task: _Task) -> None:
-        process = task.process
-        if process is None:
-            return
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover — stubborn child
-                process.kill()
-                process.join()
-        else:
-            process.join()
-        if task.connection is not None:
-            task.connection.close()
+        return f"ParallelStats({fields})"
 
 
-# ----------------------------------------------------------------------
-# Persistent workers (shared-memory mode)
-# ----------------------------------------------------------------------
+for _name, _metric in ParallelStats._FIELDS.items():
+    _kind = "gauge" if _name in ParallelStats._GAUGE_FIELDS else "counter"
+    setattr(ParallelStats, _name, stats_property(_metric, _kind))
+del _name, _metric, _kind
+
 
 def _persistent_child(setup_func, setup_payload, func, connection) -> None:
     """Long-lived worker loop: set up once, then serve tasks until told.
@@ -331,6 +207,10 @@ def _persistent_child(setup_func, setup_payload, func, connection) -> None:
     respawn budget decides what happens next. A *task* failure is not —
     the worker's state is still good, so it reports and keeps serving.
     """
+    # A forked child inherits the parent's observability state, including
+    # open trace-file handles it must never write to or close; start
+    # clean. Tasks that should measure open their own worker-scope
+    # collection and ship the registry back in their result.
     _obs.detach()
     state = None
     try:
@@ -406,17 +286,14 @@ class _PersistentWorker:
 class PersistentWorkerPool:
     """Long-lived workers sharing per-worker state across many maps.
 
-    The complement of :class:`WorkerPool` for the shared-memory engine:
-    instead of one short-lived process per task attempt, ``n_jobs``
-    workers run *setup_func(setup_payload)* once (e.g. attach a
+    ``n_jobs`` workers run *setup_func(setup_payload)* once (e.g. attach a
     shared-memory segment), then serve ``func(state, payload)`` tasks
     over the same pipes until :meth:`close`. :meth:`reconfigure` points
     every worker at a new setup payload (segment re-publish) without
     restarting processes.
 
-    The failure ladder is the same shape as :class:`WorkerPool`: a
-    timed-out attempt is terminated and retried, a crashed worker is
-    respawned and the task retried, and a task that exhausts
+    The failure ladder in detail: a timed-out attempt is terminated
+    and retried, a crashed worker is respawned and the task retried, and a task that exhausts
     ``config.retries`` runs through *fallback* in the parent. Setup
     failures have their own budget — ``config.retries + 1`` consecutive
     failed attachments mark the pool broken, after which every task goes

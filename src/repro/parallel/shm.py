@@ -1,10 +1,9 @@
 """Shared-memory publication of the bit-packed matrix (zero-copy workers).
 
-The process-per-task pool (:mod:`repro.parallel.pool`) re-pickles row
-slices into every worker attempt, so spawn + serialization overhead grows
-with the database while the counting kernel itself got faster with every
-PR — at quick-bench scale the transport dominates. This module removes
-the transport: the driver packs the database once
+Shipping row slices to workers costs spawn + serialization overhead that
+grows with the database, while the counting kernel itself is fast — at
+quick-bench scale the transport dominates. This module removes the
+transport: the parent process packs the database once
 (:class:`~repro.mining.bitpack.PackedMatrix`), copies its two arrays into
 one ``multiprocessing.shared_memory`` segment, and long-lived workers
 attach zero-copy. Per pass, only candidate batches travel out and count

@@ -29,13 +29,9 @@ def taxonomy():
     )
 
 
-#: Every registered engine serially, plus the worker-side paths of the
-#: parallel engines (shipped rows, shard indexes, segments, shm).
+#: Every registered engine serially, plus the worker-side path of the
+#: shared-memory engine.
 FOREIGN_ITEM_RUNS = [(engine, 1) for engine in engine_names()] + [
-    ("parallel", 2),
-    ("parallel:cached", 2),
-    ("parallel:numpy", 2),
-    ("parallel:mmap", 2),
     ("parallel-shm", 2),
 ]
 
@@ -76,7 +72,7 @@ class TestForeignItems:
             with pytest.raises(TaxonomyError, match="unknown node 9999"):
                 session.count([(cola,)])
         finally:
-            getattr(session.engine, "close", lambda: None)()
+            session.close()
 
 
 class TestDegenerateTaxonomies:

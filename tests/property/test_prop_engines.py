@@ -1,16 +1,12 @@
 """Property-based tests: every registered engine agrees with brute force.
 
 The registry is the source of truth: the parametrization enumerates
-:func:`repro.mining.engines.all_engine_specs` — plain names plus every
-``parallel:<inner>`` composition — so a newly registered engine is
-covered by these bit-identity checks automatically, with and without a
-taxonomy. Parallel compositions run with ``n_jobs=1`` here (the
-in-process sharded path); real multiprocess agreement is covered by
-``test_prop_parallel.py``. The exception is ``parallel-shm``, which
-runs against one persistent module-level two-worker engine: every
-example rebinds a different database, so the publish / re-publish /
-pool-reconfigure cycle is exercised hundreds of times while the worker
-processes themselves live for the whole module.
+:func:`repro.mining.engines.engine_names`, so a newly registered engine
+is covered by these bit-identity checks automatically, with and without
+a taxonomy. ``parallel-shm`` runs against one persistent module-level
+two-worker engine: every example rebinds a different database, so the
+publish / re-publish / pool-reconfigure cycle is exercised hundreds of
+times while the worker processes themselves live for the whole module.
 """
 
 import pytest
@@ -19,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.session import MiningSession
 from repro.itemset import itemset
-from repro.mining.engines import all_engine_specs
+from repro.mining.engines import engine_names
 from repro.taxonomy.builders import taxonomy_from_parents
 
 transactions_strategy = st.lists(
@@ -89,14 +85,13 @@ def _close_shm_engine():
 
 
 def session_for(spec, transactions, taxonomy=None):
-    """A session over *spec*; parallel specs pinned to one in-process job."""
+    """A session over *spec*; ``parallel-shm`` shares the module engine."""
     if spec == "parallel-shm":
         return MiningSession(transactions, taxonomy, _shm_engine())
-    n_jobs = 1 if spec.startswith("parallel") else None
-    return MiningSession(transactions, taxonomy, spec, n_jobs=n_jobs)
+    return MiningSession(transactions, taxonomy, spec)
 
 
-@pytest.mark.parametrize("spec", all_engine_specs())
+@pytest.mark.parametrize("spec", engine_names())
 @settings(max_examples=25, deadline=None)
 @given(transactions_strategy, candidates_strategy)
 def test_engine_matches_brute(spec, transactions, candidates):
@@ -104,7 +99,7 @@ def test_engine_matches_brute(spec, transactions, candidates):
     assert session_for(spec, transactions).count(candidates) == expected
 
 
-@pytest.mark.parametrize("spec", all_engine_specs())
+@pytest.mark.parametrize("spec", engine_names())
 @settings(max_examples=15, deadline=None)
 @given(leaf_transactions_strategy, taxonomy_strategy, st.data())
 def test_engine_matches_brute_generalized(spec, transactions, taxonomy, data):
@@ -125,7 +120,7 @@ def test_engine_matches_brute_generalized(spec, transactions, taxonomy, data):
     assert counted == expected
 
 
-@pytest.mark.parametrize("spec", all_engine_specs())
+@pytest.mark.parametrize("spec", engine_names())
 @settings(max_examples=15, deadline=None)
 @given(transactions_strategy, candidates_strategy)
 def test_restriction_never_changes_counts(spec, transactions, candidates):
@@ -146,16 +141,16 @@ def test_restriction_never_changes_counts(spec, transactions, candidates):
 #: (up to 40-row) generated databases.
 segment_rows_strategy = st.sampled_from([1, 3, 7, 8, 63, 64, 65])
 
-#: The incrementally maintained engines: the vertical cache and the
-#: segmented mmap matrix, serial and sharded.
-INCREMENTAL_SPECS = ("cached", "mmap", "parallel:mmap")
+#: The engines that keep per-database state across passes: the
+#: vertical cache, the segmented mmap matrix and the published shm
+#: matrix (re-published on change).
+INCREMENTAL_SPECS = ("cached", "mmap", "parallel-shm")
 
 
 def incremental_session(spec, database, segment_rows):
-    n_jobs = 1 if spec.startswith("parallel") else None
-    return MiningSession(
-        database, engine=spec, n_jobs=n_jobs, segment_rows=segment_rows
-    )
+    if spec == "parallel-shm":
+        return MiningSession(database, engine=_shm_engine())
+    return MiningSession(database, engine=spec, segment_rows=segment_rows)
 
 
 @settings(max_examples=20, deadline=None)

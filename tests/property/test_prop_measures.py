@@ -9,7 +9,7 @@ Two families of invariants:
   ``minsup * minri``, ``rule_interest`` arithmetic, Figure 4 frontier)
   applied to the same counted candidates; the comparison covers the
   negative itemsets, the rules, and the explain text, on flat and
-  taxonomy-bearing data across every registered engine spec.
+  taxonomy-bearing data across every registered engine.
   ``parallel-shm`` runs against one persistent module-level two-worker
   engine, as in ``test_prop_engines.py``.
 * **Determinism** — every registered measure is a pure function of the
@@ -33,7 +33,7 @@ from repro.core.session import MiningSession
 from repro.data.database import TransactionDatabase
 from repro.measures.registry import create_measure, measure_names
 from repro.mining.apriori import apriori_gen
-from repro.mining.engines import all_engine_specs
+from repro.mining.engines import engine_names
 from repro.taxonomy.builders import taxonomy_from_parents
 
 # A fixed two-level taxonomy: 3 roots, each with 3 leaf children.
@@ -82,11 +82,10 @@ def _close_shm_engine():
 
 
 def session_for(spec, transactions, taxonomy=None):
-    """A session over *spec*; parallel specs pinned to one in-process job."""
+    """A session over *spec*; ``parallel-shm`` shares the module engine."""
     if spec == "parallel-shm":
         return MiningSession(transactions, taxonomy, _shm_engine())
-    n_jobs = 1 if spec.startswith("parallel") else None
-    return MiningSession(transactions, taxonomy, spec, n_jobs=n_jobs)
+    return MiningSession(transactions, taxonomy, spec)
 
 
 # --- inline oracle: the pre-registry hard-wired RI pipeline ----------
@@ -184,13 +183,13 @@ def _oracle_ri_line(rule, taxonomy):
     )
 
 
-@pytest.mark.parametrize("spec", all_engine_specs())
+@pytest.mark.parametrize("spec", engine_names())
 @settings(max_examples=10, deadline=None)
 @given(leaf_databases(), st.sampled_from([0.1, 0.2]),
        st.sampled_from([0.3, 0.5]))
 def test_default_ri_bit_identical_to_oracle(spec, database, minsup, minri):
     """measure='ri' (the default) == the pre-registry pipeline, on
-    taxonomy-bearing data, for every registered engine spec."""
+    taxonomy-bearing data, for every registered engine."""
     session = session_for(spec, database, TAXONOMY)
     output = ImprovedNegativeMiner(
         database, TAXONOMY, minsup, minri, session=session

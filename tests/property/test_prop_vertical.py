@@ -3,9 +3,8 @@
 The vertical index cache's contract is that *no observable count ever
 changes*: not across passes, not under a taxonomy (descendant-OR versus
 per-row ancestor extension), not after the database mutates beneath the
-cache (fingerprint invalidation), not under a memory budget that evicts
-and restores bitmaps, and not when the pass is sharded for the parallel
-engine.
+cache (fingerprint invalidation), and not under a memory budget that
+evicts and restores bitmaps.
 """
 
 from hypothesis import given, settings
@@ -14,8 +13,6 @@ from hypothesis import strategies as st
 from repro.core.session import MiningSession
 from repro.data.database import TransactionDatabase
 from repro.itemset import itemset
-from repro.parallel.engine import parallel_count_supports
-from repro.parallel.pool import PoolConfig
 from repro.taxonomy.builders import taxonomy_from_parents
 
 transactions_strategy = st.lists(
@@ -119,38 +116,3 @@ def test_tiny_budget_still_exact(transactions, candidates):
         assert (
             cached(database, candidates, cache_bytes=1) == expected
         )
-
-
-@settings(max_examples=40, deadline=None)
-@given(transactions_strategy, candidates_strategy)
-def test_shard_local_caches_match_serial(transactions, candidates):
-    database = TransactionDatabase(transactions)
-    serial = cached(database, candidates)
-    sharded = parallel_count_supports(
-        TransactionDatabase(transactions),
-        candidates,
-        engine="cached",
-        n_jobs=1,
-        shard_rows=max(1, len(transactions) // 3),
-    )
-    assert sharded == serial
-
-
-@settings(max_examples=5, deadline=None)
-@given(transactions_strategy, candidates_strategy)
-def test_shard_local_caches_match_serial_multiprocess(
-    transactions, candidates
-):
-    database = TransactionDatabase(transactions)
-    serial = cached(database, candidates)
-    worker_db = TransactionDatabase(transactions)
-    config = PoolConfig(n_jobs=2)
-    for _ in range(2):  # second pass reuses the shipped shard indexes
-        sharded = parallel_count_supports(
-            worker_db,
-            candidates,
-            engine="cached",
-            pool_config=config,
-        )
-        assert sharded == serial
-    assert worker_db.scans == 1

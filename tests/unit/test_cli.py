@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.parallel.shm import live_segments
 from repro.data.io import (
     load_basket_file,
     load_taxonomy_file,
@@ -103,19 +104,58 @@ class TestMine:
             "--minsup", "0.2",
             "--minri", "0.3",
         ]
-        assert main(base_args) == 0
+        assert main(base_args + ["--jobs", "1"]) == 0
         serial_out = capsys.readouterr().out
-        assert main(base_args + ["--jobs", "2", "--shard-rows", "25"]) == 0
+        # Earlier tests may leave engines for the GC; this command must
+        # unlink its own segment before main() returns.
+        before = set(live_segments())
+        assert main(base_args + ["--jobs", "2"]) == 0
+        assert set(live_segments()) <= before
         parallel_out = capsys.readouterr().out
-        assert "shards" in parallel_out
-        # Identical rules; the parallel run only adds the shards line.
+        # --jobs alone selects parallel-shm: two workers, no retries.
+        assert (
+            "(workers 2, retries 0, fallbacks 0, publishes 1"
+            in parallel_out
+        )
         serial_rules = [
             line for line in serial_out.splitlines() if "=>" in line
         ]
         parallel_rules = [
             line for line in parallel_out.splitlines() if "=>" in line
         ]
+        assert serial_rules
         assert parallel_rules == serial_rules
+
+    @pytest.mark.parametrize("engine", ["cached", "bitmap", "mmap"])
+    def test_jobs_with_another_engine_is_a_config_error(
+        self, dataset_files, capsys, engine
+    ):
+        baskets, taxonomy = dataset_files
+        code = main(
+            [
+                "mine", "--baskets", baskets, "--taxonomy", taxonomy,
+                "--engine", engine, "--jobs", "2",
+            ]
+        )
+        assert code == 2
+        assert 'engine="parallel-shm"' in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec", ["parallel", "parallel:numpy", "parallel:cached"]
+    )
+    def test_retired_parallel_specs_are_rejected(
+        self, dataset_files, capsys, spec
+    ):
+        baskets, taxonomy = dataset_files
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "mine", "--baskets", baskets, "--taxonomy", taxonomy,
+                    "--engine", spec,
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "parallel-shm" in capsys.readouterr().err
 
     def test_trace_and_metrics_flags(self, dataset_files, tmp_path,
                                      capsys):
@@ -176,18 +216,21 @@ class TestPositive:
 
     def test_jobs_flag(self, dataset_files, capsys):
         baskets, taxonomy = dataset_files
-        code = main(
-            [
-                "positive",
-                "--baskets", baskets,
-                "--taxonomy", taxonomy,
-                "--minsup", "0.2",
-                "--minconf", "0.5",
-                "--jobs", "2",
-            ]
-        )
-        assert code == 0
-        assert "large itemsets" in capsys.readouterr().out
+        base_args = [
+            "positive",
+            "--baskets", baskets,
+            "--taxonomy", taxonomy,
+            "--minsup", "0.2",
+            "--minconf", "0.5",
+        ]
+        assert main(base_args + ["--jobs", "1"]) == 0
+        serial_out = capsys.readouterr().out
+        before = set(live_segments())
+        assert main(base_args + ["--jobs", "2"]) == 0
+        assert set(live_segments()) <= before
+        parallel_out = capsys.readouterr().out
+        assert "=>" in serial_out
+        assert parallel_out == serial_out
 
 
 class TestInspect:
@@ -215,7 +258,7 @@ class TestEngines:
         out = capsys.readouterr().out
         assert "| engine |" in out
         assert "Serving:" in out
-        assert "`parallel:numpy`" in out
+        assert "`parallel-shm`" in out
 
 
 class TestCompile:

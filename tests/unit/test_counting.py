@@ -1,9 +1,8 @@
-"""Unit tests for the counting-engine layer and ``count_supports``."""
+"""Unit tests for the counting-engine layer, one pass via ``count_pass``."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.mining.counting import count_supports
 from repro.mining.engines import count_pass, create_engine, engine_names
 from repro.taxonomy.builders import taxonomy_from_parents
 
@@ -36,9 +35,9 @@ class TestEnginesAgree:
     def test_empty_candidates_never_touch_transactions(self, engine):
         """The empty fast path must not consume (or even start) a scan.
 
-        Sharded calls with filtered-out candidates rely on this: they may
-        issue many counting calls per pass and must not pay mask/tree
-        setup — or iterator consumption — for empty ones.
+        Callers with filtered-out candidates rely on this: they may make
+        many counting calls per pass and must not pay mask/tree setup —
+        or iterator consumption — for empty ones.
         """
 
         def explode():
@@ -131,23 +130,3 @@ class TestMixedSizeCandidates:
         counts = count(engine, ROWS, [(3,), (1, 2), (1, 2, 3)])
         assert counts == {(3,): 4, (1, 2): 2, (1, 2, 3): 1}
 
-
-class TestCountSupportsPlainForm:
-    """Only the plain ``count_supports`` form survives the shim removal."""
-
-    def test_plain_call_counts(self):
-        assert count_supports(ROWS, CANDIDATES) == EXPECTED
-
-    def test_taxonomy_positional(self):
-        taxonomy = taxonomy_from_parents({1: 0, 2: 0})
-        counts = count_supports([(1,), (2,)], [(0,)], taxonomy)
-        assert counts == {(0,): 2}
-
-    def test_policy_kwargs_removed(self):
-        """The deprecated policy surface is gone, not silently ignored."""
-        for kwarg in (
-            "engine", "n_jobs", "shard_rows", "use_cache", "cache_bytes",
-            "packed", "batch_words", "cache_stats", "parallel_stats",
-        ):
-            with pytest.raises(TypeError, match="unexpected keyword"):
-                count_supports(ROWS, CANDIDATES, **{kwarg: 1})

@@ -4,16 +4,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.api import MiningConfig
 from repro.core.session import MiningSession
 from repro.data.database import TransactionDatabase
 from repro.errors import ConfigError
 from repro.mining.engines import (
     DEFAULT_ENGINE,
     ENGINES,
-    SERIAL_ENGINES,
     BitmapEngine,
-    ParallelEngine,
-    all_engine_specs,
+    ParallelShmEngine,
     capability_table,
     create_engine,
     engine_names,
@@ -33,34 +32,26 @@ class TestRegistry:
     def test_builtin_engines_registered_in_order(self):
         assert engine_names() == (
             "bitmap", "hashtree", "brute",
-            "cached", "numpy", "mmap", "parallel", "parallel-shm",
+            "cached", "numpy", "mmap", "parallel-shm",
         )
         assert ENGINES == engine_names()
 
     def test_default_engine_is_registered(self):
         assert DEFAULT_ENGINE in engine_names()
 
-    def test_serial_engines_are_the_shardable_ones(self):
+    def test_only_parallel_shm_declares_shared_memory(self):
         classes = registered_engines()
-        assert SERIAL_ENGINES == tuple(
+        assert [
             name
             for name in engine_names()
-            if classes[name].capabilities.shardable
-        )
-        assert "parallel" not in SERIAL_ENGINES
-
-    def test_all_engine_specs_cover_parallel_compositions(self):
-        specs = all_engine_specs()
-        for name in engine_names():
-            assert name in specs
-        for name in SERIAL_ENGINES:
-            assert f"parallel:{name}" in specs
+            if classes[name].capabilities.shared_memory
+        ] == ["parallel-shm"]
 
     def test_capability_table_lists_every_engine(self):
         text = capability_table()
         for name in engine_names():
             assert name in text
-        assert "shardable" in text
+        assert "out_of_core" in text
 
     def test_capability_table_shows_shared_memory_flag(self):
         text = capability_table()
@@ -80,18 +71,27 @@ class TestRegistry:
         assert marked == [DEFAULT_ENGINE]
 
     def test_configs_and_cli_default_to_the_default_engine(self):
-        from repro.cli import _build_parser
-        from repro.core.api import MiningConfig
+        from repro.cli import _build_parser, _mining_engine
 
         assert MiningConfig().engine == DEFAULT_ENGINE
         parser = _build_parser()
         for argv in (
-            ["mine", "--baskets", "b", "--taxonomy", "t"],
             ["compile", "--baskets", "b", "--taxonomy", "t", "--out", "o"],
             ["serve", "--index", "i"],
             ["watch", "--baskets", "b", "--taxonomy", "t", "--index", "i"],
         ):
             assert parser.parse_args(argv).engine == DEFAULT_ENGINE
+        # mine resolves its engine after parsing: --jobs > 1 alone
+        # selects parallel-shm, an explicit --engine always wins.
+        mine = ["mine", "--baskets", "b", "--taxonomy", "t"]
+        for extra, expected in (
+            ([], DEFAULT_ENGINE),
+            (["--jobs", "1"], DEFAULT_ENGINE),
+            (["--jobs", "2"], "parallel-shm"),
+            (["--jobs", "2", "--engine", "bitmap"], "bitmap"),
+        ):
+            args = parser.parse_args(mine + extra)
+            assert _mining_engine(args.engine, args.n_jobs) == expected
 
     def test_capability_table_markdown(self):
         lines = capability_table(markdown=True).splitlines()
@@ -106,26 +106,33 @@ class TestRegistry:
 
 class TestSpecParsing:
     def test_plain_name(self):
-        assert parse_spec("bitmap") == ("bitmap", None)
-
-    def test_composed_name(self):
-        assert parse_spec("parallel:numpy") == ("parallel", "numpy")
+        assert parse_spec("bitmap") == "bitmap"
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown counting engine"):
             parse_spec("quantum")
 
-    def test_unknown_inner(self):
-        with pytest.raises(ConfigError, match="unknown counting engine"):
-            parse_spec("parallel:quantum")
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "parallel:numpy",
+            "parallel:quantum",
+            "bitmap:numpy",
+            "parallel-shm:numpy",
+        ],
+    )
+    def test_composed_specs_rejected(self, spec):
+        with pytest.raises(
+            ConfigError, match="compositions were removed.*parallel-shm"
+        ):
+            parse_spec(spec)
 
-    def test_non_wrapper_rejects_inner(self):
-        with pytest.raises(ConfigError, match="does not compose"):
-            parse_spec("bitmap:numpy")
-
-    @pytest.mark.parametrize("spec", ["index", "parallel:index"])
+    @pytest.mark.parametrize("spec", ["index", "parallel"])
     def test_retired_name_names_its_replacement(self, spec):
-        with pytest.raises(ConfigError, match="removed; use 'bitmap'"):
+        replacement = {"index": "bitmap", "parallel": "parallel-shm"}[spec]
+        with pytest.raises(
+            ConfigError, match=f"removed; use '{replacement}'"
+        ):
             parse_spec(spec)
 
     def test_non_string_spec(self):
@@ -143,31 +150,38 @@ class TestCreateEngine:
         assert create_engine(engine) is engine
 
     def test_serial_stays_serial_without_jobs(self):
-        assert not create_engine("bitmap").wraps
+        assert isinstance(create_engine("bitmap"), BitmapEngine)
 
-    def test_n_jobs_auto_wraps_shardable_engines(self):
-        session = MiningSession(ROWS, engine="bitmap", n_jobs=2)
-        assert isinstance(session.engine, ParallelEngine)
-        assert session.engine.inner.name == "bitmap"
+    def test_n_jobs_configures_parallel_shm(self):
+        session = MiningSession(ROWS, engine="parallel-shm", n_jobs=2)
+        assert isinstance(session.engine, ParallelShmEngine)
+        assert session.engine.n_jobs == 2
+        session.close()
+        assert MiningConfig(engine="parallel-shm", n_jobs=4).n_jobs == 4
+        with pytest.raises(ConfigError, match="n_jobs"):
+            MiningConfig(engine="parallel-shm", n_jobs=0)
 
-    def test_explicit_composition(self):
-        session = MiningSession(ROWS, engine="parallel:numpy", n_jobs=1)
-        assert session.engine.wraps
-        assert session.engine.inner.name == "numpy"
-        assert session.engine.spec == "parallel:numpy"
-
-    def test_parallel_shm_does_not_compose(self):
-        with pytest.raises(ConfigError, match="does not compose"):
-            parse_spec("parallel-shm:numpy")
-
-    def test_parallel_shm_requires_numpy(self, monkeypatch):
-        from repro.mining.engines import parallel as parallel_module
-
-        monkeypatch.setattr(
-            parallel_module, "_numpy_available", lambda: False
+    @pytest.mark.parametrize(
+        "engine", [name for name in engine_names() if name != "parallel-shm"]
+    )
+    def test_n_jobs_above_one_needs_parallel_shm(self, engine):
+        # Never silently serial, never a silent switch to another engine
+        # (an mmap run must keep its memory bound).
+        with pytest.raises(ConfigError, match='engine="parallel-shm"'):
+            MiningConfig(engine=engine, n_jobs=2)
+        with pytest.raises(ConfigError, match='engine="parallel-shm"'):
+            MiningSession(ROWS, engine=engine, n_jobs=2)
+        assert MiningConfig(engine=engine, n_jobs=1).engine == engine
+        assert MiningSession(ROWS, engine=engine, n_jobs=1).engine.name == (
+            engine
         )
-        with pytest.raises(ConfigError, match="requires NumPy"):
-            create_engine("parallel-shm")
+
+    def test_n_jobs_checked_against_engine_instances(self):
+        with pytest.raises(ConfigError, match='engine="parallel-shm"'):
+            MiningSession(ROWS, engine=BitmapEngine(), n_jobs=2)
+        engine = ParallelShmEngine(n_jobs=2)
+        assert MiningSession(ROWS, engine=engine, n_jobs=2).engine is engine
+        engine.close()
 
 
 class TestSessionLifecycle:
@@ -188,18 +202,16 @@ class TestSessionLifecycle:
         assert other == {(9,): 2}
         assert session._state is state
 
-    def test_serial_unwraps_the_parallel_wrapper(self):
-        session = MiningSession(ROWS, engine="parallel:bitmap", n_jobs=1)
-        assert session.count(CANDIDATES, serial=True) == EXPECTED
-        assert session.parallel_stats.shards == 0
-
     def test_begin_run_resets_accumulators(self):
-        session = MiningSession(ROWS, engine="parallel:bitmap", n_jobs=1)
+        session = MiningSession(ROWS, engine="parallel-shm", n_jobs=1)
         session.count(CANDIDATES)
-        assert session.parallel_stats.shards > 0
+        session.count(CANDIDATES)
+        assert session.parallel_stats.serial_tasks == 2
+        assert session.cache_stats.hits == 1
         session.begin_run()
-        assert session.parallel_stats.shards == 0
+        assert session.parallel_stats.serial_tasks == 0
         assert session.cache_stats.hits == 0
+        session.close()
 
     def test_publish_run_merges_into_active_obs(self):
         from repro.core.negmining import MiningStats
@@ -224,6 +236,6 @@ class TestSessionLifecycle:
         MiningSession(ROWS).publish_run(MiningStats())
 
     def test_repr_names_the_engine(self):
-        text = repr(MiningSession(ROWS, engine="parallel:numpy", n_jobs=1))
-        assert "parallel:numpy" in text
+        text = repr(MiningSession(ROWS, engine="numpy"))
+        assert "'numpy'" in text
         assert "taxonomy=no" in text

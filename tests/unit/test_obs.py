@@ -26,7 +26,7 @@ from repro.obs.registry import (
     stats_property,
 )
 from repro.obs.span import NULL_SPAN
-from repro.parallel.engine import ParallelStats
+from repro.parallel.pool import ParallelStats
 
 
 @pytest.fixture(autouse=True)
@@ -111,7 +111,7 @@ class TestRegistry:
         worker = MetricsRegistry()
         worker.incr("worker.counting.passes", 4)
         worker.set_gauge("worker.cache.bytes", 123.0)
-        worker.observe("span.parallel.shard", 0.01)
+        worker.observe("span.parallel.shm.batch", 0.01)
         shipped = pickle.loads(pickle.dumps(worker))
 
         direct, via_pickle = MetricsRegistry(), MetricsRegistry()
@@ -324,8 +324,8 @@ class TestStatsAdapters:
         assert registry.counter("worker.cache.hits") == 4
         assert registry.gauge("worker.cache.bytes") == 1024
         parallel = ParallelStats(registry=registry)
-        parallel.shards += 2
-        assert registry.counter("parallel.shards") == 2
+        parallel.shm_batches += 2
+        assert registry.counter("parallel.shm.batches") == 2
 
     def test_stats_property_kinds(self):
         class View:
@@ -353,9 +353,12 @@ class TestParallelTotals:
     def _driver_counters(self, n_jobs):
         registry = MetricsRegistry()
         database = TransactionDatabase(small_rows())
-        session = MiningSession(database, engine="bitmap", n_jobs=n_jobs)
+        session = MiningSession(
+            database, engine="parallel-shm", n_jobs=n_jobs
+        )
         with obs.obs_session(registry=registry):
             counts = session.count(list(self.CANDIDATES))
+        session.close()
         driver = {
             name: registry.counter(name)
             for name in registry.names()
@@ -380,7 +383,7 @@ class TestParallelTotals:
             if name.startswith("worker.")
         ]
         assert worker  # shipped back and merged
-        # Driver-side shard accounting stays in the session's per-run
+        # Parent-side batch accounting stays in the session's per-run
         # stats until publish_run folds it into the obs registry.
-        assert session.parallel_stats.shards == 2
-        assert parallel_registry.counter("parallel.shards") == 0
+        assert session.parallel_stats.shm_batches == 2
+        assert parallel_registry.counter("parallel.shm.batches") == 0

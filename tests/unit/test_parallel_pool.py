@@ -1,56 +1,13 @@
-"""Unit tests for the worker pool: timeouts, retries, serial fallback.
+"""Unit tests for the worker-pool configuration and ``resolve_n_jobs``.
 
-The injected failure workers misbehave *only inside a worker process*
-(detected via ``multiprocessing.parent_process()``), so the pool's serial
-fallback — which runs the same callable in the parent — can be observed
-succeeding after the worker attempts fail, without ever hanging the
-suite.
+The pool's failure ladder (timeouts, retries, serial fallback) is
+exercised in ``test_parallel_shm.py::TestPersistentWorkerPool``.
 """
-
-import multiprocessing
-import os
-import time
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.parallel.pool import (
-    PoolConfig,
-    WorkerPool,
-    resolve_n_jobs,
-)
-
-
-def _square(value):
-    return value * value
-
-
-def _crash_in_worker(payload):
-    if multiprocessing.parent_process() is not None:
-        os._exit(3)
-    return ("parent", payload)
-
-
-def _always_raise(payload):
-    raise ValueError(f"boom {payload}")
-
-
-def _hang_in_worker(payload):
-    if multiprocessing.parent_process() is not None:
-        time.sleep(60)
-    return ("parent", payload)
-
-
-def _flaky(payload):
-    """Crash until *fails* attempts are on record in the counter file."""
-    path, fails = payload
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write("x")
-    with open(path, encoding="utf-8") as handle:
-        attempts = len(handle.read())
-    if attempts <= fails and multiprocessing.parent_process() is not None:
-        os._exit(1)
-    return "ok"
+from repro.parallel.pool import PoolConfig, resolve_n_jobs
 
 
 class TestConfig:
@@ -76,82 +33,3 @@ class TestConfig:
         assert resolve_n_jobs(None) >= 1
         with pytest.raises(ConfigError):
             resolve_n_jobs(0)
-
-
-class TestSerialMode:
-    def test_runs_in_parent_in_order(self):
-        pool = WorkerPool(PoolConfig(n_jobs=1))
-        assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
-        assert pool.stats.serial_tasks == 3
-        assert pool.stats.workers_launched == 0
-
-    def test_exceptions_propagate(self):
-        pool = WorkerPool(PoolConfig(n_jobs=1))
-        with pytest.raises(ValueError, match="boom"):
-            pool.map(_always_raise, [7])
-
-    def test_empty_payloads(self):
-        assert WorkerPool().map(_square, []) == []
-
-
-class TestParallelMode:
-    def test_results_in_submission_order(self):
-        pool = WorkerPool(PoolConfig(n_jobs=2))
-        assert pool.map(_square, list(range(7))) == [
-            value * value for value in range(7)
-        ]
-        assert pool.stats.tasks == 7
-        assert pool.stats.workers_launched == 7
-        assert pool.stats.fallbacks == 0
-
-    def test_crashed_worker_retries_then_falls_back(self):
-        pool = WorkerPool(PoolConfig(n_jobs=2, retries=1, backoff=0.0))
-        results = pool.map(_crash_in_worker, ["a", "b"])
-        assert results == [("parent", "a"), ("parent", "b")]
-        assert pool.stats.crashes == 4  # 2 tasks x (1 try + 1 retry)
-        assert pool.stats.retries == 2
-        assert pool.stats.fallbacks == 2
-
-    def test_zero_retries_goes_straight_to_fallback(self):
-        pool = WorkerPool(PoolConfig(n_jobs=2, retries=0))
-        assert pool.map(_crash_in_worker, ["x"]) == [("parent", "x")]
-        assert pool.stats.retries == 0
-        assert pool.stats.fallbacks == 1
-
-    def test_worker_exception_counts_and_fallback_reraises(self):
-        pool = WorkerPool(PoolConfig(n_jobs=2, retries=0))
-        with pytest.raises(ValueError, match="boom"):
-            pool.map(_always_raise, [1])
-        assert pool.stats.errors == 1
-
-    def test_flaky_worker_succeeds_on_retry_without_fallback(self, tmp_path):
-        counter = str(tmp_path / "attempts")
-        pool = WorkerPool(PoolConfig(n_jobs=2, retries=3, backoff=0.0))
-        assert pool.map(_flaky, [(counter, 2)]) == ["ok"]
-        assert pool.stats.retries >= 1
-        assert pool.stats.fallbacks == 0
-
-    def test_timeout_kills_worker_and_falls_back(self):
-        pool = WorkerPool(
-            PoolConfig(n_jobs=2, timeout=0.5, retries=0, backoff=0.0)
-        )
-        start = time.monotonic()
-        assert pool.map(_hang_in_worker, ["t"]) == [("parent", "t")]
-        assert time.monotonic() - start < 30.0  # killed, not joined
-        assert pool.stats.timeouts == 1
-        assert pool.stats.fallbacks == 1
-
-    def test_timeout_then_retry_succeeds(self, tmp_path):
-        counter = str(tmp_path / "attempts")
-        # First attempt crashes, retry returns: proves the pool re-runs
-        # the same payload rather than dropping it.
-        pool = WorkerPool(PoolConfig(n_jobs=2, retries=1, backoff=0.0))
-        assert pool.map(_flaky, [(counter, 1)]) == ["ok"]
-        assert pool.stats.retries == 1
-
-    def test_stats_accumulate_across_maps(self):
-        pool = WorkerPool(PoolConfig(n_jobs=2))
-        pool.map(_square, [1])
-        pool.map(_square, [2])
-        assert pool.stats.tasks == 2
-        assert pool.stats.workers_launched == 2

@@ -28,7 +28,11 @@ from repro.data.database import TransactionDatabase
 from repro.mining.bitpack import PackedMatrix
 from repro.mining.engines.parallel import ParallelShmEngine
 from repro.parallel import shm
-from repro.parallel.pool import PersistentWorkerPool, PoolConfig
+from repro.parallel.pool import (
+    ParallelStats,
+    PersistentWorkerPool,
+    PoolConfig,
+)
 from repro.parallel.shm import (
     SharedPackedMatrix,
     live_segments,
@@ -164,20 +168,92 @@ def _hang_task(state, payload):
     return ("parent", payload)
 
 
+def _crash_task(state, payload):
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return ("parent", payload)
+
+
+def _raise_task(state, payload):
+    raise ValueError(f"boom {payload}")
+
+
 def _fallback(payload):
     return ("fallback", payload)
 
 
 class TestPersistentWorkerPool:
-    def make(self, setup="base", func=_echo_task, **config):
+    def make(
+        self, setup="base", func=_echo_task, fallback=_fallback, n_jobs=2,
+        **config,
+    ):
         config.setdefault("backoff", 0.0)
         return PersistentWorkerPool(
-            PoolConfig(n_jobs=2, **config),
+            PoolConfig(n_jobs=n_jobs, **config),
             setup_func=_echo_setup,
             setup_payload=setup,
             func=func,
-            fallback=_fallback,
+            fallback=fallback,
         )
+
+    def test_results_in_submission_order(self):
+        # More payloads than workers: completion order varies, result
+        # order must not.
+        pool = self.make()
+        try:
+            assert pool.map(list(range(7))) == [
+                ("base", value * 2) for value in range(7)
+            ]
+            stats = pool.drain_stats()
+            assert stats.tasks == 7
+            assert stats.workers_launched == 2
+            assert stats.fallbacks == 0
+        finally:
+            pool.close()
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_empty_payloads(self, n_jobs):
+        pool = self.make(n_jobs=n_jobs)
+        try:
+            assert pool.map([]) == []
+            assert pool.stats.workers_launched == 0
+        finally:
+            pool.close()
+
+    @pytest.mark.parametrize(
+        "retries, crashes", [(0, 1), (1, 2)]
+    )
+    def test_crash_retries_then_fallback(
+        self, retries, crashes
+    ):
+        # retries=0 goes straight to the parent fallback after the
+        # first crash; each retry costs one more crash and a respawn.
+        pool = self.make(func=_crash_task, retries=retries)
+        try:
+            assert pool.map(["a"]) == [("fallback", "a")]
+            assert pool.stats.crashes == crashes
+            assert pool.stats.retries == retries
+            assert pool.stats.fallbacks == 1
+        finally:
+            pool.close()
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_error_counted_fallback_reraises(self, n_jobs):
+        # The parent fallback runs the same failing work, so a
+        # deterministic error surfaces as itself, not as a pool error.
+        def failing_fallback(payload):
+            raise ValueError(f"boom {payload}")
+
+        pool = self.make(
+            func=_raise_task, fallback=failing_fallback, n_jobs=n_jobs,
+            retries=0,
+        )
+        try:
+            with pytest.raises(ValueError, match="boom 7"):
+                pool.map([7])
+            assert pool.stats.errors == (1 if n_jobs > 1 else 0)
+        finally:
+            pool.close()
 
     def test_workers_persist_across_maps(self):
         pool = self.make()
@@ -395,8 +471,6 @@ class TestParallelShmEngine:
         engine = fresh_engine(retries=2)
         try:
             state = engine.prepare(list(ROWS), None)
-            from repro.parallel.engine import ParallelStats
-
             stats = ParallelStats()
             counts = engine.count(
                 state, CANDIDATES, parallel_stats=stats
@@ -433,3 +507,74 @@ class TestParallelShmEngine:
             r.format() for r in baseline.rules
         ]
         assert shm_run.stats.data_passes == baseline.stats.data_passes
+
+    @pytest.mark.parametrize("miner", ["improved", "naive"])
+    def test_miners_match_serial(
+        self, soft_drinks_database, soft_drinks_taxonomy, miner
+    ):
+        # Both miners, every counting pass on two workers: identical
+        # negatives, rules and logical passes.
+        settings = dict(minsup=0.1, minri=0.3, miner=miner)
+        serial = mine_negative_rules(
+            soft_drinks_database, soft_drinks_taxonomy, **settings
+        )
+        session = MiningSession(
+            soft_drinks_database, soft_drinks_taxonomy,
+            engine="parallel-shm", n_jobs=2,
+        )
+        try:
+            parallel = mine_negative_rules(
+                soft_drinks_database, soft_drinks_taxonomy,
+                session=session, **settings,
+            )
+        finally:
+            session.close()
+        assert [n.items for n in parallel.negative_itemsets] == [
+            n.items for n in serial.negative_itemsets
+        ]
+        assert parallel.rules == serial.rules
+        assert parallel.stats.data_passes == serial.stats.data_passes
+        assert parallel.stats.worker_tasks > 0
+        assert serial.stats.worker_tasks == 0
+
+    def test_summary_reports_retries(
+        self, tmp_path, monkeypatch
+    ):
+        # A degraded run must say so: the shared-memory summary line
+        # carries the retry and fallback counts.
+        sentinel = str(tmp_path / "crashed")
+        real_count = shm.shm_worker_count
+
+        def crash_once(state, payload):
+            in_worker = multiprocessing.parent_process() is not None
+            if in_worker and not os.path.exists(sentinel):
+                open(sentinel, "w").close()
+                os._exit(1)
+            return real_count(state, payload)
+
+        monkeypatch.setattr(shm, "shm_worker_count", crash_once)
+        taxonomy = taxonomy_from_parents({1: 0, 2: 0, 3: 10, 4: 10})
+        database = TransactionDatabase(
+            [row for row in ROWS for _ in range(2)]
+        )
+        # Earlier tests may leave engines for the GC; only this run's
+        # segment must be gone.
+        before = set(live_segments())
+        session = MiningSession(
+            database, taxonomy, engine=fresh_engine(retries=2)
+        )
+        try:
+            result = mine_negative_rules(
+                database, taxonomy, minsup=0.2, minri=0.2, session=session
+            )
+        finally:
+            session.close()
+        assert result.stats.worker_retries >= 1
+        line = next(
+            line for line in result.summary(taxonomy).splitlines()
+            if line.startswith("shared memory")
+        )
+        retries = int(line.split("retries ")[1].split(",")[0])
+        assert retries == result.stats.worker_retries >= 1
+        assert "fallbacks 0" in line
+        assert set(live_segments()) <= before

@@ -153,7 +153,7 @@ class TestSessionIntegration:
             database, taxonomy, lemonade, minsup=0.2, minri=0.3
         )
         for name, cls in registered_engines().items():
-            if not cls.capabilities.shardable:
+            if cls.capabilities.shared_memory:
                 continue
             session = MiningSession(database, taxonomy, engine=name)
             result = mine_selective(

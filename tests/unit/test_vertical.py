@@ -101,10 +101,8 @@ class TestGetIndex:
     def test_invalidate_helper_drops_caches(self):
         database = TransactionDatabase(ROWS)
         vertical.get_index(database)
-        vertical.get_shard_indexes(database, n_shards=2)
         vertical.invalidate(database)
         assert database._vertical_index is None
-        assert database._shard_cache is None
 
 
 class TestFileBackedInvalidation:
@@ -170,34 +168,6 @@ class TestCachedEngine:
         # One pass restores what the bounded session evicted: the same
         # single read a cold unbounded session spends on its build.
         assert database.scans == scans + 1
-
-
-class TestShardIndexes:
-    def test_layout_reuse_and_change(self):
-        database = TransactionDatabase(ROWS)
-        stats = CacheStats()
-        first = vertical.get_shard_indexes(
-            database, n_shards=2, stats=stats
-        )
-        again = vertical.get_shard_indexes(
-            database, n_shards=2, stats=stats
-        )
-        assert first is again
-        assert (stats.hits, stats.misses) == (1, 1)
-        other = vertical.get_shard_indexes(
-            database, n_shards=3, stats=stats
-        )
-        assert other is not first
-        assert stats.invalidations == 1
-
-    def test_shard_counts_sum_to_serial(self):
-        database = TransactionDatabase(ROWS)
-        indexes = vertical.get_shard_indexes(database, n_shards=3)
-        totals = dict.fromkeys(CANDIDATES, 0)
-        for index in indexes:
-            for items, count in index.count(CANDIDATES).items():
-                totals[items] += count
-        assert totals == brute(ROWS, CANDIDATES)
 
 
 class TestCacheStats:
