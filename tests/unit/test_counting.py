@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.session import MiningSession
 from repro.errors import ConfigError
 from repro.mining.engines import count_pass, create_engine, engine_names
 from repro.taxonomy.builders import taxonomy_from_parents
@@ -130,3 +131,15 @@ class TestMixedSizeCandidates:
         counts = count(engine, ROWS, [(3,), (1, 2), (1, 2, 3)])
         assert counts == {(3,): 4, (1, 2): 2, (1, 2, 3): 1}
 
+
+
+class TestCountSupportsPlainForm:
+    """The plain one-call form: ``MiningSession(rows, taxonomy).count``."""
+
+    def test_plain_call_counts(self):
+        assert MiningSession(ROWS).count(CANDIDATES) == EXPECTED
+
+    def test_taxonomy_positional(self):
+        taxonomy = taxonomy_from_parents({1: 0, 2: 0})
+        counts = MiningSession([(1,), (2,)], taxonomy).count([(0,)])
+        assert counts == {(0,): 2}
