@@ -12,7 +12,8 @@ each:
   drawn from the cluster's children and exponential selection weights;
 * :mod:`~repro.synthetic.generator` — Poisson-length transactions assembled
   by repeatedly picking a cluster, then one of its itemsets, corrupted by
-  the paper's normal(0.5, 0.1) drop process.
+  the paper's normal(0.5, 0.1) drop process; its weighted picks come
+  from CDFs built once per model (:mod:`~repro.synthetic.sampling`).
 
 :data:`~repro.synthetic.params.SHORT` and
 :data:`~repro.synthetic.params.TALL` reproduce the two data sets of

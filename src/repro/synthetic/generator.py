@@ -20,6 +20,7 @@ from ..data.database import TransactionDatabase
 from ..taxonomy.tree import Taxonomy
 from .clusters import ClusterModel, build_cluster_model
 from .params import GeneratorParams
+from .sampling import pick, weighted_cdf
 from .taxonomy_gen import generate_taxonomy
 
 
@@ -39,31 +40,44 @@ def generate_transactions(
     params: GeneratorParams,
     rng: np.random.Generator,
 ) -> TransactionDatabase:
-    """Emit ``params.num_transactions`` transactions from *model*."""
-    cluster_weights = np.array(model.cluster_weights)
-    cluster_ids = np.arange(len(model.clusters))
-    per_cluster_choices = [
-        (np.arange(len(cluster.itemsets)), np.array(cluster.itemset_weights))
-        for cluster in model.clusters
+    """Emit ``params.num_transactions`` transactions from *model*.
+
+    Every cluster and itemset weight vector is checked and turned into
+    a CDF once, before the first draw (see :mod:`.sampling`).
+
+    Raises
+    ------
+    GenerationError
+        When the cluster weights, or a cluster's itemset weights, are
+        not a probability vector over its clusters or itemsets.
+    """
+    clusters = model.clusters
+    cluster_cdf = weighted_cdf(
+        model.cluster_weights, len(clusters), "cluster weights"
+    )
+    itemset_cdfs = [
+        weighted_cdf(
+            cluster.itemset_weights,
+            len(cluster.itemsets),
+            f"cluster {index} itemset weights",
+        )
+        for index, cluster in enumerate(clusters)
     ]
 
     transactions: list[list[int]] = []
     lengths = rng.poisson(params.avg_transaction_size,
                           size=params.num_transactions)
-    for raw_length in lengths:
-        length = max(1, int(raw_length))
+    for raw_length in lengths.tolist():
+        length = max(1, raw_length)
         row: set[int] = set()
         # Guard against pathological models (e.g. every itemset fully
         # corrupted away) with a bounded number of attempts.
         attempts = 0
         while len(row) < length and attempts < 10 * length + 10:
             attempts += 1
-            cluster_index = int(
-                rng.choice(cluster_ids, p=cluster_weights)
-            )
-            cluster = model.clusters[cluster_index]
-            ids, weights = per_cluster_choices[cluster_index]
-            itemset_index = int(rng.choice(ids, p=weights))
+            cluster_index = pick(cluster_cdf, rng)
+            cluster = clusters[cluster_index]
+            itemset_index = pick(itemset_cdfs[cluster_index], rng)
             chosen = list(cluster.itemsets[itemset_index])
             corruption = cluster.corruption_levels[itemset_index]
             # Corruption: drop items while the coin keeps landing below c.
@@ -75,10 +89,7 @@ def generate_transactions(
             # Fully-corrupted transaction: keep one item from a weighted
             # cluster so the row is non-empty (a zero-item basket carries
             # no signal and TransactionDatabase rejects it).
-            cluster = model.clusters[
-                int(rng.choice(cluster_ids, p=cluster_weights))
-            ]
-            first_itemset = cluster.itemsets[0]
+            first_itemset = clusters[pick(cluster_cdf, rng)].itemsets[0]
             row.add(first_itemset[int(rng.integers(len(first_itemset)))])
         transactions.append(sorted(row))
     return TransactionDatabase(transactions)

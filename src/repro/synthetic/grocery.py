@@ -27,6 +27,7 @@ from ..data.database import TransactionDatabase
 from ..errors import GenerationError
 from ..taxonomy.builders import taxonomy_from_nested
 from ..taxonomy.tree import Taxonomy
+from .sampling import pick, weighted_cdf
 
 #: The store layout: department -> category -> brands.
 GROCERY_TREE = {
@@ -153,35 +154,22 @@ def generate_grocery_dataset(
     weights = np.array([persona.weight for persona in personas], float)
     if (weights <= 0).any():
         raise GenerationError("persona weights must be positive")
-    weights = weights / weights.sum()
-
-    brand_ids = {
-        category: [
-            taxonomy.id_of(brand)
-            for brand in taxonomy_children_names(category)
-        ]
-        for category in _category_names()
-    }
+    persona_cdf = weighted_cdf(
+        weights / weights.sum(), len(personas), "persona weights"
+    )
+    plans = [_shopping_plan(persona, taxonomy) for persona in personas]
 
     rows: list[list[int]] = []
     for _ in range(num_transactions):
-        persona = personas[int(rng.choice(len(personas), p=weights))]
         basket: set[int] = set()
-        for category, probability in persona.categories.items():
+        for probability, loyal, others in plans[pick(persona_cdf, rng)]:
             if rng.random() >= probability:
                 continue
-            brands = brand_ids[category]
-            loyal_brand = persona.loyalties.get(category)
-            if loyal_brand is not None and rng.random() < loyalty_strength:
-                basket.add(taxonomy.id_of(loyal_brand))
+            if loyal is not None and rng.random() < loyalty_strength:
+                basket.add(loyal)
             else:
-                choices = [
-                    brand
-                    for brand in brands
-                    if loyal_brand is None
-                    or brand != taxonomy.id_of(loyal_brand)
-                ] or brands
-                basket.add(int(rng.choice(choices)))
+                # The uniform draw ``rng.choice(others)`` would make.
+                basket.add(others[int(rng.integers(0, len(others)))])
         if not basket:
             # Window shopper: buys one random staple so the basket is
             # a valid transaction.
@@ -195,12 +183,22 @@ def generate_grocery_dataset(
     )
 
 
-def _category_names() -> list[str]:
-    return [
-        category
-        for department in GROCERY_TREE.values()
-        for category in department
-    ]
+def _shopping_plan(
+    persona: Persona, taxonomy: Taxonomy
+) -> list[tuple[float, int | None, list[int]]]:
+    """Per shopped category: its probability, the loyal brand's id (or
+    ``None``) and the brands a non-loyal pick is uniform over."""
+    plan = []
+    for category, probability in persona.categories.items():
+        brands = [
+            taxonomy.id_of(brand)
+            for brand in taxonomy_children_names(category)
+        ]
+        loyal_brand = persona.loyalties.get(category)
+        loyal = None if loyal_brand is None else taxonomy.id_of(loyal_brand)
+        others = [brand for brand in brands if brand != loyal] or brands
+        plan.append((probability, loyal, others))
+    return plan
 
 
 def taxonomy_children_names(category: str) -> list[str]:

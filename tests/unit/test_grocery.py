@@ -72,6 +72,11 @@ class TestGenerateGroceryDataset:
         bad = Persona("x", weight=-1.0, categories={}, loyalties={})
         with pytest.raises(GenerationError):
             generate_grocery_dataset(personas=(bad,))
+        lost = Persona(
+            "x", weight=1.0, categories={"unicorn food": 0.5}, loyalties={}
+        )
+        with pytest.raises(GenerationError, match="unicorn food"):
+            generate_grocery_dataset(personas=(lost,))
 
 
 class TestMinerRecoversPlantedSignal:
