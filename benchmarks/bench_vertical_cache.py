@@ -85,7 +85,7 @@ def _run_engine(dataset, minsups, label: str, engine) -> dict:
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "cache_hits": cache_stats.hits,
         "cache_misses": cache_stats.misses,
-        "cache_bytes": cache_stats.bytes,
+        "index_bytes": cache_stats.bytes,
         "large_itemsets": large,
     }
 
@@ -159,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
             logical=run["logical_passes"],
             physical=run["physical_passes"],
             rss_kb=run["peak_rss_kb"],
-            cache_bytes=run["cache_bytes"],
+            index_bytes=run["index_bytes"],
         )
     paper_row("speedup", **speedups)
     print(f"wrote {args.out}")

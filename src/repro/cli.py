@@ -169,10 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--max-size", type=int, default=None)
     mine.add_argument("--jobs", type=int, default=1, dest="n_jobs",
                       help=_JOBS_HELP)
-    mine.add_argument("--cache-bytes", type=int, default=None,
-                      dest="cache_bytes",
-                      help="cached engine: LRU memory budget in bytes for "
-                           "the vertical index (default: unbounded)")
     mine.add_argument("--segment-rows", type=int, default=None,
                       dest="segment_rows",
                       help="mmap engine: rows per spilled packed segment")
@@ -409,7 +405,6 @@ def _command_mine(args: argparse.Namespace) -> int:
         max_size=args.max_size,
         max_sibling_replacements=args.max_sibling_replacements,
         n_jobs=args.n_jobs,
-        cache_bytes=args.cache_bytes,
         segment_rows=args.segment_rows,
         max_resident_bytes=args.max_resident_bytes,
         spill_dir=args.spill_dir,

@@ -98,10 +98,6 @@ class MiningConfig:
         (default) counts in-process. Any higher value with another
         engine raises :class:`~repro.errors.ConfigError`. Counts are
         bit-identical either way.
-    cache_bytes:
-        ``engine="cached"`` only: LRU memory budget (bytes) for the
-        vertical index; least-recently-used bitmaps are evicted and
-        rebuilt on demand. ``None`` = unbounded.
     segment_rows:
         ``engine="mmap"`` only: rows per spilled packed segment
         (:mod:`repro.mining.segmatrix`). ``None`` uses the default
@@ -110,8 +106,9 @@ class MiningConfig:
         ``engine="mmap"`` only: budget (bytes) for concurrently open
         segment blocks; segments beyond it are evicted LRU and
         re-opened as read-only memory maps on demand. ``None`` keeps
-        every block resident. This is the knob that makes peak counting
-        memory independent of |D|.
+        every block resident. This is the one bound on counting memory
+        (the default ``"cached"`` index has none): it makes peak
+        counting memory independent of |D|.
     spill_dir:
         ``engine="mmap"`` only: parent directory for the temporary
         spill directory holding segment blocks; ``None`` uses the
@@ -144,7 +141,6 @@ class MiningConfig:
     max_sibling_replacements: int | None = None
     seed: int | None = None
     n_jobs: int = 1
-    cache_bytes: int | None = None
     segment_rows: int | None = None
     max_resident_bytes: int | None = None
     spill_dir: str | None = None
@@ -178,8 +174,6 @@ class MiningConfig:
             check_nonnegative(
                 self.max_sibling_replacements, "max_sibling_replacements"
             )
-        if self.cache_bytes is not None:
-            check_positive(self.cache_bytes, "cache_bytes")
         if self.segment_rows is not None:
             check_positive(self.segment_rows, "segment_rows")
         if self.max_resident_bytes is not None:

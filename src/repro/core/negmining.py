@@ -126,7 +126,6 @@ class MiningStats:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_invalidations: int = 0
-    cache_evictions: int = 0
     cache_extensions: int = 0
     cache_bytes: int = 0
     kernel_batches: int = 0
@@ -160,7 +159,6 @@ class MiningStats:
                 f"cache           : {self.cache_hits}/{lookups} hits "
                 f"({self.cache_hit_rate:.0%}), "
                 f"{self.cache_invalidations} invalidations, "
-                f"{self.cache_evictions} evictions, "
                 f"{self.cache_bytes} bytes"
             )
         if self.kernel_batches:
@@ -621,7 +619,6 @@ def _build_stats(
         stats.cache_hits = cache.hits
         stats.cache_misses = cache.misses
         stats.cache_invalidations = cache.invalidations
-        stats.cache_evictions = cache.evictions
         stats.cache_extensions = cache.extensions
         stats.cache_bytes = cache.bytes
         stats.kernel_batches = cache.kernel_batches

@@ -75,10 +75,8 @@ class MiningSession:
         Worker processes of the ``"parallel-shm"`` engine (``None`` =
         one per CPU). ``n_jobs > 1`` with any other engine raises
         :class:`~repro.errors.ConfigError`.
-    cache_bytes, batch_words:
-        Cache/kernel policy consumed by the engines that understand it:
-        the ``"cached"`` index budget (``None`` = unbounded) and the
-        packed kernel's gather bound.
+    batch_words:
+        The packed kernel's gather bound, for the engines that use it.
     segment_rows, max_resident_bytes, spill_dir:
         Out-of-core policy for the ``"mmap"`` engine: rows per spilled
         segment, the budget for concurrently open segment blocks, and
@@ -101,7 +99,6 @@ class MiningSession:
         engine: str | CountingEngine = DEFAULT_ENGINE,
         *,
         n_jobs: int | None = None,
-        cache_bytes: int | None = None,
         batch_words: int | None = None,
         segment_rows: int | None = None,
         max_resident_bytes: int | None = None,
@@ -117,7 +114,6 @@ class MiningSession:
             engine,
             EnginePolicy(
                 n_jobs=n_jobs,
-                cache_bytes=cache_bytes,
                 batch_words=batch_words,
                 segment_rows=segment_rows,
                 max_resident_bytes=max_resident_bytes,
@@ -159,7 +155,6 @@ class MiningSession:
             taxonomy,
             engine=config.engine,
             n_jobs=config.n_jobs,
-            cache_bytes=config.cache_bytes,
             segment_rows=config.segment_rows,
             max_resident_bytes=config.max_resident_bytes,
             spill_dir=config.spill_dir,

@@ -65,10 +65,11 @@ class TransactionDatabase:
     ):
         """Build a database from rows that are *already canonical*.
 
-        Trusted fast path used by :meth:`slice`: rows must be
-        sorted, de-duplicated, non-empty tuples (the invariant every row
-        in an existing database already satisfies), and are stored
-        without re-canonicalization. Prefer the regular constructor for
+        Trusted fast path for rows taken from an existing database (for
+        example its head, to replay an append): rows must be sorted,
+        de-duplicated, non-empty tuples (the invariant every row in a
+        database already satisfies), and are stored, and shared, without
+        re-canonicalization. Prefer the regular constructor for
         untrusted input.
         """
         database = cls.__new__(cls)
@@ -130,22 +131,6 @@ class TransactionDatabase:
     def __iter__(self) -> Iterator[Itemset]:
         """Iterate *without* counting a pass (for tests and reports)."""
         return iter(self._transactions)
-
-    def slice(self, start: int, stop: int) -> "TransactionDatabase":
-        """A new database holding rows ``[start, stop)`` of this one.
-
-        Rows are shared (no copy, no re-canonicalization). The slice is
-        an independent database with its own pass counter starting at
-        zero: scans of the slice do **not** increment the parent's
-        :attr:`scans`.
-        """
-        rows = self._transactions[start:stop]
-        if not rows:
-            raise DatabaseError(
-                f"slice [{start}, {stop}) of {len(self)} transactions "
-                "is empty"
-            )
-        return TransactionDatabase.from_canonical_rows(rows)
 
     # ------------------------------------------------------------------
     # Mutation

@@ -89,7 +89,6 @@ class EnginePolicy:
     """
 
     n_jobs: int | None = None
-    cache_bytes: int | None = None
     batch_words: int | None = None
     segment_rows: int | None = None
     max_resident_bytes: int | None = None
@@ -98,8 +97,6 @@ class EnginePolicy:
     def __post_init__(self) -> None:
         if self.n_jobs is not None:
             check_positive(self.n_jobs, "n_jobs")
-        if self.cache_bytes is not None:
-            check_positive(self.cache_bytes, "cache_bytes")
         if self.batch_words is not None:
             check_positive(self.batch_words, "batch_words")
         if self.segment_rows is not None:

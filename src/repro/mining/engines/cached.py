@@ -18,7 +18,6 @@ from .. import vertical
 from .base import (
     Capabilities,
     CountingEngine,
-    EnginePolicy,
     EngineState,
     register_engine,
 )
@@ -36,13 +35,6 @@ class CachedEngine(CountingEngine):
 
     capabilities = Capabilities(packed=False, caching=True)
 
-    def __init__(self, cache_bytes: int | None = None) -> None:
-        self.cache_bytes = cache_bytes
-
-    @classmethod
-    def from_policy(cls, policy: EnginePolicy) -> "CachedEngine":
-        return cls(cache_bytes=policy.cache_bytes)
-
     def count(
         self,
         state: EngineState,
@@ -56,6 +48,5 @@ class CachedEngine(CountingEngine):
             state.transactions,
             candidates,
             taxonomy=state.taxonomy,
-            budget_bytes=self.cache_bytes,
             stats=cache_stats,
         )

@@ -226,9 +226,17 @@ class SegmentedPackedMatrix:
             check_positive(max_resident_bytes, "max_resident_bytes")
         self.max_resident_bytes = max_resident_bytes
         self.capacity_words = bitpack.words_for(self.segment_rows)
-        self._dir: Path | None = Path(
-            tempfile.mkdtemp(prefix="repro-segments-", dir=spill_dir)
-        )
+        try:
+            self._dir: Path | None = Path(
+                tempfile.mkdtemp(prefix="repro-segments-", dir=spill_dir)
+            )
+        except OSError as exc:
+            raise DatabaseError(
+                f"cannot create a spill directory under "
+                f"{spill_dir or tempfile.gettempdir()!r} "
+                f"({exc.strerror or exc}); point --spill-dir at an "
+                f"existing writable directory"
+            ) from exc
         self._finalizer = weakref.finalize(
             self, shutil.rmtree, str(self._dir), True
         )
@@ -272,12 +280,7 @@ class SegmentedPackedMatrix:
 
     def close(self) -> None:
         """Drop all blocks and remove the spill directory."""
-        self._resident.clear()
-        self._resident_bytes = 0
-        self._segments = []
-        self._synced_rows = 0
-        self._token = None
-        self._epoch = None
+        self._reset()
         if self._finalizer.detach() is not None and self._dir is not None:
             shutil.rmtree(self._dir, ignore_errors=True)
         self._dir = None
@@ -336,9 +339,31 @@ class SegmentedPackedMatrix:
         3. *Resync* — anything else: stream all rows (one physical
            pass), fingerprint each chunk, reuse segments whose
            fingerprints still match and repack the rest.
+
+        A sync that fails part-way (say, a spill write on a full disk)
+        leaves the matrix empty, not half-updated: the next sync repacks
+        everything instead of extending the tail a second time.
         """
         if self.closed:
             raise DatabaseError("segmented matrix is closed")
+        try:
+            self._sync(source, stats)
+        except BaseException:
+            self._reset()
+            for path in self._dir.iterdir():
+                path.unlink(missing_ok=True)
+            raise
+
+    def _reset(self) -> None:
+        """Forget every segment and block; the next sync repacks all."""
+        self._resident.clear()
+        self._resident_bytes = 0
+        self._segments = []
+        self._synced_rows = 0
+        self._token = None
+        self._epoch = None
+
+    def _sync(self, source, stats) -> None:
         epoch_fn = getattr(source, "append_epoch", None)
         token_fn = getattr(source, "cache_token", None)
         epoch, n_rows = (None, None) if epoch_fn is None else epoch_fn()
@@ -472,7 +497,7 @@ class SegmentedPackedMatrix:
             )
             block[:, :packed.n_words] = packed.words
         path = self._spill_path(index)
-        block.tofile(path)
+        self._write_block(block, path)
         segment = Segment(
             index, start, len(chunk), self.capacity_words,
             packed.nodes, str(path), fingerprint,
@@ -530,7 +555,7 @@ class SegmentedPackedMatrix:
         )
         old_path = Path(segment.path)
         path = self._spill_path(segment.index)
-        grown.tofile(path)
+        self._write_block(grown, path)
         old_path.unlink(missing_ok=True)
         segment.rows = new_rows
         segment.nodes = nodes
@@ -539,6 +564,26 @@ class SegmentedPackedMatrix:
         self._replace_resident(segment, grown, stats)
         if stats is not None:
             stats.segments_extended += 1
+
+    def _write_block(self, block: np.ndarray, path: Path) -> None:
+        """Spill *block* to *path*, naming the knob when that fails.
+
+        Written through a Python file rather than ``ndarray.tofile``:
+        ``tofile`` reports no error when a block that fits in the stdio
+        buffer is cut short at flush (say, by a file-size limit), and
+        would leave a truncated segment behind. The failed sync removes
+        the partial file with every other segment (:meth:`sync`).
+        """
+        try:
+            with open(path, "wb") as handle:
+                handle.write(memoryview(block))
+        except OSError as exc:
+            raise DatabaseError(
+                f"cannot spill a {block.nbytes}-byte segment block under "
+                f"{self._dir} ({exc.strerror or exc}); point --spill-dir "
+                f"at a filesystem with room for the packed matrix "
+                f"(--max-resident bounds memory, not spilled bytes)"
+            ) from exc
 
     def _drop_segment(self, segment: Segment) -> None:
         entry = self._resident.pop(segment.index, None)

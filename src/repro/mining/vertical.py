@@ -17,7 +17,7 @@ logical pass
     via :meth:`~repro.data.database.TransactionDatabase.count_logical_pass`.
 physical pass
     An actual read of the rows. The cache build is one; later counts are
-    zero until the fingerprint invalidates or evicted items need a rebuild.
+    zero until the fingerprint invalidates.
 
 Generalized counting gets the biggest win: a category's bitmap is the OR
 of its descendants' bitmaps, computed lazily and memoized, so no per-row
@@ -28,19 +28,16 @@ Staleness is impossible by construction: :func:`get_index` revalidates the
 fingerprint on every use and rebuilds on mismatch
 (:meth:`~repro.data.database.TransactionDatabase.cache_token` for the
 in-memory database is the rows tuple itself; the file-backed database
-tokens on inode/size/mtime). A bounded memory budget evicts in LRU order —
-derived category bitmaps first (recomputable for free), then base item
-bitmaps (restored by a single targeted physical pass on next use).
+tokens on inode/size/mtime). The index holds every bitmap for the life
+of the database; counting with bounded memory is the ``"mmap"`` engine's
+job (:mod:`repro.mining.segmatrix`).
 """
 
 from __future__ import annotations
 
 import sys
-from collections import OrderedDict
 from collections.abc import Collection, Iterable
 
-from .._util import check_positive
-from ..errors import DatabaseError
 from ..itemset import Itemset
 from ..obs import api as obs
 from ..obs.registry import MetricsRegistry, stats_property
@@ -81,11 +78,6 @@ class CacheStats:
     invalidations:
         Rebuilds forced by a fingerprint mismatch — data changed under
         the cache (``cache.invalidations``).
-    evictions:
-        Bitmaps dropped by the LRU memory budget (``cache.evictions``).
-    rebuilt_items:
-        Evicted base bitmaps restored by a targeted physical pass
-        (``cache.rebuilt_items``).
     bytes:
         High-water-mark footprint of the index (gauge ``cache.bytes``;
         merging registries keeps the maximum).
@@ -122,8 +114,6 @@ class CacheStats:
         "hits": ("counter", "cache.hits"),
         "misses": ("counter", "cache.misses"),
         "invalidations": ("counter", "cache.invalidations"),
-        "evictions": ("counter", "cache.evictions"),
-        "rebuilt_items": ("counter", "cache.rebuilt_items"),
         "extensions": ("counter", "cache.extensions"),
         "bytes": ("gauge", "cache.bytes"),
         "kernel_batches": ("counter", "kernel.batches"),
@@ -188,38 +178,26 @@ class VerticalIndex:
     Python ``int``.
 
     Build through :meth:`build` (physical pass over a scan-counted
-    database, rebuildable after eviction) or :meth:`from_rows` (one-shot
-    over materialized rows; no rebuild source).
+    database, extendable on append) or :meth:`from_rows` (one-shot over
+    materialized rows).
     """
 
     __slots__ = (
         "n_rows",
-        "evictions",
         "_bits",
         "_derived",
-        "_evicted",
-        "_source",
         "_token",
         "_epoch",
-        "_budget",
         "_nbytes",
         "_tax_refs",
     )
 
-    def __init__(
-        self, n_rows: int, budget_bytes: int | None = None
-    ) -> None:
-        if budget_bytes is not None:
-            check_positive(budget_bytes, "budget_bytes")
+    def __init__(self, n_rows: int) -> None:
         self.n_rows = n_rows
-        self.evictions = 0
-        self._bits: OrderedDict[int, object] = OrderedDict()
-        self._derived: OrderedDict[tuple[int, int], object] = OrderedDict()
-        self._evicted: set[int] = set()
-        self._source = None
+        self._bits: dict[int, int] = {}
+        self._derived: dict[tuple[int, int], int] = {}
         self._token = None
         self._epoch = None
-        self._budget = budget_bytes
         self._nbytes = 0
         # Strong refs to taxonomies keyed by id() so memo keys can never
         # collide with a recycled id after garbage collection.
@@ -229,66 +207,42 @@ class VerticalIndex:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def build(
-        cls, database, budget_bytes: int | None = None
-    ) -> "VerticalIndex":
+    def build(cls, database) -> "VerticalIndex":
         """One physical pass over *database* materializing all bitmaps.
 
         The read goes through ``database.physical_scan()`` so it counts as
         a physical pass but not a logical one (the logical counting pass
         is recorded by :func:`count_with_index`, once per count).
         """
-        index = cls(len(database), budget_bytes)
-        index._source = database
+        index = cls(len(database))
         index._token = database.cache_token()
         epoch_fn = getattr(database, "append_epoch", None)
         index._epoch = epoch_fn()[0] if epoch_fn is not None else None
         with obs.span("cache.build") as span:
             span.annotate("rows", index.n_rows)
-            index._ingest(database.physical_scan(), None)
-        index._enforce_budget()
+            index._ingest(database.physical_scan())
         return index
 
     @classmethod
     def from_rows(cls, rows: Iterable[Itemset]) -> "VerticalIndex":
-        """Build over already-materialized rows (no rebuild source).
-
-        Used for one-shot counting over plain iterables. No memory
-        budget: without a source there is no way to restore an evicted
-        base bitmap.
-        """
+        """Build over already-materialized rows (one-shot counting)."""
         materialized = rows if isinstance(rows, (list, tuple)) else list(rows)
         index = cls(len(materialized))
-        index._ingest(materialized, None)
+        index._ingest(materialized)
         return index
 
-    def _ingest(self, rows: Iterable[Itemset], only: set[int] | None) -> None:
-        """Scan *rows* once, building bitmaps (optionally only for *only*)."""
-        bits = {} if only is None else dict.fromkeys(only, 0)
-        if only is None:
-            get = bits.get
-            for position, row in enumerate(rows):
-                bit = 1 << position
-                for item in row:
-                    bits[item] = get(item, 0) | bit
-        else:
-            for position, row in enumerate(rows):
-                bit = 1 << position
-                for item in row:
-                    if item in bits:
-                        bits[item] |= bit
-        for item, bitmap in bits.items():
-            if only is not None and not bitmap:
-                # The evicted item vanished from the data source; keep it
-                # resolvable as "absent" rather than eternally evicted.
-                self._evicted.discard(item)
-                continue
-            self._bits[item] = bitmap
-            self._nbytes += _entry_bytes(bitmap)
-            self._evicted.discard(item)
+    def _ingest(self, rows: Iterable[Itemset]) -> None:
+        """Scan *rows* once, building every base bitmap."""
+        bits = self._bits
+        get = bits.get
+        for position, row in enumerate(rows):
+            bit = 1 << position
+            for item in row:
+                bits[item] = get(item, 0) | bit
+        self._nbytes = sum(_entry_bytes(bitmap) for bitmap in bits.values())
 
     # ------------------------------------------------------------------
-    # Validation / memory
+    # Validation / maintenance
     # ------------------------------------------------------------------
     def valid_for(self, database) -> bool:
         """True when *database* still matches the build-time fingerprint."""
@@ -304,10 +258,9 @@ class VerticalIndex:
         (``tail_rows``) is then OR-ed into the stored bitmaps at the old
         row offset — O(append) work, no physical pass over the head.
         Derived category memos are dropped (they lack the tail bits) and
-        recomputed lazily; evicted base items stay evicted, since their
-        eventual targeted restore scans the *current* full database.
-        Returns ``False`` (leaving the index untouched) when the growth
-        cannot be proven incremental — callers fall back to a rebuild.
+        recomputed lazily. Returns ``False`` (leaving the index
+        untouched) when the growth cannot be proven incremental —
+        callers fall back to a rebuild.
         """
         epoch_fn = getattr(source, "append_epoch", None)
         tail_fn = getattr(source, "tail_rows", None)
@@ -322,17 +275,13 @@ class VerticalIndex:
         with obs.span("cache.extend") as span:
             span.annotate("rows", len(tail))
             old_rows = self.n_rows
-            while self._derived:
-                _, bitmap = self._derived.popitem(last=False)
-                self._nbytes -= _entry_bytes(bitmap)
+            self._derived.clear()
             tail_bits: dict[int, int] = {}
             for position, row in enumerate(tail):
                 bit = 1 << position
                 for item in row:
                     tail_bits[item] = tail_bits.get(item, 0) | bit
             for item, bits in tail_bits.items():
-                if item in self._evicted:
-                    continue
                 self._bits[item] = self._bits.get(item, 0) | (bits << old_rows)
             self.n_rows = n_rows
             self._nbytes = sum(
@@ -341,7 +290,6 @@ class VerticalIndex:
             token_fn = getattr(source, "cache_token", None)
             if token_fn is not None:
                 self._token = token_fn()
-        self._enforce_budget()
         if stats is not None:
             stats.bytes = max(stats.bytes, self._nbytes)
         return True
@@ -351,32 +299,6 @@ class VerticalIndex:
         """Approximate bytes held by base and derived bitmaps."""
         return self._nbytes
 
-    def set_budget(self, budget_bytes: int | None) -> None:
-        """Replace the memory budget (``None`` = unbounded).
-
-        A tighter budget is enforced after the next count; lifting it
-        restores evicted bitmaps on the next count that finds any.
-        """
-        if budget_bytes is not None:
-            check_positive(budget_bytes, "budget_bytes")
-        self._budget = budget_bytes
-
-    def _enforce_budget(self) -> None:
-        if self._budget is None:
-            return
-        # Derived bitmaps first: recomputable from children for free.
-        while self._nbytes > self._budget and self._derived:
-            _, bitmap = self._derived.popitem(last=False)
-            self._nbytes -= _entry_bytes(bitmap)
-            self.evictions += 1
-        # Then base bitmaps, LRU; restoring one later costs a targeted
-        # physical pass.
-        while self._nbytes > self._budget and self._bits:
-            item, bitmap = self._bits.popitem(last=False)
-            self._evicted.add(item)
-            self._nbytes -= _entry_bytes(bitmap)
-            self.evictions += 1
-
     # ------------------------------------------------------------------
     # Counting
     # ------------------------------------------------------------------
@@ -384,7 +306,6 @@ class VerticalIndex:
         self,
         candidates: Collection[Itemset],
         taxonomy: Taxonomy | None = None,
-        stats: CacheStats | None = None,
     ) -> dict[Itemset, int]:
         """Count every candidate by bitmap intersection; no data pass.
 
@@ -392,88 +313,58 @@ class VerticalIndex:
         category's bitmap is the OR of its own and all its descendants'
         base bitmaps (memoized). Identical counts to extending every row
         with ``ancestor_closure`` first.
+
+        Each distinct node is resolved to its bitmap once per call (the
+        taxonomy is consulted once per node, not once per occurrence);
+        the candidates are then intersected from that table.
         """
         counts: dict[Itemset, int] = {}
         if not candidates:
             return counts
-        self._ensure_present(candidates, taxonomy, stats)
+        nodes: set[int] = set()
         for candidate in candidates:
-            mask = self._node_bits(candidate[0], taxonomy)
+            nodes.update(candidate)
+        if taxonomy is None:
+            get = self._bits.get
+            table = {node: get(node, 0) for node in nodes}
+        else:
+            table = {}
+            for node in nodes:
+                self._resolve(node, taxonomy, table)
+        for candidate in candidates:
+            mask = table[candidate[0]]
             for item in candidate[1:]:
                 if not mask:
                     break
-                mask &= self._node_bits(item, taxonomy)
+                mask &= table[item]
             counts[candidate] = mask.bit_count()
-        self._enforce_budget()
         return counts
 
-    def _node_bits(self, node: int, taxonomy: Taxonomy | None) -> int:
-        if taxonomy is None or node not in taxonomy:
-            return self._base_bits(node)
-        children = taxonomy.children(node)
-        if not children:
-            return self._base_bits(node)
+    def _resolve(
+        self, node: int, taxonomy: Taxonomy, table: dict[int, int]
+    ) -> int:
+        """The generalized bitmap of *node*, entered into *table*."""
+        bits = table.get(node)
+        if bits is not None:
+            return bits
         key = (id(taxonomy), node)
-        memoized = self._derived.get(key)
-        if memoized is not None:
-            self._derived.move_to_end(key)
-            return memoized
-        bits = self._base_bits(node)
-        for child in children:
-            bits |= self._node_bits(child, taxonomy)
-        self._derived[key] = bits
-        self._nbytes += _entry_bytes(bits)
-        self._tax_refs[id(taxonomy)] = taxonomy
-        return bits
-
-    def _base_bits(self, item: int) -> int:
-        bits = self._bits.get(item)
+        bits = self._derived.get(key)
         if bits is None:
-            return 0
-        self._bits.move_to_end(item)
+            bits = self._bits.get(node, 0)
+            children = taxonomy.children(node) if node in taxonomy else ()
+            if children:
+                for child in children:
+                    bits |= self._resolve(child, taxonomy, table)
+                self._derived[key] = bits
+                self._nbytes += _entry_bytes(bits)
+                self._tax_refs[id(taxonomy)] = taxonomy
+        table[node] = bits
         return bits
-
-    def _ensure_present(
-        self,
-        candidates: Collection[Itemset],
-        taxonomy: Taxonomy | None,
-        stats: CacheStats | None,
-    ) -> None:
-        """Restore evicted base bitmaps this count needs, in one pass.
-
-        Unbounded (an earlier caller's budget was lifted), the pass
-        restores every evicted bitmap, so no later count reads again.
-        """
-        if not self._evicted:
-            return
-        if self._budget is None:
-            missing = set(self._evicted)
-        else:
-            needed: set[int] = set()
-            for candidate in candidates:
-                needed.update(candidate)
-            if taxonomy is not None:
-                for node in tuple(needed):
-                    if node in taxonomy:
-                        needed.update(taxonomy.descendants(node))
-            missing = needed & self._evicted
-        if not missing:
-            return
-        if self._source is None:
-            raise DatabaseError(
-                "vertical index has evicted items but no data source to "
-                "rebuild them from"
-            )
-        with obs.span("cache.rebuild") as span:
-            span.annotate("items", len(missing))
-            self._ingest(self._source.physical_scan(), missing)
-        if stats is not None:
-            stats.rebuilt_items += len(missing)
 
     def __repr__(self) -> str:
         return (
             f"VerticalIndex(rows={self.n_rows}, items={len(self._bits)}, "
-            f"evicted={len(self._evicted)}, bytes={self._nbytes})"
+            f"bytes={self._nbytes})"
         )
 
 
@@ -481,9 +372,7 @@ class VerticalIndex:
 # Database-attached caching
 # ----------------------------------------------------------------------
 def get_index(
-    database,
-    budget_bytes: int | None = None,
-    stats: CacheStats | None = None,
+    database, stats: CacheStats | None = None
 ) -> VerticalIndex:
     """The vertical index of *database*, building (or rebuilding) on demand.
 
@@ -493,13 +382,10 @@ def get_index(
     database can prove is a *pure append* (``append_epoch`` identity
     preserved, more rows) is absorbed incrementally via
     :meth:`VerticalIndex.extend_from` — counted as an extension + hit,
-    not an invalidation. Every call applies *budget_bytes* to the index
-    it returns (``None`` = unbounded), so one caller's budget never
-    outlives its own session.
+    not an invalidation.
     """
     cached = getattr(database, "_vertical_index", None)
     if cached is not None:
-        cached.set_budget(budget_bytes)
         if cached.valid_for(database):
             if stats is not None:
                 stats.hits += 1
@@ -515,7 +401,7 @@ def get_index(
             stats.invalidations += 1
     if stats is not None:
         stats.misses += 1
-    index = VerticalIndex.build(database, budget_bytes)
+    index = VerticalIndex.build(database)
     try:
         database._vertical_index = index
     except AttributeError:
@@ -535,7 +421,6 @@ def count_with_index(
     source,
     candidates: Collection[Itemset],
     taxonomy: Taxonomy | None = None,
-    budget_bytes: int | None = None,
     stats: CacheStats | None = None,
 ) -> dict[Itemset, int]:
     """The ``"cached"`` engine: count via the vertical index of *source*.
@@ -546,20 +431,13 @@ def count_with_index(
     would scan the rows once).
     """
     if hasattr(source, "scan"):
-        hits_before = stats.hits if stats is not None else 0
-        index = get_index(source, budget_bytes=budget_bytes, stats=stats)
-        # A cache hit returns an index whose lifetime evictions were
-        # already absorbed by earlier calls; only count the new ones.
-        served_from_cache = stats is not None and stats.hits > hits_before
-        evictions_before = index.evictions if served_from_cache else 0
+        index = get_index(source, stats=stats)
         source.count_logical_pass()
     else:
         if stats is not None:
             stats.misses += 1
         index = VerticalIndex.from_rows(source)
-        evictions_before = 0
-    counts = index.count(candidates, taxonomy=taxonomy, stats=stats)
+    counts = index.count(candidates, taxonomy=taxonomy)
     if stats is not None:
-        stats.evictions += index.evictions - evictions_before
         stats.bytes = max(stats.bytes, index.nbytes)
     return counts

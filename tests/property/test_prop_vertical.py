@@ -3,8 +3,7 @@
 The vertical index cache's contract is that *no observable count ever
 changes*: not across passes, not under a taxonomy (descendant-OR versus
 per-row ancestor extension), not after the database mutates beneath the
-cache (fingerprint invalidation), and not under a memory budget that
-evicts and restores bitmaps.
+cache (fingerprint invalidation).
 """
 
 from hypothesis import given, settings
@@ -57,10 +56,8 @@ def brute(rows, candidates, taxonomy=None):
     return MiningSession(list(rows), taxonomy, "brute").count(candidates)
 
 
-def cached(database, candidates, taxonomy=None, **policy):
-    return MiningSession(database, taxonomy, "cached", **policy).count(
-        candidates
-    )
+def cached(database, candidates, taxonomy=None):
+    return MiningSession(database, taxonomy, "cached").count(candidates)
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,13 +103,3 @@ def test_mutation_never_serves_stale_counts(first, second, candidates):
     database._transactions = tuple(second)
     assert session.count(candidates) == brute(second, candidates)
 
-
-@settings(max_examples=40, deadline=None)
-@given(transactions_strategy, candidates_strategy)
-def test_tiny_budget_still_exact(transactions, candidates):
-    database = TransactionDatabase(transactions)
-    expected = brute(transactions, candidates)
-    for _ in range(2):
-        assert (
-            cached(database, candidates, cache_bytes=1) == expected
-        )

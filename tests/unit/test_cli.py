@@ -196,6 +196,29 @@ class TestMine:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unusable_spill_dir_exits_2(self, dataset_files, tmp_path,
+                                        capsys):
+        baskets, taxonomy = dataset_files
+        code = main(
+            [
+                "mine", "--baskets", baskets, "--taxonomy", taxonomy,
+                "--engine", "mmap", "--spill-dir", str(tmp_path / "gone"),
+            ]
+        )
+        assert code == 2
+        assert "--spill-dir" in capsys.readouterr().err
+
+    def test_cache_budget_flag_is_gone(self, dataset_files):
+        baskets, taxonomy = dataset_files
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "mine", "--baskets", baskets, "--taxonomy", taxonomy,
+                    "--cache-bytes", "1024",
+                ]
+            )
+        assert excinfo.value.code == 2
+
 
 class TestPositive:
     def test_prints_positive_rules(self, dataset_files, capsys):

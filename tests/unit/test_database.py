@@ -52,32 +52,7 @@ class TestScanAccounting:
 
 
 class TestSlice:
-    @pytest.fixture
-    def database(self):
-        return TransactionDatabase([[1, 2], [2, 3], [3, 4], [4, 5]])
-
-    def test_shares_row_tuples(self, database):
-        view = database.slice(1, 3)
-        assert len(view) == 2
-        assert view.transaction(0) is database.transaction(1)
-        assert view.transaction(1) is database.transaction(2)
-
-    def test_pass_counter_is_independent(self, database):
-        list(database.scan())
-        view = database.slice(0, 2)
-        assert view.scans == 0
-        list(view.scan())
-        list(view.scan())
-        assert view.scans == 2
-        assert database.scans == 1  # worker-local scans stay local
-
-    def test_full_slice_equals_database_rows(self, database):
-        view = database.slice(0, len(database))
-        assert list(view) == list(database)
-
-    def test_empty_slice_rejected(self, database):
-        with pytest.raises(DatabaseError):
-            database.slice(2, 2)
+    """``from_canonical_rows``: the shared-row constructor."""
 
     def test_from_canonical_rows_trusts_input(self):
         rows = ((2, 5), (1, 3, 4))

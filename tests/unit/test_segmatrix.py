@@ -241,6 +241,127 @@ class TestSpillLifecycle:
         assert not spill.exists()
 
 
+class TestSpillFailures:
+    """A spill that cannot be written raises a ``DatabaseError`` naming
+    the knob, leaves no partial file, and never leaves a half-synced
+    matrix behind."""
+
+    @pytest.mark.parametrize("kind", ["missing", "regular-file"])
+    def test_bad_spill_dir_names_the_flag(self, tmp_path, kind):
+        spill = tmp_path / "spill"
+        if kind == "regular-file":
+            spill.write_text("not a directory")
+        session = MiningSession(
+            TransactionDatabase(make_rows(20)), engine="mmap",
+            spill_dir=str(spill),
+        )
+        with pytest.raises(DatabaseError, match="--spill-dir"):
+            session.count(CANDIDATES)
+        assert session.engine._matrix is None
+        if kind == "regular-file":
+            assert spill.read_text() == "not a directory"
+
+    @pytest.mark.skipif(
+        sys.platform == "win32", reason="RLIMIT_FSIZE is POSIX-only"
+    )
+    def test_failed_writes_clean_up_and_the_next_count_rebuilds(
+        self, tmp_path
+    ):
+        """Under a per-process file-size limit (``SIGXFSZ`` ignored, so
+        the write fails with ``EFBIG``), a pack and an in-place extend
+        fail cleanly. An append whose extend succeeded but whose new
+        segment failed leaves the engine's matrix empty: lifting the
+        limit, the next count repacks and is exact, where reusing the
+        extended tail would count its rows twice."""
+        script = r"""
+import resource
+import signal
+import sys
+from pathlib import Path
+
+from repro.core.session import MiningSession
+from repro.data.database import TransactionDatabase
+from repro.errors import DatabaseError
+from repro.mining.segmatrix import SegmentedPackedMatrix
+
+spill = Path(sys.argv[1])
+LIMIT = 8192  # a 3-item segment block fits (3 KiB), a 23-item one not
+narrow = [(1, 2, 3)] * 10
+wide = [tuple(range(23))] * 10
+# 16-row segments hold one word per item: a 3,200-byte block, smaller
+# than a stdio buffer, against a 2,000-byte limit.
+small_wide = [tuple(range(400))] * 3
+candidates = [(1,), (2, 3), (5,), (1, 22)]
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+_, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+resource.setrlimit(resource.RLIMIT_FSIZE, (LIMIT, hard))
+
+def fails(action):
+    try:
+        action()
+    except DatabaseError as error:
+        return "--spill-dir" in str(error)
+    return False
+
+matrix = SegmentedPackedMatrix(spill_dir=str(spill))
+print("pack:", fails(lambda: matrix.sync(TransactionDatabase(wide))))
+print("pack-files:", sorted(p.name for p in matrix.spill_dir.iterdir()))
+matrix.close()
+
+resource.setrlimit(resource.RLIMIT_FSIZE, (2000, hard))
+matrix = SegmentedPackedMatrix(segment_rows=16, spill_dir=str(spill))
+print("small:", fails(lambda: matrix.sync(TransactionDatabase(small_wide))))
+print("small-files:", sorted(p.name for p in matrix.spill_dir.iterdir()))
+matrix.close()
+resource.setrlimit(resource.RLIMIT_FSIZE, (LIMIT, hard))
+
+database = TransactionDatabase(narrow)
+matrix = SegmentedPackedMatrix(spill_dir=str(spill))
+matrix.sync(database)
+database.append(wide)
+print("extend:", fails(lambda: matrix.sync(database)))
+print("extend-files:", sorted(p.name for p in matrix.spill_dir.iterdir()))
+print("extend-segments:", matrix.n_segments)
+matrix.close()
+
+resource.setrlimit(resource.RLIMIT_FSIZE, (2000, hard))
+database = TransactionDatabase(narrow)
+session = MiningSession(
+    database, engine="mmap", segment_rows=16, spill_dir=str(spill)
+)
+session.count(candidates)
+database.append(narrow[:6] + small_wide)
+print("engine:", fails(lambda: session.count(candidates)))
+print("engine-empty:", session.engine._matrix.n_segments == 0)
+print("spill-empty:", not [p for p in spill.rglob("*") if p.is_file()])
+resource.setrlimit(resource.RLIMIT_FSIZE, (hard, hard))
+expected = MiningSession(database, engine="brute").count(candidates)
+print("recount:", session.count(candidates) == expected)
+session.engine.close()
+"""
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "pack: True",
+            "pack-files: []",
+            "small: True",
+            "small-files: []",
+            "extend: True",
+            "extend-files: []",
+            "extend-segments: 0",
+            "engine: True",
+            "engine-empty: True",
+            "spill-empty: True",
+            "recount: True",
+        ], done.stdout
+        assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.skipif(
     sys.platform != "linux", reason="RLIMIT_AS is only enforced on Linux"
 )

@@ -1,16 +1,20 @@
 """Unit tests for the persistent vertical bitmap index cache."""
 
 import pickle
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from repro.data.database import TransactionDatabase
 from repro.data.filedb import FileBackedDatabase
 from repro.errors import DatabaseError
+from repro.itemset import itemset
 from repro.mining import vertical
 from repro.core.session import MiningSession
 from repro.mining.vertical import CacheStats, VerticalIndex
 from repro.taxonomy.builders import taxonomy_from_parents
+from repro.taxonomy.tree import Taxonomy
 
 ROWS = [(1, 2, 3), (1, 3), (2, 4), (1, 2, 4), (3, 4), (1, 2, 3, 4)]
 CANDIDATES = [(1,), (2,), (1, 2), (3, 4), (1, 2, 3), (9,)]
@@ -53,27 +57,28 @@ class TestVerticalIndex:
         assert clone.n_rows == index.n_rows
         assert clone.count(CANDIDATES) == index.count(CANDIDATES)
 
-    def test_budget_evicts_lru_and_restores_on_demand(self):
-        database = TransactionDatabase(ROWS)
-        index = VerticalIndex.build(database, budget_bytes=1)
-        assert index.evictions > 0
-        stats = CacheStats()
-        # Every count must still be exact: evicted bitmaps are restored
-        # by a targeted physical pass, never guessed.
-        assert index.count(CANDIDATES, stats=stats) == brute(ROWS, CANDIDATES)
-        assert stats.rebuilt_items > 0
+    def test_taxonomy_consulted_once_per_distinct_node(self):
+        """Many candidates over a few nodes resolve each node once."""
+        calls = Counter()
 
-    def test_evicted_without_source_raises(self):
-        database = TransactionDatabase(ROWS)
-        index = VerticalIndex.build(database, budget_bytes=1)
-        index._source = None
-        with pytest.raises(DatabaseError):
-            index.count(CANDIDATES)
+        class SpyTaxonomy(Taxonomy):
+            def children(self, node):
+                calls[node] += 1
+                return super().children(node)
 
-    def test_budget_must_be_positive(self):
-        database = TransactionDatabase(ROWS)
-        with pytest.raises(Exception):
-            VerticalIndex.build(database, budget_bytes=0)
+        taxonomy = SpyTaxonomy({1: 100, 2: 100, 3: 101, 4: 101})
+        nodes = (1, 2, 3, 4, 100, 101)
+        candidates = [
+            itemset(combo)
+            for size in (1, 2, 3)
+            for combo in combinations(nodes, size)
+        ]
+        expected = brute(ROWS, candidates, taxonomy=taxonomy)
+        index = VerticalIndex.build(TransactionDatabase(ROWS))
+        for _ in range(2):
+            calls.clear()
+            assert index.count(candidates, taxonomy=taxonomy) == expected
+            assert calls and max(calls.values()) == 1
 
 
 class TestGetIndex:
@@ -144,30 +149,6 @@ class TestCachedEngine:
         assert MiningSession(database, engine="cached").count([]) == {}
         assert database.scans == 0
         assert database.logical_scans == 0
-
-    def test_cache_bytes_budget_stays_exact(self):
-        database = TransactionDatabase(ROWS)
-        session = MiningSession(database, engine="cached", cache_bytes=1)
-        for _ in range(2):
-            assert session.count(CANDIDATES) == brute(ROWS, CANDIDATES)
-        assert session.cache_stats.evictions > 0
-        assert session.cache_stats.rebuilt_items > 0
-
-    def test_budget_does_not_outlive_its_session(self):
-        """An unbounded session after a bounded one on the same database
-        neither evicts nor re-reads the rows pass after pass."""
-        database = TransactionDatabase(ROWS)
-        bounded = MiningSession(database, engine="cached", cache_bytes=1)
-        bounded.count(CANDIDATES)
-        assert bounded.cache_stats.evictions > 0
-        scans = database.scans
-        unbounded = MiningSession(database, engine="cached")
-        for candidates in ([(1,)], [(2,)], [(3, 4)], CANDIDATES):
-            assert unbounded.count(candidates) == brute(ROWS, candidates)
-        assert unbounded.cache_stats.evictions == 0
-        # One pass restores what the bounded session evicted: the same
-        # single read a cold unbounded session spends on its build.
-        assert database.scans == scans + 1
 
 
 class TestCacheStats:
