@@ -1,9 +1,9 @@
 """P1 — Parallel scaling: shared-memory workers vs the best serial engine.
 
 Times one generalized counting pass (the pipeline's inner loop) on the
-two fastest serial engines — ``numpy`` (the packed kernel) and
-``cached`` (the default vertical index) — and on the zero-copy
-``parallel-shm`` engine at n_jobs in {1, 2, 4}, splitting **setup**
+fastest serial engine — ``cached``, the default vertical index — and on
+the ``parallel-shm`` engine at n_jobs in {1, 2, 4} (at 1 it counts its
+packed matrix in-process), splitting **setup**
 (first pass: matrix pack, segment publish, worker spawn + attach) from
 **steady state** (the minimum per-pass wall over the following passes,
 which is what a long mining run actually pays). All variants must
@@ -15,9 +15,9 @@ Three built-in checks:
   ``parallel-shm@N`` (N > 1) has launched exactly ``N`` workers (no
   respawn per pass) and published its segment exactly once;
 * timing, on hosts with >= 2 CPUs: ``parallel-shm@2``'s steady pass
-  must be no slower than the best serial steady pass (the minimum over
-  ``numpy`` and ``cached``) — a parallel engine that loses to serial
-  counting has no reason to exist;
+  must be no slower than the best serial steady pass (``cached``'s) —
+  a parallel engine that loses to serial counting has no reason to
+  exist;
 * on hosts with >= 4 CPUs, near-linear scaling of the shm steady state
   from 1 to 4 jobs.
 
@@ -42,7 +42,7 @@ from pathlib import Path
 import pytest
 
 #: The serial baselines ``parallel-shm@2`` must match or beat.
-SERIAL_BASELINES = ("numpy", "cached")
+SERIAL_BASELINES = ("cached",)
 
 #: Shm steady-state speedup required from 1 -> 4 jobs on >=4-CPU hosts.
 LINEAR_MIN_SPEEDUP = 2.0

@@ -11,8 +11,8 @@ and hot-LRU scoring paths are compared through their
 so all sit above the measurement floor) under the
 ``["quick"]["serving"]`` key. Finally the parallel-scaling profile
 (``bench_parallel_scaling --quick``) is gated the same way: each
-variant's steady-state per-pass wall (serial numpy and cached,
-shared-memory ``parallel-shm`` at several job counts) under
+variant's steady-state per-pass wall (serial cached, ``parallel-shm``
+at several job counts) under
 ``["quick"]["parallel_scaling"]``; only the variants present in both
 the baseline and the run are compared. The
 incremental-maintenance profile (``bench_incremental --quick``) gates
@@ -30,8 +30,8 @@ Raw wall-clock is useless across machines, so both sides are normalized
 by their own geometric mean across the engines before comparing: a CI
 runner that is uniformly 3x slower than the baseline machine produces
 identical normalized profiles, while a single engine regressing 2x moves
-its normalized ratio to roughly ``2 / 2**(1/n)`` (~1.81 for the
-seven-engine matrix) — far above the default 25 % gate. Two noise
+its normalized ratio to roughly ``2 / 2**(1/n)`` (~1.74 for the
+five-engine matrix) — far above the default 25 % gate. Two noise
 guards: each side is the element-wise minimum over ``--repeats`` runs,
 and per-pass times below :data:`MEASUREMENT_FLOOR_S` are clamped to it
 (sub-5 ms cells jitter more between identical runs than the gate
@@ -46,7 +46,7 @@ demonstrating that the gate trips.
 Run::
 
     python -m benchmarks.check_regression
-    python -m benchmarks.check_regression --inject numpy  # must fail
+    python -m benchmarks.check_regression --inject mmap   # must fail
     python -m benchmarks.check_regression --inject hot    # must fail
 """
 
@@ -175,7 +175,7 @@ def _run_quick_parallel(out: Path, repeats: int) -> dict:
     """Run the quick parallel-scaling benchmark; keep per-variant minima.
 
     The element-wise minimum over repeats is taken per variant label
-    (``numpy``, ``parallel-shm@2``, …), mirroring
+    (``cached``, ``parallel-shm@2``, …), mirroring
     :func:`_run_quick_matrix`.
     """
     from benchmarks import bench_parallel_scaling

@@ -58,7 +58,7 @@ class MiningConfig:
     engine:
         Support-counting engine: a registered engine name
         (``"cached"``, ``"bitmap"``, ``"hashtree"``, ``"brute"``,
-        ``"numpy"``, ``"mmap"``, ``"parallel-shm"``). Defaults
+        ``"mmap"``, ``"parallel-shm"``). Defaults
         to :data:`~repro.mining.engines.DEFAULT_ENGINE` (``"cached"``:
         one physical scan builds a vertical index that serves every
         pass). Run ``python -m repro engines`` for the full capability

@@ -97,7 +97,7 @@ class MiningStats:
     ``kernel_batches``/``kernel_words`` count executions (and gathered
     64-bit words) of the bit-packed NumPy kernel
     (:mod:`repro.mining.bitpack`) — zero unless a packed engine
-    (``"numpy"``, ``"mmap"``, ``"parallel-shm"``) did the counting.
+    (``"mmap"``, ``"parallel-shm"``) did the counting.
 
     ``cache_extensions`` counts appends absorbed incrementally (the
     vertical index or segmented matrix extended in O(append) instead of
@@ -105,8 +105,9 @@ class MiningStats:
     ``"mmap"`` engine's segment maintenance and its memory footprint —
     ``segments_resident_bytes`` is the high-water mark of concurrently
     open segment blocks, the number the ``max_resident_bytes`` budget
-    bounds. ``matrix_bytes`` is the in-RAM packed-matrix footprint of
-    the ``numpy`` engine, for comparison.
+    bounds. ``matrix_bytes`` is the high-water packed-matrix footprint:
+    ``parallel-shm``'s whole in-RAM matrix, or the largest segment
+    block ``mmap`` counted against, for comparison.
     """
 
     data_passes: int = 0

@@ -72,11 +72,9 @@ class MiningSession:
         An engine spec (``"bitmap"``, ``"parallel-shm"``, …) or an
         already-built :class:`CountingEngine`.
     n_jobs:
-        Worker processes of the ``"parallel-shm"`` engine (``None`` =
-        one per CPU). ``n_jobs > 1`` with any other engine raises
-        :class:`~repro.errors.ConfigError`.
-    batch_words:
-        The packed kernel's gather bound, for the engines that use it.
+        Worker processes of the ``"parallel-shm"`` engine. The default
+        ``1`` counts in-process and starts no worker. ``n_jobs > 1``
+        with any other engine raises :class:`~repro.errors.ConfigError`.
     segment_rows, max_resident_bytes, spill_dir:
         Out-of-core policy for the ``"mmap"`` engine: rows per spilled
         segment, the budget for concurrently open segment blocks, and
@@ -98,8 +96,7 @@ class MiningSession:
         taxonomy: Taxonomy | None = None,
         engine: str | CountingEngine = DEFAULT_ENGINE,
         *,
-        n_jobs: int | None = None,
-        batch_words: int | None = None,
+        n_jobs: int = 1,
         segment_rows: int | None = None,
         max_resident_bytes: int | None = None,
         spill_dir: str | None = None,
@@ -114,7 +111,6 @@ class MiningSession:
             engine,
             EnginePolicy(
                 n_jobs=n_jobs,
-                batch_words=batch_words,
                 segment_rows=segment_rows,
                 max_resident_bytes=max_resident_bytes,
                 spill_dir=spill_dir,

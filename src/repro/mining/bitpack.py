@@ -36,15 +36,12 @@ argument as the cached engine's big-int path (DESIGN.md §6.1), and
 bit-identical to per-row ``ancestor_closure`` extension (property-tested
 against the ``"brute"`` oracle).
 
-Consumers:
-
-* :func:`count_rows` — the serial ``"numpy"`` engine
-  (:mod:`repro.mining.engines.packed`): pack one pass of rows, count all
-  candidates.
-* :func:`count_candidates` — the shared batched kernel behind
-  :meth:`PackedMatrix.count`, which the out-of-core segments of
-  :mod:`repro.mining.segmatrix` (``"mmap"``) and the shared-memory
-  workers of :mod:`repro.parallel.shm` (``"parallel-shm"``) also use.
+Consumers: :func:`count_candidates` is the batched kernel behind
+:meth:`PackedMatrix.count`. The ``"parallel-shm"`` engine counts
+against one persistent matrix, in-process at ``n_jobs=1`` and in the
+shared-memory workers of :mod:`repro.parallel.shm` above that; the
+out-of-core segments of :mod:`repro.mining.segmatrix` (``"mmap"``)
+wrap each spilled block in one.
 """
 
 from __future__ import annotations
@@ -58,7 +55,6 @@ import numpy as np
 from .._util import check_positive
 from ..errors import ConfigError
 from ..itemset import Itemset
-from ..obs import api as obs
 from ..taxonomy.tree import Taxonomy
 
 #: Upper bound on the 64-bit words gathered per kernel batch — the
@@ -167,12 +163,11 @@ def count_candidates(
 class PackedMatrix:
     """Bit-packed vertical transaction matrix over one pass of rows.
 
-    One ``uint64`` row of :func:`words_for` words per wanted item (items
-    absent from the data keep an all-zero row); derived category rows (OR
-    over descendants) are memoized per taxonomy for the lifetime of the
-    matrix. The ``"numpy"`` engine builds one per counting pass; the
-    long-lived packed storage lives in
-    :class:`~repro.mining.vertical.VerticalIndex` instead.
+    One ``uint64`` row of :func:`words_for` words per item occurring in
+    the rows (other items resolve to an all-zero row); derived category
+    rows (OR over descendants) are memoized per taxonomy for the
+    lifetime of the matrix. The ``"parallel-shm"`` engine keeps one per
+    database across passes.
     """
 
     __slots__ = (
@@ -192,12 +187,8 @@ class PackedMatrix:
         self._zero = zeros(self.n_words)
 
     @classmethod
-    def from_rows(
-        cls,
-        transactions: Iterable[Itemset],
-        wanted: Collection[int] | None = None,
-    ) -> "PackedMatrix":
-        """Pack one scan of *transactions*, keeping only *wanted* items.
+    def from_rows(cls, transactions: Iterable[Itemset]) -> "PackedMatrix":
+        """Pack one scan of *transactions*, one row per distinct item.
 
         Entirely array-shaped after a single Python-level flatten: a
         ``searchsorted`` membership filter, one boolean scatter, and one
@@ -217,11 +208,8 @@ class PackedMatrix:
             dtype=np.int64,
             count=int(lengths.sum()),
         )
-        if wanted is None:
-            nodes = np.unique(items)
-        else:
-            nodes = np.asarray(sorted(wanted), dtype=np.int64)
-        if not len(nodes) or not len(items) or not n_words:
+        nodes = np.unique(items)
+        if not len(nodes) or not n_words:
             matrix = np.zeros((len(nodes), n_words), dtype=np.uint64)
             return cls(n_rows, nodes, matrix)
         positions = np.repeat(np.arange(n_rows, dtype=np.int64), lengths)
@@ -316,42 +304,3 @@ class PackedMatrix:
             f"items={len(self._slot)})"
         )
 
-
-def count_rows(
-    transactions: Iterable[Itemset],
-    candidates: Collection[Itemset],
-    taxonomy: Taxonomy | None = None,
-    batch_words: int | None = None,
-    stats=None,
-) -> dict[Itemset, int]:
-    """The ``"numpy"`` engine: pack one pass of rows, count all candidates.
-
-    Packing is restricted to the items that can influence some candidate
-    (the candidates' own nodes plus, under a taxonomy, all their
-    descendants) — the packed analogue of Cumulate's row filtering.
-    Taxonomy candidates are matched by descendant-OR, so no per-row
-    ancestor extension happens at all.
-    """
-    if not candidates:
-        return {}
-    wanted: set[int] = set()
-    for candidate in candidates:
-        wanted.update(candidate)
-    if taxonomy is not None:
-        for node in tuple(wanted):
-            if node in taxonomy:
-                wanted.update(taxonomy.descendants(node))
-    with obs.span("kernel.pack") as span:
-        matrix = PackedMatrix.from_rows(transactions, wanted)
-        span.annotate("rows", matrix.n_rows)
-        span.annotate("items", len(wanted))
-    if stats is not None:
-        # Gauge, not counter: the per-pass matrix footprint the
-        # out-of-core engine exists to bound.
-        stats.matrix_bytes = max(stats.matrix_bytes, matrix.nbytes)
-    return matrix.count(
-        candidates,
-        taxonomy=taxonomy,
-        batch_words=batch_words,
-        stats=stats,
-    )

@@ -27,12 +27,10 @@ from .base import (
 # import order fixes the registry (and therefore ENGINES) order.
 from . import serial as _serial  # noqa: E402  (bitmap, hashtree, brute)
 from . import cached as _cached  # noqa: E402
-from . import packed as _packed  # noqa: E402  (numpy)
 from . import outofcore as _outofcore  # noqa: E402  (mmap)
 from . import parallel as _parallel  # noqa: E402
 from .cached import CachedEngine
 from .outofcore import MmapEngine
-from .packed import NumpyEngine
 from .parallel import ParallelShmEngine
 from .serial import (
     BitmapEngine,
@@ -42,7 +40,7 @@ from .serial import (
     extended_rows,
 )
 
-del _serial, _cached, _packed, _outofcore, _parallel
+del _serial, _cached, _outofcore, _parallel
 
 #: All registered engine names, in registration order.
 ENGINES = engine_names()
@@ -122,7 +120,6 @@ __all__ = [
     "CachedEngine",
     "HashTreeEngine",
     "MmapEngine",
-    "NumpyEngine",
     "ParallelShmEngine",
     "RowScanEngine",
     "ENGINES",

@@ -12,7 +12,7 @@ registry-parametrized equivalence test.
 
 Specs
 -----
-An engine *spec* is a plain registered name (``"bitmap"``, ``"numpy"``,
+An engine *spec* is a plain registered name (``"bitmap"``, ``"mmap"``,
 …). :func:`create_engine` resolves a spec plus a policy into a ready
 engine object. ``n_jobs > 1`` is a setting of the one parallel engine,
 ``"parallel-shm"``; with any other spec it is a
@@ -88,17 +88,13 @@ class EnginePolicy:
     understands and ignores the rest.
     """
 
-    n_jobs: int | None = None
-    batch_words: int | None = None
+    n_jobs: int = 1
     segment_rows: int | None = None
     max_resident_bytes: int | None = None
     spill_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.n_jobs is not None:
-            check_positive(self.n_jobs, "n_jobs")
-        if self.batch_words is not None:
-            check_positive(self.batch_words, "batch_words")
+        check_positive(self.n_jobs, "n_jobs")
         if self.segment_rows is not None:
             check_positive(self.segment_rows, "segment_rows")
         if self.max_resident_bytes is not None:
@@ -211,7 +207,11 @@ class CountingEngine:
 _REGISTRY: dict[str, type[CountingEngine]] = {}
 
 #: Removed engine names and the registered engine that replaces each.
-_RETIRED = {"index": "bitmap", "parallel": "parallel-shm"}
+_RETIRED = {
+    "index": "bitmap",
+    "parallel": "parallel-shm",
+    "numpy": "parallel-shm",
+}
 
 
 def register_engine(name: str):
@@ -263,9 +263,7 @@ def parse_spec(spec: str) -> str:
     return spec
 
 
-def validate_spec(
-    spec: "str | CountingEngine", n_jobs: int | None = None
-) -> str:
+def validate_spec(spec: "str | CountingEngine", n_jobs: int = 1) -> str:
     """Validate an engine spec (and its *n_jobs*); return it normalized.
 
     ``n_jobs > 1`` is accepted only by an engine that declares the
@@ -279,11 +277,7 @@ def validate_spec(
     else:
         normalized = parse_spec(spec)
         engine_cls = _REGISTRY[normalized]
-    if (
-        n_jobs is not None
-        and n_jobs > 1
-        and not engine_cls.capabilities.shared_memory
-    ):
+    if n_jobs > 1 and not engine_cls.capabilities.shared_memory:
         raise ConfigError(
             f"n_jobs={n_jobs} needs the parallel engine, but engine="
             f"{normalized!r} counts in one process; pass "

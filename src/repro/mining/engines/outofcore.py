@@ -43,7 +43,7 @@ class MmapEngine(CountingEngine):
     segment blocks. Plain row iterables get a one-shot matrix that is
     closed before returning. Taxonomy candidates are matched by
     descendant-OR per segment, so ``restrict_to_candidate_items`` is
-    moot, exactly as for the ``numpy``/``cached`` engines.
+    moot, exactly as for the ``parallel-shm``/``cached`` engines.
     """
 
     capabilities = Capabilities(
@@ -57,12 +57,10 @@ class MmapEngine(CountingEngine):
         segment_rows: int | None = None,
         max_resident_bytes: int | None = None,
         spill_dir: str | None = None,
-        batch_words: int | None = None,
     ) -> None:
         self.segment_rows = segment_rows
         self.max_resident_bytes = max_resident_bytes
         self.spill_dir = spill_dir
-        self.batch_words = batch_words
         self._matrix: SegmentedPackedMatrix | None = None
 
     @classmethod
@@ -71,7 +69,6 @@ class MmapEngine(CountingEngine):
             segment_rows=policy.segment_rows,
             max_resident_bytes=policy.max_resident_bytes,
             spill_dir=policy.spill_dir,
-            batch_words=policy.batch_words,
         )
 
     # -- lifecycle -----------------------------------------------------
@@ -115,10 +112,7 @@ class MmapEngine(CountingEngine):
             matrix = self.matrix_for(source, cache_stats)
             source.count_logical_pass()
             return matrix.count(
-                candidates,
-                taxonomy=state.taxonomy,
-                batch_words=self.batch_words,
-                stats=cache_stats,
+                candidates, taxonomy=state.taxonomy, stats=cache_stats
             )
         if cache_stats is not None:
             cache_stats.misses += 1
@@ -130,8 +124,5 @@ class MmapEngine(CountingEngine):
             stats=cache_stats,
         ) as matrix:
             return matrix.count(
-                candidates,
-                taxonomy=state.taxonomy,
-                batch_words=self.batch_words,
-                stats=cache_stats,
+                candidates, taxonomy=state.taxonomy, stats=cache_stats
             )

@@ -1,11 +1,13 @@
-"""The ``parallel-shm`` engine: shared-memory counting over workers.
+"""The ``parallel-shm`` engine: packed counting, in-process or over workers.
 
-The parent process packs the database once, publishes the word matrix
-into OS shared memory (:mod:`repro.parallel.shm`), and a persistent
-worker pool attaches the segment and counts candidate *batches* against
-the whole matrix — nothing row-shaped ever crosses a pipe. It is the only engine
-that accepts ``n_jobs > 1``; ``--jobs N`` on the CLI selects it when no
-``--engine`` is given (DESIGN.md §11).
+The parent process packs the database once into a bit-packed matrix it
+keeps across passes. At ``n_jobs=1`` (the default) it counts in-process
+against that matrix: the one serial packed path. Above that it publishes
+the word matrix into OS shared memory (:mod:`repro.parallel.shm`), and a
+persistent worker pool attaches the segment and counts candidate
+*batches* against the whole matrix — nothing row-shaped ever crosses a
+pipe. It is the only engine that accepts ``n_jobs > 1``; ``--jobs N`` on
+the CLI selects it when no ``--engine`` is given (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import atexit
 import weakref
 from collections.abc import Collection
 
+from ..._util import check_positive
 from ...itemset import Itemset
 from ...obs import api as obs
 from .base import (
@@ -36,12 +39,10 @@ def _close_live_shm_engines() -> None:
 
 atexit.register(_close_live_shm_engines)
 
-_NO_TOKEN = object()
-
 
 @register_engine("parallel-shm")
 class ParallelShmEngine(CountingEngine):
-    """Zero-copy shared-memory counting over a persistent worker pool.
+    """Bit-packed counting, in-process or over shared-memory workers.
 
     The driver packs the database into one
     :class:`~repro.mining.bitpack.PackedMatrix`, publishes it via
@@ -57,9 +58,11 @@ class ParallelShmEngine(CountingEngine):
     ``count()`` records one logical pass, and a mutated database
     (changed ``cache_token()``) triggers a re-publish — a fresh segment,
     a ``setup`` message to the pool, and an unlink of the old name.
-    ``n_jobs=1`` bypasses shared memory and workers entirely and counts
-    in-process against the same matrix. Call :meth:`close` (or let the
-    atexit sweep do it) to stop the workers and unlink the segment.
+    Plain rows carry no token, so they are packed once per call. The
+    default ``n_jobs=1`` bypasses shared memory and workers entirely
+    and counts in-process against the same matrix. Call :meth:`close`
+    (or let the atexit sweep do it) to stop the workers and unlink the
+    segment.
     """
 
     capabilities = Capabilities(
@@ -68,17 +71,11 @@ class ParallelShmEngine(CountingEngine):
         shared_memory=True,
     )
 
-    def __init__(
-        self,
-        n_jobs: int | None = None,
-        batch_words: int | None = None,
-        pool_config=None,
-    ) -> None:
-        self.n_jobs = n_jobs
-        self.batch_words = batch_words
+    def __init__(self, n_jobs: int = 1, pool_config=None) -> None:
+        self.n_jobs = check_positive(n_jobs, "n_jobs")
         self.pool_config = pool_config
         self._matrix = None
-        self._token = _NO_TOKEN
+        self._token = None
         self._shared = None
         self._pool = None
         self._pool_taxonomy = None
@@ -88,10 +85,7 @@ class ParallelShmEngine(CountingEngine):
 
     @classmethod
     def from_policy(cls, policy: EnginePolicy) -> "ParallelShmEngine":
-        return cls(
-            n_jobs=policy.n_jobs,
-            batch_words=policy.batch_words,
-        )
+        return cls(n_jobs=policy.n_jobs)
 
     @property
     def wants_parallel_stats(self) -> bool:
@@ -106,7 +100,7 @@ class ParallelShmEngine(CountingEngine):
             pool.close()
         self._pool_taxonomy = None
         self._matrix = None
-        self._token = _NO_TOKEN
+        self._token = None
         shared, self._shared = self._shared, None
         if shared is not None:
             shared.close()
@@ -129,27 +123,22 @@ class ParallelShmEngine(CountingEngine):
         cache_stats=None,
         parallel_stats=None,
     ) -> dict[Itemset, int]:
-        # Like the numpy/cached engines, taxonomy candidates are matched
-        # by descendant-OR, so restrict_to_candidate_items is moot.
-        from ...parallel.pool import resolve_n_jobs
-
+        # Like the cached engine, taxonomy candidates are matched by
+        # descendant-OR, so restrict_to_candidate_items is moot.
         candidate_list = list(candidates)
         if not candidate_list:
             return {}
-        jobs = resolve_n_jobs(self.n_jobs)
         matrix = self._ensure_matrix(state, cache_stats)
         source = state.transactions
         if hasattr(source, "count_logical_pass"):
             source.count_logical_pass()
+        jobs = self.n_jobs
         if jobs == 1:
             # Serial bypass: no segment, no workers, same kernel.
             if parallel_stats is not None:
                 parallel_stats.serial_tasks += 1
             return matrix.count(
-                candidate_list,
-                taxonomy=state.taxonomy,
-                batch_words=self.batch_words,
-                stats=cache_stats,
+                candidate_list, taxonomy=state.taxonomy, stats=cache_stats
             )
         pool = self._ensure_pool(state.taxonomy, jobs, parallel_stats)
         observe = obs.enabled()
@@ -180,27 +169,29 @@ class ParallelShmEngine(CountingEngine):
     # -- internals -----------------------------------------------------
 
     def _ensure_matrix(self, state: EngineState, cache_stats):
-        """The packed matrix for the bound source, (re)built on change."""
+        """The packed matrix for the bound source, (re)built on change.
+
+        A database is packed once per ``cache_token()``. Plain rows have
+        no token and are packed on every call, like the ``mmap``
+        engine's one-shot matrix: a list mutated in place between calls
+        must never be answered from the earlier pack.
+        """
         from ...mining.bitpack import PackedMatrix
 
         source = state.transactions
         token_fn = getattr(source, "cache_token", None)
-        token = token_fn() if token_fn is not None else source
-        if self._matrix is not None and (
+        token = token_fn() if token_fn is not None else None
+        if token is not None and self._matrix is not None and (
             token is self._token or token == self._token
         ):
             if cache_stats is not None:
                 cache_stats.hits += 1
             return self._matrix
         if hasattr(source, "physical_scan"):
-            rows = list(source.physical_scan())
-        elif hasattr(source, "scan"):  # pragma: no cover — odd database
-            rows = list(source.scan())
-        elif isinstance(source, (list, tuple)):
-            rows = source
+            rows = source.physical_scan()
         else:
-            rows = list(source)
-        mutated = self._matrix is not None
+            rows = state.rows()
+        mutated = token is not None and self._token is not None
         with obs.span("parallel.shm.pack") as span:
             matrix = PackedMatrix.from_rows(rows)
             span.annotate("rows", matrix.n_rows)
@@ -208,6 +199,9 @@ class ParallelShmEngine(CountingEngine):
             cache_stats.misses += 1
             if mutated:
                 cache_stats.invalidations += 1
+            cache_stats.matrix_bytes = max(
+                cache_stats.matrix_bytes, matrix.nbytes
+            )
         self._matrix = matrix
         self._token = token
         self._fingerprint += 1
@@ -264,14 +258,10 @@ class ParallelShmEngine(CountingEngine):
         return self._pool
 
     def _setup_payload(self, taxonomy):
-        return (self._shared.handle, taxonomy, self.batch_words)
+        return (self._shared.handle, taxonomy)
 
     def _count_batch_local(self, payload):
         """Parent-side serial fallback: one batch, driver matrix."""
         batch, _observe = payload
-        counts = self._matrix.count(
-            batch,
-            taxonomy=self._pool_taxonomy,
-            batch_words=self.batch_words,
-        )
+        counts = self._matrix.count(batch, taxonomy=self._pool_taxonomy)
         return [counts[candidate] for candidate in batch], None

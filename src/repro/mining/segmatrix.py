@@ -1,17 +1,17 @@
 """Segmented, memory-mapped packed matrix for out-of-core counting.
 
 The paper's efficiency argument assumes the database does not fit in
-memory — passes cost real IO — yet the other packed engines
-(``"numpy"``, ``"parallel-shm"``) hold the entire bit-packed word matrix
-in RAM and invalidate it wholesale through one global
-fingerprint. This module splits the row dimension into fixed-size
-*segments*: each segment packs its own rows into a ``uint64`` word block
-(one row per item occurring in the segment), spills the block to a file
-under a private spill directory, and re-opens it on demand as a
-read-only ``np.memmap``. Counting iterates the segments and sums the
-per-segment popcounts — integer addition over disjoint row ranges, so
-the totals are bit-identical to packing everything at once
-(property-tested against the ``"brute"`` oracle).
+memory — passes cost real IO — yet the other packed engine
+(``"parallel-shm"``) holds the entire bit-packed word matrix in RAM and
+invalidates it wholesale through one global fingerprint. This module
+splits the row dimension into fixed-size *segments*: each segment packs
+its own rows into a ``uint64`` word block (one row per item occurring in
+the segment), spills the block to a file under a private spill
+directory, and re-opens it on demand as a read-only ``np.memmap``.
+Counting iterates the segments and sums the per-segment popcounts —
+integer addition over disjoint row ranges, so the totals are
+bit-identical to packing everything at once (property-tested against the
+``"brute"`` oracle).
 
 Three properties fall out of the layout:
 
@@ -147,7 +147,6 @@ def count_segment_block(
     block: np.ndarray,
     candidates: Collection[Itemset],
     taxonomy: Taxonomy | None = None,
-    batch_words: int | None = None,
     stats=None,
 ) -> dict[Itemset, int]:
     """Count all candidates within one segment's word block.
@@ -164,9 +163,7 @@ def count_segment_block(
         # Gauge: the kernel never sees more than one segment block at a
         # time — this is the footprint the resident budget bounds.
         stats.matrix_bytes = max(stats.matrix_bytes, matrix.nbytes)
-    return matrix.count(
-        candidates, taxonomy=taxonomy, batch_words=batch_words, stats=stats,
-    )
+    return matrix.count(candidates, taxonomy=taxonomy, stats=stats)
 
 
 #: Matrices with live spill directories; the atexit sweep removes
@@ -231,6 +228,7 @@ class SegmentedPackedMatrix:
                 tempfile.mkdtemp(prefix="repro-segments-", dir=spill_dir)
             )
         except OSError as exc:
+            obs.incr("counting.segments.spill_failures")
             raise DatabaseError(
                 f"cannot create a spill directory under "
                 f"{spill_dir or tempfile.gettempdir()!r} "
@@ -578,6 +576,7 @@ class SegmentedPackedMatrix:
             with open(path, "wb") as handle:
                 handle.write(memoryview(block))
         except OSError as exc:
+            obs.incr("counting.segments.spill_failures")
             raise DatabaseError(
                 f"cannot spill a {block.nbytes}-byte segment block under "
                 f"{self._dir} ({exc.strerror or exc}); point --spill-dir "
@@ -650,7 +649,6 @@ class SegmentedPackedMatrix:
         self,
         candidates: Collection[Itemset],
         taxonomy: Taxonomy | None = None,
-        batch_words: int | None = None,
         stats=None,
     ) -> dict[Itemset, int]:
         """Sum per-segment kernel counts; bounded resident blocks."""
@@ -662,8 +660,7 @@ class SegmentedPackedMatrix:
         for segment in self._segments:
             block = self._block(segment, stats)
             partial = count_segment_block(
-                segment, block, candidates,
-                taxonomy=taxonomy, batch_words=batch_words, stats=stats,
+                segment, block, candidates, taxonomy=taxonomy, stats=stats,
             )
             for items, count in partial.items():
                 totals[items] += count

@@ -84,7 +84,7 @@ class CacheStats:
     kernel_batches:
         Vectorized candidate batches executed by the bit-packed NumPy
         kernel (``kernel.batches``) — nonzero only under the packed
-        engines (``"numpy"``, ``"mmap"``, ``"parallel-shm"``).
+        engines (``"mmap"``, ``"parallel-shm"``).
     kernel_words:
         64-bit words gathered and intersected by those batches
         (``kernel.words``) — the kernel's work volume.
@@ -93,8 +93,10 @@ class CacheStats:
         appended rows in O(append) instead of rebuilding
         (``cache.extensions``).
     matrix_bytes:
-        High-water footprint of an in-RAM packed matrix (gauge
-        ``kernel.matrix_bytes``) — the number the out-of-core engine
+        High-water footprint of a packed matrix (gauge
+        ``kernel.matrix_bytes``): ``parallel-shm``'s whole in-RAM
+        matrix, set when it packs, or the largest segment block
+        ``mmap`` counted against — the number the out-of-core engine
         keeps bounded.
     segments_packed / segments_extended / segments_reused:
         Segmented-matrix maintenance (``counting.segments.*``): blocks

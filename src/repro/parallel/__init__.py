@@ -24,7 +24,6 @@ from .pool import (
     PersistentWorkerPool,
     PoolConfig,
     PoolStats,
-    resolve_n_jobs,
 )
 from .shm import SegmentHandle, SharedPackedMatrix, live_segments
 
@@ -33,7 +32,6 @@ __all__ = [
     "PersistentWorkerPool",
     "PoolConfig",
     "PoolStats",
-    "resolve_n_jobs",
     "SegmentHandle",
     "SharedPackedMatrix",
     "live_segments",

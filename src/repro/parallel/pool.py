@@ -26,7 +26,6 @@ the caller instead of a wrapped pool error.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
@@ -37,13 +36,6 @@ from .._util import check_nonnegative, check_positive
 from ..errors import ConfigError
 from ..obs import api as _obs
 from ..obs.registry import MetricsRegistry, stats_property
-
-
-def resolve_n_jobs(n_jobs: int | None) -> int:
-    """Normalize an ``n_jobs`` request: ``None`` means one per CPU."""
-    if n_jobs is None:
-        return max(1, os.cpu_count() or 1)
-    return check_positive(n_jobs, "n_jobs")
 
 
 @dataclass(frozen=True, slots=True)

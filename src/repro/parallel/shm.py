@@ -259,14 +259,13 @@ class SharedPackedMatrix:
 # ----------------------------------------------------------------------
 
 class _WorkerState:
-    """One worker's attachment: shared matrix + per-setup count policy."""
+    """One worker's attachment: shared matrix + the taxonomy to count."""
 
-    __slots__ = ("shared", "taxonomy", "batch_words")
+    __slots__ = ("shared", "taxonomy")
 
-    def __init__(self, shared, taxonomy, batch_words) -> None:
+    def __init__(self, shared, taxonomy) -> None:
         self.shared = shared
         self.taxonomy = taxonomy
-        self.batch_words = batch_words
 
     def close(self) -> None:
         self.shared.close()
@@ -275,14 +274,12 @@ class _WorkerState:
 def shm_worker_setup(payload) -> _WorkerState:
     """Persistent-pool setup: attach the segment named in *payload*.
 
-    *payload* is ``(handle, taxonomy, batch_words)``. Called once at
-    worker start and again on every re-publish (``setup`` message); the
-    pool reports the attach wall time back to the driver.
+    *payload* is ``(handle, taxonomy)``. Called once at worker start
+    and again on every re-publish (``setup`` message); the pool reports
+    the attach wall time back to the driver.
     """
-    handle, taxonomy, batch_words = payload
-    return _WorkerState(
-        SharedPackedMatrix.attach(handle), taxonomy, batch_words
-    )
+    handle, taxonomy = payload
+    return _WorkerState(SharedPackedMatrix.attach(handle), taxonomy)
 
 
 def shm_worker_count(state: _WorkerState, payload):
@@ -297,11 +294,7 @@ def shm_worker_count(state: _WorkerState, payload):
     candidates, observe = payload
     matrix = state.shared.matrix
     if not observe:
-        counts = matrix.count(
-            candidates,
-            taxonomy=state.taxonomy,
-            batch_words=state.batch_words,
-        )
+        counts = matrix.count(candidates, taxonomy=state.taxonomy)
         return [counts[candidate] for candidate in candidates], None
     with obs.worker_collection() as registry:
         with obs.span("parallel.shm.batch") as span:
@@ -311,9 +304,6 @@ def shm_worker_count(state: _WorkerState, payload):
                 registry=registry, prefix="worker."
             )
             counts = matrix.count(
-                candidates,
-                taxonomy=state.taxonomy,
-                batch_words=state.batch_words,
-                stats=stats,
+                candidates, taxonomy=state.taxonomy, stats=stats
             )
     return [counts[candidate] for candidate in candidates], registry

@@ -59,13 +59,18 @@ class TestForeignItems:
                 engine=engine, n_jobs=n_jobs,
             )
 
-    @pytest.mark.parametrize("engine", engine_names())
+    @pytest.mark.parametrize(
+        "engine", (*engine_names(), "parallel-shm@2")
+    )
     def test_item_appended_after_a_pass_is_rejected(self, taxonomy, engine):
         """An append re-runs the check, so an index extended in place
         cannot let a foreign item through on the next pass."""
         cola = taxonomy.id_of("cola")
         database = TransactionDatabase([[cola], [cola]])
-        session = MiningSession(database, taxonomy, engine)
+        name, _, jobs = engine.partition("@")
+        session = MiningSession(
+            database, taxonomy, name, n_jobs=int(jobs or 1)
+        )
         try:
             assert session.count([(cola,)]) == {(cola,): 2}
             database.append([[cola, 9999]])

@@ -1,10 +1,12 @@
-"""Property-based tests: the numpy engine is bit-identical to brute force.
+"""Property-based tests: the NumPy kernel is bit-identical to brute force.
 
-The bit-packed kernel's contract mirrors the cached engine's: no
-observable count ever changes — not for flat candidate sets, not under a
-taxonomy (descendant-OR versus per-row ancestor extension), not at word
-boundaries (row counts straddling 64-bit words), and not when the
-candidate gather is split into tiny batches.
+The bit-packed kernel (``PackedMatrix.count``) is what the
+``parallel-shm`` and ``mmap`` engines count with. Its contract mirrors
+the cached engine's: no observable count ever changes — not for flat
+candidate sets, not under a taxonomy (descendant-OR versus per-row
+ancestor extension), not at word boundaries (row counts straddling
+64-bit words), and not when the candidate gather is split into tiny
+batches.
 """
 
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.itemset import itemset
 from repro.core.session import MiningSession
+from repro.mining.bitpack import PackedMatrix
 from repro.taxonomy.builders import taxonomy_from_parents
 
 transactions_strategy = st.lists(
@@ -56,8 +59,10 @@ def brute(rows, candidates, taxonomy=None):
     return MiningSession(list(rows), taxonomy, "brute").count(candidates)
 
 
-def numpy_count(rows, candidates, taxonomy=None, **policy):
-    return MiningSession(rows, taxonomy, "numpy", **policy).count(candidates)
+def numpy_count(rows, candidates, taxonomy=None, batch_words=None):
+    return PackedMatrix.from_rows(rows).count(
+        candidates, taxonomy=taxonomy, batch_words=batch_words
+    )
 
 
 @settings(max_examples=60, deadline=None)

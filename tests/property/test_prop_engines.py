@@ -3,10 +3,12 @@
 The registry is the source of truth: the parametrization enumerates
 :func:`repro.mining.engines.engine_names`, so a newly registered engine
 is covered by these bit-identity checks automatically, with and without
-a taxonomy. ``parallel-shm`` runs against one persistent module-level
-two-worker engine: every example rebinds a different database, so the
-publish / re-publish / pool-reconfigure cycle is exercised hundreds of
-times while the worker processes themselves live for the whole module.
+a taxonomy. ``parallel-shm`` runs twice: at its default one job (the
+in-process packed path) and as ``parallel-shm@2`` against one
+persistent module-level two-worker engine. Every example rebinds a
+different database, so the publish / re-publish / pool-reconfigure
+cycle is exercised hundreds of times while the worker processes
+themselves live for the whole module.
 """
 
 import pytest
@@ -84,14 +86,19 @@ def _close_shm_engine():
         _SHM_ENGINE = None
 
 
+#: Every registered engine (``parallel-shm`` at its default one job,
+#: in-process), plus ``parallel-shm`` over the module's two workers.
+ENGINE_CELLS = (*engine_names(), "parallel-shm@2")
+
+
 def session_for(spec, transactions, taxonomy=None):
-    """A session over *spec*; ``parallel-shm`` shares the module engine."""
-    if spec == "parallel-shm":
+    """A session over *spec*; ``parallel-shm@2`` shares the module engine."""
+    if spec == "parallel-shm@2":
         return MiningSession(transactions, taxonomy, _shm_engine())
     return MiningSession(transactions, taxonomy, spec)
 
 
-@pytest.mark.parametrize("spec", engine_names())
+@pytest.mark.parametrize("spec", ENGINE_CELLS)
 @settings(max_examples=25, deadline=None)
 @given(transactions_strategy, candidates_strategy)
 def test_engine_matches_brute(spec, transactions, candidates):
@@ -99,7 +106,7 @@ def test_engine_matches_brute(spec, transactions, candidates):
     assert session_for(spec, transactions).count(candidates) == expected
 
 
-@pytest.mark.parametrize("spec", engine_names())
+@pytest.mark.parametrize("spec", ENGINE_CELLS)
 @settings(max_examples=15, deadline=None)
 @given(leaf_transactions_strategy, taxonomy_strategy, st.data())
 def test_engine_matches_brute_generalized(spec, transactions, taxonomy, data):
@@ -120,7 +127,7 @@ def test_engine_matches_brute_generalized(spec, transactions, taxonomy, data):
     assert counted == expected
 
 
-@pytest.mark.parametrize("spec", engine_names())
+@pytest.mark.parametrize("spec", ENGINE_CELLS)
 @settings(max_examples=15, deadline=None)
 @given(transactions_strategy, candidates_strategy)
 def test_restriction_never_changes_counts(spec, transactions, candidates):

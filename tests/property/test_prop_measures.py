@@ -81,9 +81,14 @@ def _close_shm_engine():
         _SHM_ENGINE = None
 
 
+#: Every registered engine (``parallel-shm`` at its default one job,
+#: in-process), plus ``parallel-shm`` over the module's two workers.
+ENGINE_CELLS = (*engine_names(), "parallel-shm@2")
+
+
 def session_for(spec, transactions, taxonomy=None):
-    """A session over *spec*; ``parallel-shm`` shares the module engine."""
-    if spec == "parallel-shm":
+    """A session over *spec*; ``parallel-shm@2`` shares the module engine."""
+    if spec == "parallel-shm@2":
         return MiningSession(transactions, taxonomy, _shm_engine())
     return MiningSession(transactions, taxonomy, spec)
 
@@ -183,7 +188,7 @@ def _oracle_ri_line(rule, taxonomy):
     )
 
 
-@pytest.mark.parametrize("spec", engine_names())
+@pytest.mark.parametrize("spec", ENGINE_CELLS)
 @settings(max_examples=10, deadline=None)
 @given(leaf_databases(), st.sampled_from([0.1, 0.2]),
        st.sampled_from([0.3, 0.5]))

@@ -9,7 +9,6 @@ from repro.mining.bitpack import (
     DEFAULT_BATCH_WORDS,
     PackedMatrix,
     count_candidates,
-    count_rows,
     popcount,
     words_for,
     zeros,
@@ -116,11 +115,6 @@ class TestPackedMatrix:
         matrix = PackedMatrix.from_rows(ROWS)
         assert matrix.count([(9,), (1, 9)]) == {(9,): 0, (1, 9): 0}
 
-    def test_wanted_filter_drops_other_items(self):
-        matrix = PackedMatrix.from_rows(ROWS, wanted={1, 2})
-        assert matrix.count([(1, 2)]) == brute(ROWS, [(1, 2)])
-        assert matrix.count([(3,)]) == {(3,): 0}
-
     def test_generalized_counts_match_brute(self):
         matrix = PackedMatrix.from_rows(ROWS)
         candidates = [(100,), (101,), (100, 101), (1, 101), (100, 3, 4)]
@@ -136,7 +130,7 @@ class TestPackedMatrix:
 
     def test_category_of_absent_leaves_is_zero(self):
         taxonomy = taxonomy_from_parents({7: 300, 8: 300})
-        matrix = PackedMatrix.from_rows(ROWS, wanted={1})
+        matrix = PackedMatrix.from_rows(ROWS)
         assert matrix.count([(300,)], taxonomy=taxonomy) == {(300,): 0}
 
     def test_repr_mentions_shape(self):
@@ -144,25 +138,42 @@ class TestPackedMatrix:
         assert "rows=6" in repr(matrix)
 
 
+def count_rows(rows, candidates, taxonomy=None, **kernel):
+    """One pass of rows packed, then counted with the batched kernel."""
+    return PackedMatrix.from_rows(rows).count(
+        candidates, taxonomy=taxonomy, **kernel
+    )
+
+
 class TestCountRows:
+    """Pack one pass of rows and count it: ``from_rows(...).count``."""
+
     def test_matches_brute(self):
         assert count_rows(ROWS, CANDIDATES) == brute(ROWS, CANDIDATES)
+        tiny = count_rows(ROWS, CANDIDATES, batch_words=1)
+        assert tiny == brute(ROWS, CANDIDATES)
 
     def test_empty_candidates(self):
         assert count_rows(ROWS, []) == {}
 
     def test_generalized_matches_brute(self):
         candidates = [(100,), (1, 101), (100, 101)]
-        assert count_rows(ROWS, candidates, taxonomy=TAXONOMY) == brute(
-            ROWS, candidates, taxonomy=TAXONOMY
-        )
+        assert count_rows(
+            ROWS, candidates, taxonomy=TAXONOMY, batch_words=1
+        ) == brute(ROWS, candidates, taxonomy=TAXONOMY)
 
     def test_kernel_batches_recorded_through_engine(self):
-        session = MiningSession(
-            list(ROWS), engine="numpy", batch_words=1
-        )
-        assert session.count(CANDIDATES) == brute(ROWS, CANDIDATES)
-        assert session.cache_stats.kernel_batches == len(CANDIDATES)
+        """The serial packed engine records its kernel batches and the
+        footprint of the matrix it packs."""
+        session = MiningSession(list(ROWS), engine="parallel-shm")
+        try:
+            assert session.count(CANDIDATES) == brute(ROWS, CANDIDATES)
+        finally:
+            session.close()
+        stats = session.cache_stats
+        sizes = {len(candidate) for candidate in CANDIDATES}
+        assert stats.kernel_batches == len(sizes)
+        assert stats.matrix_bytes == PackedMatrix.from_rows(ROWS).nbytes
 
     def test_default_batch_budget_is_bounded(self):
         assert DEFAULT_BATCH_WORDS == 1 << 21

@@ -141,7 +141,7 @@ class TestMine:
         assert 'engine="parallel-shm"' in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "spec", ["parallel", "parallel:numpy", "parallel:cached"]
+        "spec", ["parallel", "parallel:numpy", "parallel:cached", "numpy"]
     )
     def test_retired_parallel_specs_are_rejected(
         self, dataset_files, capsys, spec

@@ -4,35 +4,51 @@ import pytest
 
 from repro.core.session import MiningSession
 from repro.errors import ConfigError
-from repro.mining.engines import count_pass, create_engine, engine_names
+from repro.mining.engines import (
+    EnginePolicy,
+    count_pass,
+    create_engine,
+    engine_names,
+)
 from repro.taxonomy.builders import taxonomy_from_parents
 
 ROWS = [(1, 2, 3), (2, 3), (1, 3), (3,), (1, 2)]
 CANDIDATES = [(1,), (2, 3), (1, 2, 3), (4,), (1, 3)]
 EXPECTED = {(1,): 3, (2, 3): 2, (1, 2, 3): 1, (4,): 0, (1, 3): 2}
 
+#: Every registered engine (``parallel-shm`` at its default one job),
+#: plus ``parallel-shm`` counting through two workers.
+ENGINE_CELLS = (*engine_names(), "parallel-shm@2")
+
 
 def count(engine_spec, rows, candidates, taxonomy=None, restrict=False):
-    """One counting pass through the registry, as the session does it."""
-    engine = create_engine(engine_spec)
-    return count_pass(
-        engine,
-        engine.prepare(rows, taxonomy),
-        candidates,
-        restrict_to_candidate_items=restrict,
-    )
+    """One counting pass through the registry, as the session does it.
+
+    *engine_spec* is a registered name or ``name@jobs``.
+    """
+    name, _, jobs = engine_spec.partition("@")
+    engine = create_engine(name, EnginePolicy(n_jobs=int(jobs or 1)))
+    try:
+        return count_pass(
+            engine,
+            engine.prepare(rows, taxonomy),
+            candidates,
+            restrict_to_candidate_items=restrict,
+        )
+    finally:
+        engine.close()
 
 
 class TestEnginesAgree:
-    @pytest.mark.parametrize("engine", engine_names())
+    @pytest.mark.parametrize("engine", ENGINE_CELLS)
     def test_counts(self, engine):
         assert count(engine, ROWS, CANDIDATES) == EXPECTED
 
-    @pytest.mark.parametrize("engine", engine_names())
+    @pytest.mark.parametrize("engine", ENGINE_CELLS)
     def test_empty_candidates(self, engine):
         assert count(engine, ROWS, []) == {}
 
-    @pytest.mark.parametrize("engine", engine_names())
+    @pytest.mark.parametrize("engine", ENGINE_CELLS)
     def test_empty_candidates_never_touch_transactions(self, engine):
         """The empty fast path must not consume (or even start) a scan.
 
@@ -48,7 +64,7 @@ class TestEnginesAgree:
         assert count(engine, explode(), []) == {}
         assert count(engine, explode(), ()) == {}
 
-    @pytest.mark.parametrize("engine", engine_names())
+    @pytest.mark.parametrize("engine", ENGINE_CELLS)
     def test_empty_candidates_with_taxonomy_short_circuit(self, engine):
         taxonomy = taxonomy_from_parents({1: 0, 2: 0})
 
@@ -58,7 +74,7 @@ class TestEnginesAgree:
 
         assert count(engine, explode(), [], taxonomy=taxonomy) == {}
 
-    @pytest.mark.parametrize("engine", engine_names())
+    @pytest.mark.parametrize("engine", ENGINE_CELLS)
     def test_empty_candidate_itemset_rejected(self, engine):
         """An empty candidate must fail loudly on every engine.
 
@@ -71,7 +87,7 @@ class TestEnginesAgree:
         with pytest.raises(ConfigError, match="empty candidate"):
             count(engine, ROWS, [(1,), ()])
 
-    @pytest.mark.parametrize("engine", engine_names())
+    @pytest.mark.parametrize("engine", ENGINE_CELLS)
     def test_empty_candidate_rejected_before_scan(self, engine):
         def explode():
             raise AssertionError("transactions were consumed")
@@ -95,7 +111,7 @@ class TestGeneralizedCounting:
         # 0 -> (1, 2); 10 -> (3,); isolated 4.
         return taxonomy_from_parents({1: 0, 2: 0, 3: 10}, extra_roots=[4])
 
-    @pytest.mark.parametrize("engine", engine_names())
+    @pytest.mark.parametrize("engine", ENGINE_CELLS)
     def test_category_counts_cover_descendants(self, taxonomy, engine):
         rows = [(1,), (2,), (3,), (1, 3)]
         counts = count(
@@ -103,7 +119,7 @@ class TestGeneralizedCounting:
         )
         assert counts == {(0,): 3, (10,): 2, (0, 10): 1}
 
-    @pytest.mark.parametrize("engine", engine_names())
+    @pytest.mark.parametrize("engine", ENGINE_CELLS)
     def test_leaf_candidates_unchanged_by_extension(self, taxonomy, engine):
         rows = [(1,), (1, 2)]
         counts = count(engine, rows, [(1,), (1, 2)], taxonomy=taxonomy)
@@ -126,7 +142,7 @@ class TestGeneralizedCounting:
 
 
 class TestMixedSizeCandidates:
-    @pytest.mark.parametrize("engine", engine_names())
+    @pytest.mark.parametrize("engine", ENGINE_CELLS)
     def test_sizes_one_to_three_in_one_call(self, engine):
         counts = count(engine, ROWS, [(3,), (1, 2), (1, 2, 3)])
         assert counts == {(3,): 4, (1, 2): 2, (1, 2, 3): 1}
@@ -143,3 +159,22 @@ class TestCountSupportsPlainForm:
         taxonomy = taxonomy_from_parents({1: 0, 2: 0})
         counts = MiningSession([(1,), (2,)], taxonomy).count([(0,)])
         assert counts == {(0,): 2}
+
+
+class TestPlainRowsMutatedInPlace:
+    """Plain rows carry no cache token: an engine that keeps a matrix
+    across passes must not answer a list grown in place from its
+    earlier pack."""
+
+    @pytest.mark.parametrize("engine", ENGINE_CELLS)
+    def test_recount_sees_the_appended_row(self, engine):
+        name, _, jobs = engine.partition("@")
+        rows = [(1, 2), (1, 3)]
+        session = MiningSession(rows, engine=name, n_jobs=int(jobs or 1))
+        try:
+            candidates = [(1,), (1, 2)]
+            assert session.count(candidates) == {(1,): 2, (1, 2): 1}
+            rows.append((1, 2))
+            assert session.count(candidates) == {(1,): 3, (1, 2): 2}
+        finally:
+            session.close()

@@ -1,10 +1,11 @@
 """Unit tests for the engine registry and the MiningSession lifecycle."""
 
+import multiprocessing
 from pathlib import Path
 
 import pytest
 
-from repro.core.api import MiningConfig
+from repro.core.api import MiningConfig, mine_negative_rules
 from repro.core.session import MiningSession
 from repro.data.database import TransactionDatabase
 from repro.errors import ConfigError
@@ -12,6 +13,7 @@ from repro.mining.engines import (
     DEFAULT_ENGINE,
     ENGINES,
     BitmapEngine,
+    EnginePolicy,
     ParallelShmEngine,
     capability_table,
     create_engine,
@@ -22,6 +24,7 @@ from repro.mining.engines import (
 )
 from repro.obs import api as obs
 from repro.obs.api import obs_session
+from repro.taxonomy.builders import taxonomy_from_parents
 
 ROWS = [(1, 2, 3), (2, 3), (1, 3), (3,), (1, 2)]
 CANDIDATES = [(1,), (2, 3), (1, 2, 3)]
@@ -32,7 +35,7 @@ class TestRegistry:
     def test_builtin_engines_registered_in_order(self):
         assert engine_names() == (
             "bitmap", "hashtree", "brute",
-            "cached", "numpy", "mmap", "parallel-shm",
+            "cached", "mmap", "parallel-shm",
         )
         assert ENGINES == engine_names()
 
@@ -127,13 +130,30 @@ class TestSpecParsing:
         ):
             parse_spec(spec)
 
-    @pytest.mark.parametrize("spec", ["index", "parallel"])
+    @pytest.mark.parametrize("spec", ["index", "parallel", "numpy"])
     def test_retired_name_names_its_replacement(self, spec):
-        replacement = {"index": "bitmap", "parallel": "parallel-shm"}[spec]
+        replacement = {
+            "index": "bitmap",
+            "parallel": "parallel-shm",
+            "numpy": "parallel-shm",
+        }[spec]
         with pytest.raises(
             ConfigError, match=f"removed; use '{replacement}'"
         ):
             parse_spec(spec)
+
+    def test_numpy_is_retired_in_config_and_session(self):
+        """The serial packed path is ``parallel-shm`` at one job."""
+        message = "'numpy' was removed; use 'parallel-shm'"
+        with pytest.raises(ConfigError, match=message):
+            MiningConfig(engine="numpy")
+        with pytest.raises(ConfigError, match=message):
+            MiningSession(ROWS, engine="numpy")
+        with pytest.raises(ConfigError, match=message):
+            mine_negative_rules(
+                TransactionDatabase(ROWS), taxonomy_from_parents({}),
+                minsup=0.5, minri=0.5, engine="numpy",
+            )
 
     def test_non_string_spec(self):
         with pytest.raises(ConfigError, match="must be a string"):
@@ -160,6 +180,27 @@ class TestCreateEngine:
         assert MiningConfig(engine="parallel-shm", n_jobs=4).n_jobs == 4
         with pytest.raises(ConfigError, match="n_jobs"):
             MiningConfig(engine="parallel-shm", n_jobs=0)
+
+    def test_n_jobs_defaults_to_one_and_must_be_positive(self):
+        """``engine="parallel-shm"`` alone counts in-process: no pool,
+        no worker process, no shared-memory segment."""
+        assert EnginePolicy().n_jobs == 1
+        children = set(multiprocessing.active_children())
+        session = MiningSession(ROWS, engine="parallel-shm")
+        try:
+            assert session.engine.n_jobs == 1
+            assert session.count(CANDIDATES) == EXPECTED
+            assert session.engine._pool is None
+            assert session.engine._shared is None
+            assert set(multiprocessing.active_children()) == children
+        finally:
+            session.close()
+        with pytest.raises(ConfigError, match="n_jobs"):
+            EnginePolicy(n_jobs=0)
+        with pytest.raises(ConfigError, match="n_jobs"):
+            ParallelShmEngine(n_jobs=0)
+        with pytest.raises(ConfigError, match="n_jobs"):
+            MiningSession(ROWS, engine="parallel-shm", n_jobs=-1)
 
     @pytest.mark.parametrize(
         "engine", [name for name in engine_names() if name != "parallel-shm"]
@@ -203,7 +244,9 @@ class TestSessionLifecycle:
         assert session._state is state
 
     def test_begin_run_resets_accumulators(self):
-        session = MiningSession(ROWS, engine="parallel-shm", n_jobs=1)
+        session = MiningSession(
+            TransactionDatabase(ROWS), engine="parallel-shm", n_jobs=1
+        )
         session.count(CANDIDATES)
         session.count(CANDIDATES)
         assert session.parallel_stats.serial_tasks == 2
@@ -236,6 +279,6 @@ class TestSessionLifecycle:
         MiningSession(ROWS).publish_run(MiningStats())
 
     def test_repr_names_the_engine(self):
-        text = repr(MiningSession(ROWS, engine="numpy"))
-        assert "'numpy'" in text
+        text = repr(MiningSession(ROWS, engine="mmap"))
+        assert "'mmap'" in text
         assert "taxonomy=no" in text

@@ -14,11 +14,7 @@ import time
 import pytest
 
 from repro.errors import ConfigError
-from repro.parallel.pool import (
-    PersistentWorkerPool,
-    PoolConfig,
-    resolve_n_jobs,
-)
+from repro.parallel.pool import PersistentWorkerPool, PoolConfig
 
 
 def _setup(payload):
@@ -88,12 +84,6 @@ class TestConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             PoolConfig(**kwargs)
-
-    def test_resolve_n_jobs(self):
-        assert resolve_n_jobs(3) == 3
-        assert resolve_n_jobs(None) >= 1
-        with pytest.raises(ConfigError):
-            resolve_n_jobs(0)
 
 
 class TestSerialMode:

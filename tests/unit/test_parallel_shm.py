@@ -127,7 +127,7 @@ class TestSharedPackedMatrix:
     def test_worker_protocol_functions_roundtrip(self):
         owner = SharedPackedMatrix.create(PackedMatrix.from_rows(ROWS))
         try:
-            state = shm_worker_setup((owner.handle, None, None))
+            state = shm_worker_setup((owner.handle, None))
             vector, registry = shm_worker_count(
                 state, (CANDIDATES, False)
             )

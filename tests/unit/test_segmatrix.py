@@ -5,7 +5,8 @@ the three sync paths (unchanged / append / fingerprint-guided resync),
 the resident-byte budget, and the spill-directory lifecycle — including
 a subprocess that exits without ``close()`` (the finalizer must sweep
 the directory) and a Linux-only constrained-address-space run proving
-the ``mmap`` engine completes where the in-RAM ``numpy`` engine cannot.
+the ``mmap`` engine completes where the in-RAM ``parallel-shm`` engine
+cannot.
 """
 
 import os
@@ -21,6 +22,8 @@ import repro
 from repro.core.session import MiningSession
 from repro.data.database import TransactionDatabase
 from repro.errors import DatabaseError
+from repro.obs import api as obs
+from repro.obs.registry import MetricsRegistry
 from repro.mining.segmatrix import (
     SegmentedPackedMatrix,
     chain_fingerprint,
@@ -32,6 +35,8 @@ from repro.mining.vertical import CacheStats
 #: exact multiples of 64, off-by-one around a word, segments smaller
 #: than a word, and partial tails.
 BOUNDARY_SHAPES = [(50, 123), (64, 128), (100, 317), (7, 65), (64, 64)]
+
+SPILL_FAILURES = "counting.segments.spill_failures"
 
 
 def make_rows(n_rows, n_items=23):
@@ -243,8 +248,8 @@ class TestSpillLifecycle:
 
 class TestSpillFailures:
     """A spill that cannot be written raises a ``DatabaseError`` naming
-    the knob, leaves no partial file, and never leaves a half-synced
-    matrix behind."""
+    the knob, leaves no partial file, never leaves a half-synced matrix
+    behind, and counts ``counting.segments.spill_failures``."""
 
     @pytest.mark.parametrize("kind", ["missing", "regular-file"])
     def test_bad_spill_dir_names_the_flag(self, tmp_path, kind):
@@ -255,8 +260,10 @@ class TestSpillFailures:
             TransactionDatabase(make_rows(20)), engine="mmap",
             spill_dir=str(spill),
         )
-        with pytest.raises(DatabaseError, match="--spill-dir"):
-            session.count(CANDIDATES)
+        with obs.obs_session(registry=MetricsRegistry()) as state:
+            with pytest.raises(DatabaseError, match="--spill-dir"):
+                session.count(CANDIDATES)
+        assert state.registry.counter(SPILL_FAILURES) == 1
         assert session.engine._matrix is None
         if kind == "regular-file":
             assert spill.read_text() == "not a directory"
@@ -283,8 +290,10 @@ from repro.core.session import MiningSession
 from repro.data.database import TransactionDatabase
 from repro.errors import DatabaseError
 from repro.mining.segmatrix import SegmentedPackedMatrix
+from repro.obs import api as obs
 
 spill = Path(sys.argv[1])
+state = obs.configure()
 LIMIT = 8192  # a 3-item segment block fits (3 KiB), a 23-item one not
 narrow = [(1, 2, 3)] * 10
 wide = [tuple(range(23))] * 10
@@ -338,6 +347,10 @@ resource.setrlimit(resource.RLIMIT_FSIZE, (hard, hard))
 expected = MiningSession(database, engine="brute").count(candidates)
 print("recount:", session.count(candidates) == expected)
 session.engine.close()
+print("spill-failures:", state.registry.counter(
+    "counting.segments.spill_failures"
+))
+obs.shutdown()
 """
         src = Path(repro.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
@@ -358,6 +371,7 @@ session.engine.close()
             "engine-empty: True",
             "spill-empty: True",
             "recount: True",
+            "spill-failures: 4",
         ], done.stdout
         assert list(tmp_path.iterdir()) == []
 
@@ -368,12 +382,13 @@ session.engine.close()
 class TestConstrainedMemory:
     def test_out_of_core_survives_address_space_cap(self, tmp_path):
         """Under an address-space cap the dense in-RAM pack of the
-        ``numpy`` engine fails while the ``mmap`` engine — streaming
-        bounded segment blocks — completes bit-identically.
+        ``parallel-shm`` engine (one job, in-process) fails while the
+        ``mmap`` engine — streaming bounded segment blocks — completes
+        bit-identically.
 
-        The subprocess computes the expected counts with ``numpy``
-        *before* the cap, then applies ``RLIMIT_AS`` slightly above the
-        current ``VmSize`` and retries both engines.
+        The subprocess computes the expected counts with
+        ``parallel-shm`` *before* the cap, then applies ``RLIMIT_AS``
+        slightly above the current ``VmSize`` and retries both engines.
         """
         script = r"""
 import resource
@@ -387,13 +402,12 @@ rows = [
     tuple(sorted({(i * 31 + k * 997) % N_ITEMS for k in range(6)}))
     for i in range(N_ROWS)
 ]
-# All singletons — the Apriori first pass — so the numpy engine's
-# candidate-item restriction does not shrink its dense boolean pack
-# below ~N_ITEMS x N_ROWS bytes (~100 MB here).
+# All singletons — the Apriori first pass. The in-RAM pack is a dense
+# boolean matrix of ~N_ITEMS x N_ROWS bytes (~100 MB here).
 candidates = [(i,) for i in range(N_ITEMS)]
 
 expected = MiningSession(
-    TransactionDatabase(rows), engine="numpy"
+    TransactionDatabase(rows), engine="parallel-shm"
 ).count(candidates)
 
 def vm_size():
@@ -403,20 +417,20 @@ def vm_size():
                 return int(line.split()[1]) * 1024
     raise RuntimeError("no VmSize")
 
-# Headroom far below the ~100 MB dense boolean matrix the numpy
+# Headroom far below the ~100 MB dense boolean matrix the parallel-shm
 # engine materializes for 50k x 2k, and comfortably above the mmap
 # engine's per-segment working set.
 cap = vm_size() + 48 * 1024 * 1024
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 try:
-    MiningSession(TransactionDatabase(rows), engine="numpy").count(
+    MiningSession(TransactionDatabase(rows), engine="parallel-shm").count(
         candidates
     )
 except MemoryError:
-    print("numpy:MemoryError")
+    print("parallel-shm:MemoryError")
 else:
-    print("numpy:completed")
+    print("parallel-shm:completed")
 
 session = MiningSession(
     TransactionDatabase(rows),
@@ -436,7 +450,7 @@ print("mmap:match" if counted == expected else "mmap:MISMATCH")
         )
         assert done.returncode == 0, done.stderr
         lines = done.stdout.split()
-        assert "numpy:MemoryError" in lines, done.stdout
+        assert "parallel-shm:MemoryError" in lines, done.stdout
         assert "mmap:match" in lines, done.stdout
         # The spill directory was temporary: nothing left behind.
         assert list(tmp_path.iterdir()) == []
