@@ -74,14 +74,14 @@ def _time_cell(dataset, taxonomy, passes, label: str, options: dict):
             session.count(candidates, restrict_to_candidate_items=True)
         )
     wall = time.perf_counter() - start
-    stats = session.cache_stats
+    metrics = session.run_metrics
     point = {
         "engine": label,
         "wall_s": round(wall, 4),
         "passes": len(passes),
         "wall_per_pass_s": round(wall / len(passes), 5),
         "candidates": sum(len(candidates) for candidates in passes),
-        "kernel_batches": stats.kernel_batches,
+        "kernel_batches": metrics.counter("kernel.batches"),
     }
     return merged, point
 

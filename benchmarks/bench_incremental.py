@@ -90,16 +90,16 @@ def _run_mode(
     wall = time.perf_counter() - start
     if engine == "mmap":
         session.engine.close()
-    stats = session.cache_stats
+    metrics = session.run_metrics
     return {
         "label": f"{engine}-{mode}",
         "wall_recount_s": round(wall, 5),
         "recounts": len(batches),
-        "extensions": stats.extensions,
-        "segments_packed": stats.segments_packed,
-        "segments_extended": stats.segments_extended,
-        "segments_reused": stats.segments_reused,
-        "invalidations": stats.invalidations,
+        "extensions": metrics.counter("cache.extensions"),
+        "segments_packed": metrics.counter("counting.segments.packed"),
+        "segments_extended": metrics.counter("counting.segments.extended"),
+        "segments_reused": metrics.counter("counting.segments.reused"),
+        "invalidations": metrics.counter("cache.invalidations"),
         "first_pass_candidates": len(built),
         "final_count_total": sum(counted.values()),
     }

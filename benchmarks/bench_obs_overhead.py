@@ -115,6 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     from benchmarks.common import dataset, paper_row
     from repro.mining.engines import count_pass, create_engine
     from repro.obs.api import obs_session
+    from repro.obs.registry import MetricsRegistry
 
     tall = dataset("tall")
     database = tall.database
@@ -122,10 +123,12 @@ def main(argv: list[str] | None = None) -> int:
 
     engine = create_engine("bitmap")
     state = engine.prepare(database, taxonomy)
+    metrics = MetricsRegistry()
 
     def raw(candidates):
         return engine.count(
-            state, candidates, restrict_to_candidate_items=True
+            state, candidates, restrict_to_candidate_items=True,
+            metrics=metrics,
         )
 
     def instrumented(candidates):

@@ -94,13 +94,13 @@ def _time_variant(data, candidates, spec: str, n_jobs: int, passes: int):
             )
             steady.append(time.perf_counter() - start)
             assert repeat == counts, f"{spec}@{n_jobs} pass disagreement"
-        stats = session.parallel_stats
+        metrics = session.run_metrics
         point = {
             "setup_s": round(setup_s, 4),
             "steady_wall_per_pass_s": round(min(steady), 5),
-            "workers_launched": stats.workers_launched,
-            "shm_publishes": stats.shm_publishes,
-            "shm_batches": stats.shm_batches,
+            "workers_launched": metrics.counter("parallel.workers_launched"),
+            "shm_publishes": metrics.counter("parallel.shm.publishes"),
+            "shm_batches": metrics.counter("parallel.shm.batches"),
         }
         return counts, point
     finally:

@@ -130,21 +130,22 @@ def _run_delta(
     miner.push = lambda delta: service.reload_delta(delta.to_payload())
 
     wall = 0.0
-    stats = {
-        "extensions": 0,
-        "segments_packed": 0,
-        "segments_extended": 0,
-        "invalidations": 0,
+    metric_names = {
+        "extensions": "cache.extensions",
+        "segments_packed": "counting.segments.packed",
+        "segments_extended": "counting.segments.extended",
+        "invalidations": "cache.invalidations",
     }
+    totals = dict.fromkeys(metric_names, 0)
     for batch in batches:
         _append_baskets(baskets, batch)
         start = time.perf_counter()
         fired = miner.poll()
         wall += time.perf_counter() - start
         assert fired, "append did not trigger a re-mine"
-        # cache_stats resets per mining run: accumulate per poll.
-        for key in stats:
-            stats[key] += getattr(miner.session.cache_stats, key)
+        # Each mining run has its own registry: accumulate per poll.
+        for key, metric in metric_names.items():
+            totals[key] += miner.session.run_metrics.counter(metric)
     if engine == "mmap":
         miner.session.engine.close()
     run = {
@@ -154,7 +155,7 @@ def _run_delta(
         "index_version": service.index.version,
         "rules": len(service.index),
         "deltas_pushed": miner.deltas_pushed,
-        **stats,
+        **totals,
     }
     return run, service.index.to_json()
 

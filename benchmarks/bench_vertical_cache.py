@@ -74,7 +74,7 @@ def _run_engine(dataset, minsups, label: str, engine) -> dict:
         )
         large += len(index)
     wall = time.perf_counter() - start
-    cache_stats = session.cache_stats
+    metrics = session.run_metrics
     logical = database.logical_scans
     return {
         "engine": label,
@@ -83,9 +83,9 @@ def _run_engine(dataset, minsups, label: str, engine) -> dict:
         "physical_passes": database.scans,
         "wall_per_pass_s": round(wall / logical, 5) if logical else None,
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        "cache_hits": cache_stats.hits,
-        "cache_misses": cache_stats.misses,
-        "index_bytes": cache_stats.bytes,
+        "cache_hits": metrics.counter("cache.hits"),
+        "cache_misses": metrics.counter("cache.misses"),
+        "index_bytes": int(metrics.gauge("cache.bytes")),
         "large_itemsets": large,
     }
 

@@ -46,7 +46,7 @@ from .mining.apriori import find_large_itemsets
 from .mining.generalized import mine_generalized
 from .mining.itemset_index import LargeItemsetIndex
 from .mining.rules import AssociationRule, generate_rules
-from .parallel import ParallelStats, PoolConfig
+from .parallel import PoolConfig
 from .taxonomy.tree import Taxonomy
 
 __version__ = "1.0.0"
@@ -75,7 +75,6 @@ __all__ = [
     "AssociationRule",
     "generate_rules",
     # parallel execution
-    "ParallelStats",
     "PoolConfig",
     # errors
     "ReproError",

@@ -221,55 +221,7 @@ class NegativeMiningResult:
 
     def summary(self, taxonomy: Taxonomy | None = None, limit: int = 10) -> str:
         """A human-readable report of the top rules."""
-        lines = [
-            f"large itemsets : {self.stats.large_itemsets}",
-            f"candidates     : {self.stats.candidates_generated}",
-            f"negative sets  : {self.stats.negative_itemsets}",
-            f"rules          : {len(self.rules)}",
-            f"data passes    : {self.stats.data_passes}",
-        ]
-        if self.stats.physical_passes != self.stats.data_passes:
-            lines.append(
-                f"physical passes: {self.stats.physical_passes}"
-            )
-        if self.stats.cache_hits or self.stats.cache_misses:
-            lookups = self.stats.cache_hits + self.stats.cache_misses
-            lines.append(
-                f"index cache    : {self.stats.cache_hits}/{lookups} hits "
-                f"({self.stats.cache_hit_rate:.0%}), "
-                f"{self.stats.cache_bytes} bytes"
-            )
-        if self.stats.kernel_batches:
-            lines.append(
-                f"kernel batches : {self.stats.kernel_batches}"
-            )
-        if self.stats.cache_extensions:
-            lines.append(
-                f"cache extends  : {self.stats.cache_extensions} "
-                f"(appends absorbed without a rebuild)"
-            )
-        if self.stats.segments_packed or self.stats.segments_reused:
-            lines.append(
-                f"segments       : {self.stats.segments_packed} packed, "
-                f"{self.stats.segments_extended} extended, "
-                f"{self.stats.segments_reused} reused, "
-                f"{self.stats.segments_mmap_reads} mmap reads"
-            )
-        if self.stats.matrix_bytes or self.stats.segments_resident_bytes:
-            lines.append(
-                f"memory         : matrix {self.stats.matrix_bytes} B, "
-                f"segments {self.stats.segments_resident_bytes} B "
-                f"resident / {self.stats.segments_spilled_bytes} B spilled"
-            )
-        if self.stats.shm_batches:
-            lines.append(
-                f"shared memory  : {self.stats.shm_batches} batches "
-                f"(workers {self.stats.workers_launched}, "
-                f"retries {self.stats.worker_retries}, "
-                f"fallbacks {self.stats.worker_fallbacks}, "
-                f"publishes {self.stats.shm_publishes}, "
-                f"{self.stats.shm_bytes} bytes)"
-            )
+        lines = [self.stats.summary(rules=len(self.rules))]
         for rule in self.rules[:limit]:
             lines.append("  " + rule.format(taxonomy))
         if len(self.rules) > limit:

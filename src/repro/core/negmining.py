@@ -25,6 +25,7 @@ available behind ``figure3_literal=True`` for comparison (see DESIGN.md §3).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -39,9 +40,8 @@ from ..measures.registry import (
 )
 from ..mining.generalized import iter_generalized_levels, mine_generalized
 from ..mining.itemset_index import LargeItemsetIndex
-from ..mining.vertical import CacheStats
 from ..obs import api as obs
-from ..parallel.pool import ParallelStats
+from ..obs.registry import MetricsRegistry
 from ..taxonomy.prune import restrict_to_items
 from ..taxonomy.tree import Taxonomy
 from .candidates import NegativeCandidate, generate_negative_candidates
@@ -78,115 +78,109 @@ class NegativeItemset:
 
 @dataclass(slots=True)
 class MiningStats:
-    """Bookkeeping reported alongside mining results.
-
-    The ``worker*``/``shm_*`` fields are zero for serial runs; with
-    ``engine="parallel-shm", n_jobs > 1`` they record the worker
-    activity (see :mod:`repro.parallel`) so speedups and degraded runs
-    are observable: a crashed worker shows up as retries and, past the
-    retry budget, as serial fallbacks.
+    """The paper-level figures of one run, plus the run's registry.
 
     ``data_passes`` counts *logical* passes — counting passes in the
     paper's cost model. For the row-scanning engines every logical pass
     is also a physical read, so ``physical_passes == data_passes``; the
-    ``"cached"`` engine serves most passes from its vertical index, so
+    caching engines serve most passes from a structure they keep, so
     ``physical_passes`` drops to the build scans while ``data_passes``
     keeps the paper's schedule (``n + 1`` for Improved, ``2n`` for
-    Naive). The ``cache_*`` fields are zero unless the cached engine ran.
+    Naive).
 
-    ``kernel_batches``/``kernel_words`` count executions (and gathered
-    64-bit words) of the bit-packed NumPy kernel
-    (:mod:`repro.mining.bitpack`) — zero unless a packed engine
-    (``"mmap"``, ``"parallel-shm"``) did the counting.
-
-    ``cache_extensions`` counts appends absorbed incrementally (the
-    vertical index or segmented matrix extended in O(append) instead of
-    rebuilding); the ``segments_*`` fields record the out-of-core
-    ``"mmap"`` engine's segment maintenance and its memory footprint —
-    ``segments_resident_bytes`` is the high-water mark of concurrently
-    open segment blocks, the number the ``max_resident_bytes`` budget
-    bounds. ``matrix_bytes`` is the high-water packed-matrix footprint:
-    ``parallel-shm``'s whole in-RAM matrix, or the largest segment
-    block ``mmap`` counted against, for comparison.
+    ``metrics`` is the run's :class:`~repro.obs.registry.
+    MetricsRegistry` (``MiningSession.run_metrics``): every engine
+    counter of the run, under the names ``--metrics`` prints —
+    ``cache.*`` (vertical-index and packed-matrix reuse), ``kernel.*``
+    (bit-packed kernel batches, words and matrix bytes),
+    ``counting.segments.*`` (the ``"mmap"`` engine's segments and
+    memory) and ``parallel.*`` (``"parallel-shm"`` workers, retries,
+    fallbacks and shared-memory publishes).
     """
 
     data_passes: int = 0
+    physical_passes: int = 0
     large_itemsets: int = 0
     candidates_generated: int = 0
     negative_itemsets: int = 0
     counting_batches: int = 0
     candidates_by_size: dict[int, int] = field(default_factory=dict)
-    worker_tasks: int = 0
-    workers_launched: int = 0
-    worker_retries: int = 0
-    worker_fallbacks: int = 0
-    shm_publishes: int = 0
-    shm_batches: int = 0
-    shm_bytes: int = 0
-    physical_passes: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_invalidations: int = 0
-    cache_extensions: int = 0
-    cache_bytes: int = 0
-    kernel_batches: int = 0
-    kernel_words: int = 0
-    matrix_bytes: int = 0
-    segments_packed: int = 0
-    segments_extended: int = 0
-    segments_reused: int = 0
-    segments_spilled_bytes: int = 0
-    segments_resident_bytes: int = 0
-    segments_mmap_reads: int = 0
+    metrics: MetricsRegistry = field(
+        default_factory=MetricsRegistry, compare=False
+    )
 
     @property
     def cache_hit_rate(self) -> float:
         """Fraction of index lookups served from the cache (0 when unused)."""
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
+        hits = self.metrics.counter("cache.hits")
+        lookups = hits + self.metrics.counter("cache.misses")
+        return hits / lookups if lookups else 0.0
 
-    def summary(self) -> str:
-        """A human-readable accounting report (passes, cache behavior)."""
+    def summary(self, rules: int | None = None) -> str:
+        """The run's accounting, one ``name : value`` line per figure.
+
+        Engine lines appear only when the engine did that work. *rules*,
+        when given, adds the rule count after the negative sets.
+        """
+        metrics = self.metrics
+        counter = metrics.counter
+
+        def gauge(name: str) -> int:
+            return int(metrics.gauge(name))
+
         lines = [
-            f"data passes     : {self.data_passes}",
-            f"physical passes : {self.physical_passes}",
+            f"large itemsets : {self.large_itemsets}",
+            f"candidates     : {self.candidates_generated}",
+            f"negative sets  : {self.negative_itemsets}",
         ]
-        if self.data_passes:
-            ratio = self.physical_passes / self.data_passes
-            lines.append(f"physical/logical: {ratio:.2f}")
-        lookups = self.cache_hits + self.cache_misses
+        if rules is not None:
+            lines.append(f"rules          : {rules}")
+        lines.append(f"data passes    : {self.data_passes}")
+        if self.physical_passes != self.data_passes:
+            lines.append(f"physical passes: {self.physical_passes}")
+        hits = counter("cache.hits")
+        lookups = hits + counter("cache.misses")
         if lookups:
             lines.append(
-                f"cache           : {self.cache_hits}/{lookups} hits "
+                f"index cache    : {hits}/{lookups} hits "
                 f"({self.cache_hit_rate:.0%}), "
-                f"{self.cache_invalidations} invalidations, "
-                f"{self.cache_bytes} bytes"
+                f"{gauge('cache.bytes')} bytes"
             )
-        if self.kernel_batches:
+        if counter("kernel.batches"):
+            lines.append(f"kernel batches : {counter('kernel.batches')}")
+        if counter("cache.extensions"):
             lines.append(
-                f"kernel batches  : {self.kernel_batches} "
-                f"({self.kernel_words} words)"
+                f"cache extends  : {counter('cache.extensions')} "
+                f"(appends absorbed without a rebuild)"
             )
-        if self.cache_extensions:
+        packed = counter("counting.segments.packed")
+        reused = counter("counting.segments.reused")
+        if packed or reused:
             lines.append(
-                f"cache extends   : {self.cache_extensions}"
+                f"segments       : {packed} packed, "
+                f"{counter('counting.segments.extended')} extended, "
+                f"{reused} reused, "
+                f"{counter('counting.segments.mmap_reads')} mmap reads"
             )
-        if self.segments_packed or self.segments_reused:
+        matrix = gauge("kernel.matrix_bytes")
+        resident = gauge("counting.segments.resident_bytes")
+        if matrix or resident:
             lines.append(
-                f"segments        : {self.segments_packed} packed, "
-                f"{self.segments_extended} extended, "
-                f"{self.segments_reused} reused, "
-                f"{self.segments_mmap_reads} mmap reads"
+                f"memory         : matrix {matrix} B, "
+                f"segments {resident} B "
+                f"resident / {gauge('counting.segments.spilled_bytes')} B "
+                f"spilled"
             )
-        if self.matrix_bytes or self.segments_resident_bytes:
+        if counter("parallel.shm.batches"):
             lines.append(
-                f"memory          : matrix {self.matrix_bytes} B, "
-                f"segments {self.segments_resident_bytes} B resident / "
-                f"{self.segments_spilled_bytes} B spilled"
+                f"shared memory  : {counter('parallel.shm.batches')} "
+                f"batches "
+                f"(workers {counter('parallel.workers_launched')}, "
+                f"retries {counter('parallel.worker_retries')}, "
+                f"fallbacks {counter('parallel.worker_fallbacks')}, "
+                f"publishes {counter('parallel.shm.publishes')}, "
+                f"{gauge('parallel.shm.bytes')} bytes)"
             )
-        lines.append(f"large itemsets  : {self.large_itemsets}")
-        lines.append(f"candidates      : {self.candidates_generated}")
-        lines.append(f"negative sets   : {self.negative_itemsets}")
         return "\n".join(lines)
 
 
@@ -362,7 +356,7 @@ class NaiveNegativeMiner:
         total = len(database)
         start_physical = database.scans
         start_logical = getattr(database, "logical_scans", database.scans)
-        # Fresh per-run accumulators: a second mine() must never report
+        # A fresh run registry: a second mine() must never report
         # the first run's cache/shard activity.
         session.begin_run()
 
@@ -379,7 +373,14 @@ class NaiveNegativeMiner:
             session=session,
             max_size=self._max_size,
         )
-        for level_number, level in enumerate(levels, start=1):
+        for level_number in itertools.count(1):
+            # Each level's positive pass runs inside next(); the span
+            # times it as the paper's step 1 for that level.
+            with obs.span("mine.positive") as span:
+                level = next(levels, None)
+                span.annotate("level", level_number)
+            if level is None:
+                break
             for items, support in level.items():
                 index.add(items, support)
             if level_number == 1:
@@ -398,27 +399,28 @@ class NaiveNegativeMiner:
             if not candidates:
                 continue
             all_candidates.update(candidates)
-            counts = session.count(
-                list(candidates), restrict_to_candidate_items=True
-            )
+            with obs.span("mine.negative_count") as span:
+                counts = session.count(
+                    list(candidates), restrict_to_candidate_items=True
+                )
+                span.annotate("level", level_number)
             all_counts.update(counts)
             batches += 1
-            negatives.extend(
-                select_negatives(
+            with obs.span("mine.select") as span:
+                selected = select_negatives(
                     candidates, counts, total, self._minsup, self._minri,
                     measure=self._measure, index=index,
                 )
-            )
+                span.annotate("negatives", len(selected))
+            negatives.extend(selected)
 
         negatives.sort(
             key=lambda negative: (-negative.deviation, negative.items)
         )
         logical_now = getattr(database, "logical_scans", database.scans)
         stats = _build_stats(
-            logical_now - start_logical, index, all_candidates, negatives,
-            batches, session.parallel_stats,
-            physical_passes=database.scans - start_physical,
-            cache=session.cache_stats,
+            logical_now - start_logical, database.scans - start_physical,
+            index, all_candidates, negatives, batches, session.run_metrics,
         )
         session.publish_run(stats)
         return MinerOutput(
@@ -499,7 +501,7 @@ class ImprovedNegativeMiner:
         total = len(database)
         start_physical = database.scans
         start_logical = getattr(database, "logical_scans", database.scans)
-        # Fresh per-run accumulators: a second mine() must never report
+        # A fresh run registry: a second mine() must never report
         # the first run's cache/shard activity.
         session.begin_run()
 
@@ -534,7 +536,6 @@ class ImprovedNegativeMiner:
             )
             span.annotate("candidates", len(candidates))
 
-        negatives: list[NegativeItemset] = []
         all_counts: dict[Itemset, int] = {}
         batches = 0
         with obs.span("mine.negative_count") as span:
@@ -542,28 +543,23 @@ class ImprovedNegativeMiner:
                 # Counting uses the *full* taxonomy: transactions may
                 # contain small items whose ancestors still matter for
                 # other rows.
-                counts = session.count(
-                    batch, restrict_to_candidate_items=True
+                all_counts.update(
+                    session.count(batch, restrict_to_candidate_items=True)
                 )
-                all_counts.update(counts)
                 batches += 1
-                negatives.extend(
-                    select_negatives(
-                        candidates, counts, total, self._minsup,
-                        self._minri, measure=self._measure, index=index,
-                    )
-                )
             span.annotate("batches", batches)
 
-        negatives.sort(
-            key=lambda negative: (-negative.deviation, negative.items)
-        )
+        with obs.span("mine.select") as span:
+            negatives = select_negatives(
+                candidates, all_counts, total, self._minsup, self._minri,
+                measure=self._measure, index=index,
+            )
+            span.annotate("negatives", len(negatives))
+
         logical_now = getattr(database, "logical_scans", database.scans)
         stats = _build_stats(
-            logical_now - start_logical, index, candidates, negatives,
-            batches, session.parallel_stats,
-            physical_passes=database.scans - start_physical,
-            cache=session.cache_stats,
+            logical_now - start_logical, database.scans - start_physical,
+            index, candidates, negatives, batches, session.run_metrics,
         )
         session.publish_run(stats)
         return MinerOutput(
@@ -587,48 +583,23 @@ def _batched(
 
 def _build_stats(
     passes: int,
+    physical_passes: int,
     index: LargeItemsetIndex,
     candidates: dict[Itemset, NegativeCandidate],
     negatives: list[NegativeItemset],
     batches: int,
-    workers: ParallelStats | None = None,
-    physical_passes: int | None = None,
-    cache: CacheStats | None = None,
+    metrics: MetricsRegistry,
 ) -> MiningStats:
     by_size: dict[int, int] = {}
     for items in candidates:
         by_size[len(items)] = by_size.get(len(items), 0) + 1
-    stats = MiningStats(
+    return MiningStats(
         data_passes=passes,
+        physical_passes=physical_passes,
         large_itemsets=len(index),
         candidates_generated=len(candidates),
         negative_itemsets=len(negatives),
         counting_batches=batches,
         candidates_by_size=dict(sorted(by_size.items())),
-        physical_passes=physical_passes if physical_passes is not None
-        else passes,
+        metrics=metrics,
     )
-    if workers is not None:
-        stats.worker_tasks = workers.worker_tasks
-        stats.workers_launched = workers.workers_launched
-        stats.worker_retries = workers.worker_retries
-        stats.worker_fallbacks = workers.worker_fallbacks
-        stats.shm_publishes = workers.shm_publishes
-        stats.shm_batches = workers.shm_batches
-        stats.shm_bytes = workers.shm_bytes
-    if cache is not None:
-        stats.cache_hits = cache.hits
-        stats.cache_misses = cache.misses
-        stats.cache_invalidations = cache.invalidations
-        stats.cache_extensions = cache.extensions
-        stats.cache_bytes = cache.bytes
-        stats.kernel_batches = cache.kernel_batches
-        stats.kernel_words = cache.kernel_words
-        stats.matrix_bytes = cache.matrix_bytes
-        stats.segments_packed = cache.segments_packed
-        stats.segments_extended = cache.segments_extended
-        stats.segments_reused = cache.segments_reused
-        stats.segments_spilled_bytes = cache.segments_spilled_bytes
-        stats.segments_resident_bytes = cache.segments_resident_bytes
-        stats.segments_mmap_reads = cache.segments_mmap_reads
-    return stats

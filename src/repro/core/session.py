@@ -13,10 +13,11 @@ the registry (``n_jobs > 1`` is valid only with ``"parallel-shm"``).
 ``prepare()`` runs once per session for the
 bound database, so engines with per-database state build it a single
 time. Each miner ``mine()`` run brackets itself with :meth:`begin_run`
-(fresh per-run stats accumulators — a second run never reports the
-first run's numbers) and :meth:`publish_run` (folds the run's private
-registries into the active observability session). :meth:`close`
-releases the engine's workers, segments and spill files.
+(a fresh per-run :class:`~repro.obs.registry.MetricsRegistry`,
+``run_metrics`` — a second run never reports the first run's numbers)
+and :meth:`publish_run` (folds that registry into the active
+observability session). :meth:`close` releases the engine's workers,
+segments and spill files.
 """
 
 from __future__ import annotations
@@ -41,9 +42,8 @@ from ..mining.engines import (
     count_pass,
     create_engine,
 )
-from ..mining.vertical import CacheStats
 from ..obs import api as obs
-from ..parallel.pool import ParallelStats
+from ..obs.registry import MetricsRegistry
 from ..taxonomy.tree import Taxonomy
 
 _UNSET = object()
@@ -127,8 +127,9 @@ class MiningSession:
         self.default_run_kind = default_run_kind
         self._state: EngineState | None = None
         self._run_kind = default_run_kind
-        self.cache_stats = CacheStats()
-        self.parallel_stats = ParallelStats()
+        #: The current run's accounting: every pass of the run records
+        #: its engine metrics here (see :meth:`begin_run`).
+        self.run_metrics = MetricsRegistry()
 
     @classmethod
     def from_config(
@@ -193,17 +194,17 @@ class MiningSession:
             state,
             candidates,
             restrict_to_candidate_items=restrict_to_candidate_items,
-            cache_stats=self.cache_stats,
-            parallel_stats=self.parallel_stats,
+            metrics=self.run_metrics,
         )
 
     # -- run lifecycle ------------------------------------------------
 
     def begin_run(self, kind: str | None = None) -> None:
-        """Start a fresh run of the given kind: reset the accumulators.
+        """Start a fresh run of the given kind: a new ``run_metrics``.
 
         A second ``mine()`` on the same session must never report the
-        first run's cache/worker activity. *kind* (one of
+        first run's cache/worker activity; the previous run's registry
+        stays with that run's stats. *kind* (one of
         :data:`RUN_KINDS`; ``None`` means the session's
         ``default_run_kind``) selects the counter prefix
         :meth:`publish_run` reports under: the offline miners open runs
@@ -219,8 +220,7 @@ class MiningSession:
                 f"unknown run kind {kind!r}; choose from {RUN_KINDS}"
             )
         self._run_kind = kind
-        self.cache_stats = CacheStats()
-        self.parallel_stats = ParallelStats()
+        self.run_metrics = MetricsRegistry()
 
     def close(self) -> None:
         """Release the engine's workers, segments and spill files."""
@@ -235,22 +235,19 @@ class MiningSession:
     def publish_run(self, stats) -> None:
         """Fold one run's accounting into the active obs session.
 
-        The session accumulates cache/parallel activity in private
-        per-run registries; when an observability session is active,
-        those registries are merged into it here and the run's headline
-        figures land under ``<kind>.*`` counters — ``mine.*`` by
-        default, ``serving.*`` when the run was opened with
-        ``begin_run(kind="serving")``. *stats* is any object with the
+        The session records the run's engine activity in ``run_metrics``;
+        when an observability session is active, that registry is merged
+        into it here and the run's headline figures land under
+        ``<kind>.*`` counters — ``mine.*`` by default, ``serving.*``
+        when the run was opened with ``begin_run(kind="serving")``.
+        *stats* is any object with the
         :class:`~repro.core.negmining.MiningStats` counters.
         """
         state = obs.current()
         if state is None:
             return
         registry = state.registry
-        if self.parallel_stats.registry is not registry:
-            registry.merge(self.parallel_stats.registry)
-        if self.cache_stats.registry is not registry:
-            registry.merge(self.cache_stats.registry)
+        registry.merge(self.run_metrics)
         kind = self._run_kind
         registry.incr(f"{kind}.runs")
         registry.incr(f"{kind}.data_passes", stats.data_passes)

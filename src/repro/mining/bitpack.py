@@ -55,6 +55,7 @@ import numpy as np
 from .._util import check_positive
 from ..errors import ConfigError
 from ..itemset import Itemset
+from ..obs.registry import MetricsRegistry
 from ..taxonomy.tree import Taxonomy
 
 #: Upper bound on the 64-bit words gathered per kernel batch — the
@@ -110,7 +111,7 @@ def count_candidates(
     candidates: Collection[Itemset],
     n_words: int,
     batch_words: int | None = None,
-    stats=None,
+    metrics: MetricsRegistry | None = None,
 ) -> dict[Itemset, int]:
     """Batched AND-of-rows + popcount for every candidate.
 
@@ -119,13 +120,15 @@ def count_candidates(
     once per distinct node. Candidates are grouped by size — the gather
     needs rectangular index blocks — and each size is streamed in batches
     whose gathered footprint stays under *batch_words* 64-bit words.
-    *stats*, when given, has its ``kernel_batches`` attribute incremented
-    once per executed batch and ``kernel_words`` by the 64-bit words the
-    batch gathered (its work volume).
+    Each executed batch adds one to the ``kernel.batches`` counter of
+    *metrics* and the 64-bit words it gathered (its work volume) to
+    ``kernel.words``.
     """
     counts: dict[Itemset, int] = {}
     if not candidates:
         return counts
+    if metrics is None:
+        metrics = MetricsRegistry()
     if batch_words is None:
         budget = DEFAULT_BATCH_WORDS
     else:
@@ -154,9 +157,8 @@ def count_candidates(
             masks = np.bitwise_and.reduce(matrix[block], axis=1)
             totals = popcount(masks)
             counts.update(zip(group[start:start + batch], totals.tolist()))
-            if stats is not None:
-                stats.kernel_batches += 1
-                stats.kernel_words += len(block) * per_candidate_words
+            metrics.incr("kernel.batches")
+            metrics.incr("kernel.words", len(block) * per_candidate_words)
     return counts
 
 
@@ -287,7 +289,7 @@ class PackedMatrix:
         candidates: Collection[Itemset],
         taxonomy: Taxonomy | None = None,
         batch_words: int | None = None,
-        stats=None,
+        metrics: MetricsRegistry | None = None,
     ) -> dict[Itemset, int]:
         """Count every candidate with the batched kernel."""
         return count_candidates(
@@ -295,7 +297,7 @@ class PackedMatrix:
             candidates,
             self.n_words,
             batch_words=batch_words,
-            stats=stats,
+            metrics=metrics,
         )
 
     def __repr__(self) -> str:

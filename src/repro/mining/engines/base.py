@@ -41,8 +41,8 @@ from ..._util import check_positive
 from ...errors import ConfigError
 from ...itemset import Itemset
 from ...obs import api as obs
+from ...obs.registry import MetricsRegistry
 from ...taxonomy.tree import Taxonomy
-from .. import vertical
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,16 +164,6 @@ class CountingEngine:
         """The spec string that would recreate this engine."""
         return self.name
 
-    @property
-    def wants_cache_stats(self) -> bool:
-        """Whether an obs session should auto-create CacheStats for it."""
-        return self.capabilities.caching or self.capabilities.packed
-
-    @property
-    def wants_parallel_stats(self) -> bool:
-        """Whether an obs session should auto-create ParallelStats."""
-        return False
-
     @classmethod
     def from_policy(cls, policy: EnginePolicy) -> "CountingEngine":
         """Build an engine from *policy*."""
@@ -191,10 +181,13 @@ class CountingEngine:
         candidates: Collection[Itemset],
         *,
         restrict_to_candidate_items: bool = False,
-        cache_stats=None,
-        parallel_stats=None,
+        metrics: MetricsRegistry,
     ) -> dict[Itemset, int]:
-        """Count one validated pass; implemented by each engine."""
+        """Count one validated pass; implemented by each engine.
+
+        The engine records its ``cache.*``, ``kernel.*``,
+        ``counting.segments.*`` and ``parallel.*`` metrics in *metrics*.
+        """
         raise NotImplementedError
 
     def close(self) -> None:
@@ -326,18 +319,19 @@ def count_pass(
     candidates: Collection[Itemset],
     *,
     restrict_to_candidate_items: bool = False,
-    cache_stats=None,
-    parallel_stats=None,
+    metrics: MetricsRegistry | None = None,
 ) -> dict[Itemset, int]:
     """Run one validated, instrumented counting pass through *engine*.
 
     This is the single entry point every caller (MiningSession, the
     engine-agreement tests) funnels through: it applies the
     registry-level precheck and rejects basket items outside the bound
-    taxonomy, then — only when an observability session is active —
-    records the ``counting.*`` metrics, auto-creates stats accumulators the engine
-    declares a use for, and wraps the pass in a ``count.<name>`` span.
-    With observability off it adds zero work beyond the precheck.
+    taxonomy, then hands the engine a registry for its metrics: the
+    caller's *metrics*, else the active observability registry, else a
+    throwaway one. Only when an observability session is active does it
+    also record the ``counting.*`` metrics and wrap the pass in a
+    ``count.<name>`` span. Outside the driver scope the engine's
+    metrics are merged in under the scope's prefix (``worker.*``).
     """
     validate_candidates(candidates)
     if not candidates:
@@ -351,8 +345,7 @@ def count_pass(
             state,
             candidates,
             restrict_to_candidate_items=restrict_to_candidate_items,
-            cache_stats=cache_stats,
-            parallel_stats=parallel_stats,
+            metrics=metrics if metrics is not None else MetricsRegistry(),
         )
     prefix = "" if obs_state.scope == "driver" else obs_state.scope + "."
     n_rows = state.n_rows()
@@ -361,24 +354,19 @@ def count_pass(
     registry.incr(prefix + "counting.candidates", len(candidates))
     if n_rows is not None:
         registry.incr(prefix + "counting.rows", n_rows)
-    if cache_stats is None and engine.wants_cache_stats:
-        cache_stats = vertical.CacheStats(
-            registry=obs_state.registry, prefix=prefix
-        )
-    if parallel_stats is None and engine.wants_parallel_stats:
-        from ...parallel.pool import ParallelStats
-
-        parallel_stats = ParallelStats(
-            registry=obs_state.registry, prefix=prefix
-        )
+    scoped = metrics is None and bool(prefix)
+    if metrics is None:
+        metrics = MetricsRegistry() if scoped else registry
     with obs.span("count." + engine.name) as span:
         span.annotate("candidates", len(candidates))
         if n_rows is not None:
             span.annotate("rows", n_rows)
-        return engine.count(
+        counts = engine.count(
             state,
             candidates,
             restrict_to_candidate_items=restrict_to_candidate_items,
-            cache_stats=cache_stats,
-            parallel_stats=parallel_stats,
+            metrics=metrics,
         )
+    if scoped:
+        registry.merge(metrics, prefix)
+    return counts

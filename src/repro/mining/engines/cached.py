@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Collection
 
 from ...itemset import Itemset
+from ...obs.registry import MetricsRegistry
 from .. import vertical
 from .base import (
     Capabilities,
@@ -41,12 +42,11 @@ class CachedEngine(CountingEngine):
         candidates: Collection[Itemset],
         *,
         restrict_to_candidate_items: bool = False,
-        cache_stats=None,
-        parallel_stats=None,
+        metrics: MetricsRegistry,
     ) -> dict[Itemset, int]:
         return vertical.count_with_index(
             state.transactions,
             candidates,
             taxonomy=state.taxonomy,
-            stats=cache_stats,
+            metrics=metrics,
         )

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Collection
 
 from ...itemset import Itemset
+from ...obs.registry import MetricsRegistry
 from ..segmatrix import SegmentedPackedMatrix
 from .base import (
     Capabilities,
@@ -87,7 +88,9 @@ class MmapEngine(CountingEngine):
 
     # -- counting ------------------------------------------------------
 
-    def matrix_for(self, source, cache_stats=None) -> SegmentedPackedMatrix:
+    def matrix_for(
+        self, source, metrics: MetricsRegistry
+    ) -> SegmentedPackedMatrix:
         """The engine's segmented matrix, synchronized with *source*."""
         if self._matrix is None or self._matrix.closed:
             self._matrix = SegmentedPackedMatrix(
@@ -95,7 +98,7 @@ class MmapEngine(CountingEngine):
                 max_resident_bytes=self.max_resident_bytes,
                 spill_dir=self.spill_dir,
             )
-        self._matrix.sync(source, stats=cache_stats)
+        self._matrix.sync(source, metrics)
         return self._matrix
 
     def count(
@@ -104,25 +107,23 @@ class MmapEngine(CountingEngine):
         candidates: Collection[Itemset],
         *,
         restrict_to_candidate_items: bool = False,
-        cache_stats=None,
-        parallel_stats=None,
+        metrics: MetricsRegistry,
     ) -> dict[Itemset, int]:
         source = state.transactions
         if hasattr(source, "scan"):
-            matrix = self.matrix_for(source, cache_stats)
+            matrix = self.matrix_for(source, metrics)
             source.count_logical_pass()
             return matrix.count(
-                candidates, taxonomy=state.taxonomy, stats=cache_stats
+                candidates, taxonomy=state.taxonomy, metrics=metrics
             )
-        if cache_stats is not None:
-            cache_stats.misses += 1
+        metrics.incr("cache.misses")
         with SegmentedPackedMatrix.from_rows(
             source,
             segment_rows=self.segment_rows,
             max_resident_bytes=self.max_resident_bytes,
             spill_dir=self.spill_dir,
-            stats=cache_stats,
+            metrics=metrics,
         ) as matrix:
             return matrix.count(
-                candidates, taxonomy=state.taxonomy, stats=cache_stats
+                candidates, taxonomy=state.taxonomy, metrics=metrics
             )

@@ -19,6 +19,7 @@ from collections.abc import Collection
 from ..._util import check_positive
 from ...itemset import Itemset
 from ...obs import api as obs
+from ...obs.registry import MetricsRegistry
 from .base import (
     Capabilities,
     CountingEngine,
@@ -87,10 +88,6 @@ class ParallelShmEngine(CountingEngine):
     def from_policy(cls, policy: EnginePolicy) -> "ParallelShmEngine":
         return cls(n_jobs=policy.n_jobs)
 
-    @property
-    def wants_parallel_stats(self) -> bool:
-        return True
-
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
@@ -120,27 +117,25 @@ class ParallelShmEngine(CountingEngine):
         candidates: Collection[Itemset],
         *,
         restrict_to_candidate_items: bool = False,
-        cache_stats=None,
-        parallel_stats=None,
+        metrics: MetricsRegistry,
     ) -> dict[Itemset, int]:
         # Like the cached engine, taxonomy candidates are matched by
         # descendant-OR, so restrict_to_candidate_items is moot.
         candidate_list = list(candidates)
         if not candidate_list:
             return {}
-        matrix = self._ensure_matrix(state, cache_stats)
+        matrix = self._ensure_matrix(state, metrics)
         source = state.transactions
         if hasattr(source, "count_logical_pass"):
             source.count_logical_pass()
         jobs = self.n_jobs
         if jobs == 1:
             # Serial bypass: no segment, no workers, same kernel.
-            if parallel_stats is not None:
-                parallel_stats.serial_tasks += 1
+            metrics.incr("parallel.serial_tasks")
             return matrix.count(
-                candidate_list, taxonomy=state.taxonomy, stats=cache_stats
+                candidate_list, taxonomy=state.taxonomy, metrics=metrics
             )
-        pool = self._ensure_pool(state.taxonomy, jobs, parallel_stats)
+        pool = self._ensure_pool(state.taxonomy, jobs, metrics)
         observe = obs.enabled()
         n_batches = min(jobs, len(candidate_list))
         size = -(-len(candidate_list) // n_batches)
@@ -161,14 +156,15 @@ class ParallelShmEngine(CountingEngine):
             counts.update(zip(batch, vector))
         for seconds in pool.drain_attach_seconds():
             obs.observe("parallel.shm.attach_s", seconds)
-        if parallel_stats is not None:
-            parallel_stats.shm_batches += len(batches)
-            parallel_stats.absorb(pool.drain_stats())
+        from ...parallel.pool import record_pool_stats
+
+        metrics.incr("parallel.shm.batches", len(batches))
+        record_pool_stats(metrics, pool.drain_stats())
         return counts
 
     # -- internals -----------------------------------------------------
 
-    def _ensure_matrix(self, state: EngineState, cache_stats):
+    def _ensure_matrix(self, state: EngineState, metrics: MetricsRegistry):
         """The packed matrix for the bound source, (re)built on change.
 
         A database is packed once per ``cache_token()``. Plain rows have
@@ -184,8 +180,7 @@ class ParallelShmEngine(CountingEngine):
         if token is not None and self._matrix is not None and (
             token is self._token or token == self._token
         ):
-            if cache_stats is not None:
-                cache_stats.hits += 1
+            metrics.incr("cache.hits")
             return self._matrix
         if hasattr(source, "physical_scan"):
             rows = source.physical_scan()
@@ -195,20 +190,17 @@ class ParallelShmEngine(CountingEngine):
         with obs.span("parallel.shm.pack") as span:
             matrix = PackedMatrix.from_rows(rows)
             span.annotate("rows", matrix.n_rows)
-        if cache_stats is not None:
-            cache_stats.misses += 1
-            if mutated:
-                cache_stats.invalidations += 1
-            cache_stats.matrix_bytes = max(
-                cache_stats.matrix_bytes, matrix.nbytes
-            )
+        metrics.incr("cache.misses")
+        if mutated:
+            metrics.incr("cache.invalidations")
+        metrics.max_gauge("kernel.matrix_bytes", matrix.nbytes)
         self._matrix = matrix
         self._token = token
         self._fingerprint += 1
         self._dirty = True
         return matrix
 
-    def _ensure_pool(self, taxonomy, jobs: int, parallel_stats):
+    def _ensure_pool(self, taxonomy, jobs: int, metrics: MetricsRegistry):
         """The persistent pool, attached to the current segment."""
         from ...parallel.pool import PersistentWorkerPool, PoolConfig
         from ...parallel.shm import SharedPackedMatrix
@@ -226,11 +218,8 @@ class ParallelShmEngine(CountingEngine):
             self._matrix = shared.matrix
             old, self._shared = self._shared, shared
             self._dirty = False
-            if parallel_stats is not None:
-                parallel_stats.shm_publishes += 1
-                parallel_stats.shm_bytes = max(
-                    parallel_stats.shm_bytes, shared.nbytes
-                )
+            metrics.incr("parallel.shm.publishes")
+            metrics.max_gauge("parallel.shm.bytes", shared.nbytes)
             if self._pool is not None:
                 self._pool.reconfigure(self._setup_payload(taxonomy))
                 self._pool_taxonomy = taxonomy

@@ -12,6 +12,7 @@ from collections import defaultdict
 from collections.abc import Collection, Iterable, Iterator
 
 from ...itemset import Itemset
+from ...obs.registry import MetricsRegistry
 from ...taxonomy.tree import Taxonomy
 from ..hash_tree import HashTree
 from .base import Capabilities, CountingEngine, EngineState, register_engine
@@ -46,8 +47,7 @@ class RowScanEngine(CountingEngine):
         candidates: Collection[Itemset],
         *,
         restrict_to_candidate_items: bool = False,
-        cache_stats=None,
-        parallel_stats=None,
+        metrics: MetricsRegistry,
     ) -> dict[Itemset, int]:
         rows: Iterable[Itemset] = state.rows()
         if state.taxonomy is not None:

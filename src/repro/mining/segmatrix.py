@@ -60,6 +60,7 @@ from .._util import check_positive
 from ..errors import DatabaseError
 from ..itemset import Itemset
 from ..obs import api as obs
+from ..obs.registry import MetricsRegistry
 from ..taxonomy.tree import Taxonomy
 from . import bitpack
 
@@ -146,8 +147,8 @@ def count_segment_block(
     segment: Segment,
     block: np.ndarray,
     candidates: Collection[Itemset],
-    taxonomy: Taxonomy | None = None,
-    stats=None,
+    taxonomy: Taxonomy | None,
+    metrics: MetricsRegistry,
 ) -> dict[Itemset, int]:
     """Count all candidates within one segment's word block.
 
@@ -159,11 +160,10 @@ def count_segment_block(
     and popcount-neutral.
     """
     matrix = bitpack.PackedMatrix(segment.words * 64, segment.nodes, block)
-    if stats is not None:
-        # Gauge: the kernel never sees more than one segment block at a
-        # time — this is the footprint the resident budget bounds.
-        stats.matrix_bytes = max(stats.matrix_bytes, matrix.nbytes)
-    return matrix.count(candidates, taxonomy=taxonomy, stats=stats)
+    # Gauge: the kernel never sees more than one segment block at a
+    # time — this is the footprint the resident budget bounds.
+    metrics.max_gauge("kernel.matrix_bytes", matrix.nbytes)
+    return matrix.count(candidates, taxonomy=taxonomy, metrics=metrics)
 
 
 #: Matrices with live spill directories; the atexit sweep removes
@@ -259,7 +259,7 @@ class SegmentedPackedMatrix:
         segment_rows: int | None = None,
         max_resident_bytes: int | None = None,
         spill_dir: str | None = None,
-        stats=None,
+        metrics: MetricsRegistry | None = None,
     ) -> "SegmentedPackedMatrix":
         """One-shot matrix over materialized rows (no sync source)."""
         matrix = cls(
@@ -268,7 +268,9 @@ class SegmentedPackedMatrix:
             spill_dir=spill_dir,
         )
         try:
-            matrix._sync_full(rows, stats)
+            matrix._sync_full(
+                rows, metrics if metrics is not None else MetricsRegistry()
+            )
         except BaseException:
             matrix.close()
             raise
@@ -324,7 +326,7 @@ class SegmentedPackedMatrix:
 
     # -- synchronization -----------------------------------------------
 
-    def sync(self, source, stats=None) -> None:
+    def sync(self, source, metrics: MetricsRegistry | None = None) -> None:
         """Bring the matrix up to date with *source*, reusing segments.
 
         Three paths, cheapest first:
@@ -340,12 +342,16 @@ class SegmentedPackedMatrix:
 
         A sync that fails part-way (say, a spill write on a full disk)
         leaves the matrix empty, not half-updated: the next sync repacks
-        everything instead of extending the tail a second time.
+        everything instead of extending the tail a second time. The
+        ``cache.*`` and ``counting.segments.*`` metrics land in
+        *metrics*.
         """
         if self.closed:
             raise DatabaseError("segmented matrix is closed")
+        if metrics is None:
+            metrics = MetricsRegistry()
         try:
-            self._sync(source, stats)
+            self._sync(source, metrics)
         except BaseException:
             self._reset()
             for path in self._dir.iterdir():
@@ -361,7 +367,7 @@ class SegmentedPackedMatrix:
         self._token = None
         self._epoch = None
 
-    def _sync(self, source, stats) -> None:
+    def _sync(self, source, metrics: MetricsRegistry) -> None:
         epoch_fn = getattr(source, "append_epoch", None)
         token_fn = getattr(source, "cache_token", None)
         epoch, n_rows = (None, None) if epoch_fn is None else epoch_fn()
@@ -372,31 +378,27 @@ class SegmentedPackedMatrix:
             and n_rows is not None
         ):
             if n_rows == self._synced_rows:
-                if stats is not None:
-                    stats.hits += 1
+                metrics.incr("cache.hits")
                 return
             if n_rows > self._synced_rows:
-                self._sync_append(source, n_rows, stats)
+                self._sync_append(source, n_rows, metrics)
                 self._token = token_fn() if token_fn is not None else None
-                if stats is not None:
-                    stats.extensions += 1
+                metrics.incr("cache.extensions")
                 return
         token = token_fn() if token_fn is not None else None
         if self._segments and token is not None and (
             token is self._token or token == self._token
         ):
-            if stats is not None:
-                stats.hits += 1
+            metrics.incr("cache.hits")
             return
-        if stats is not None:
-            stats.misses += 1
-            if self._segments:
-                stats.invalidations += 1
-        self._sync_full(source, stats)
+        metrics.incr("cache.misses")
+        if self._segments:
+            metrics.incr("cache.invalidations")
+        self._sync_full(source, metrics)
         self._token = token
         self._epoch = epoch
 
-    def _sync_full(self, source, stats) -> None:
+    def _sync_full(self, source, metrics: MetricsRegistry) -> None:
         """Stream all rows; reuse fingerprint-matching segments."""
         rows = (
             source.physical_scan()
@@ -423,7 +425,7 @@ class SegmentedPackedMatrix:
                     if previous is not None:
                         self._drop_segment(previous)
                     self._pack_segment(index, total, chunk, fingerprint,
-                                       stats)
+                                       metrics)
                 total += len(chunk)
                 index += 1
             for leftover in old[index:]:
@@ -431,17 +433,18 @@ class SegmentedPackedMatrix:
             self._synced_rows = total
             span.annotate("segments", len(self._segments))
             span.annotate("reused", reused)
-        if stats is not None:
-            stats.segments_reused += reused
-            self._record_gauges(stats)
+        metrics.incr("counting.segments.reused", reused)
+        self._record_gauges(metrics)
 
-    def _sync_append(self, source, n_rows: int, stats) -> None:
+    def _sync_append(
+        self, source, n_rows: int, metrics: MetricsRegistry
+    ) -> None:
         """Absorb appended rows: extend the tail, pack new segments."""
         start = self._synced_rows
         tail = list(_tail_rows(source, start))
         if len(tail) != n_rows - start:
             # The source lied about its append; fall back to a resync.
-            self._sync_full(source, stats)
+            self._sync_full(source, metrics)
             return
         with obs.span("segments.append") as span:
             span.annotate("rows", len(tail))
@@ -449,20 +452,21 @@ class SegmentedPackedMatrix:
             last = self._segments[-1]
             if last.rows < self.segment_rows:
                 take = min(self.segment_rows - last.rows, len(tail))
-                self._extend_segment(last, tail[:take], stats)
+                self._extend_segment(last, tail[:take], metrics)
                 tail = tail[take:]
                 start += take
                 untouched -= 1
             index = len(self._segments)
             for chunk in self._chunks(iter(tail)):
                 fingerprint = chain_fingerprint(_FP_SEED, chunk)
-                self._pack_segment(index, start, chunk, fingerprint, stats)
+                self._pack_segment(
+                    index, start, chunk, fingerprint, metrics
+                )
                 start += len(chunk)
                 index += 1
             self._synced_rows = n_rows
-        if stats is not None:
-            stats.segments_reused += untouched
-            self._record_gauges(stats)
+        metrics.incr("counting.segments.reused", untouched)
+        self._record_gauges(metrics)
 
     def _chunks(self, rows) -> Iterable[list[Itemset]]:
         chunk: list[Itemset] = []
@@ -485,7 +489,7 @@ class SegmentedPackedMatrix:
 
     def _pack_segment(
         self, index: int, start: int, chunk: list[Itemset],
-        fingerprint: int, stats,
+        fingerprint: int, metrics: MetricsRegistry,
     ) -> Segment:
         with obs.span("segments.pack") as span:
             span.annotate("rows", len(chunk))
@@ -504,13 +508,12 @@ class SegmentedPackedMatrix:
             self._segments[index] = segment
         else:
             self._segments.append(segment)
-        self._admit(segment, block, stats)
-        if stats is not None:
-            stats.segments_packed += 1
+        self._replace_resident(segment, block, metrics)
+        metrics.incr("counting.segments.packed")
         return segment
 
     def _extend_segment(
-        self, segment: Segment, tail: list[Itemset], stats,
+        self, segment: Segment, tail: list[Itemset], metrics: MetricsRegistry,
     ) -> None:
         """OR the tail rows into the partial last segment, in place.
 
@@ -520,8 +523,7 @@ class SegmentedPackedMatrix:
         block, _ = self._resident.get(segment.index, (None, 0))
         if block is None:
             block = segment.open_block()
-            if stats is not None:
-                stats.segments_mmap_reads += 1
+            metrics.incr("counting.segments.mmap_reads")
         # Pack the tail on its own (one vectorized packbits), then shift
         # the whole word block left by the segment's bit offset and OR
         # it in with a single row scatter — no per-item Python loop.
@@ -559,9 +561,8 @@ class SegmentedPackedMatrix:
         segment.nodes = nodes
         segment.path = str(path)
         segment.fingerprint = chain_fingerprint(segment.fingerprint, tail)
-        self._replace_resident(segment, grown, stats)
-        if stats is not None:
-            stats.segments_extended += 1
+        self._replace_resident(segment, grown, metrics)
+        metrics.incr("counting.segments.extended")
 
     def _write_block(self, block: np.ndarray, path: Path) -> None:
         """Spill *block* to *path*, naming the knob when that fails.
@@ -592,7 +593,9 @@ class SegmentedPackedMatrix:
 
     # -- residency -----------------------------------------------------
 
-    def _block(self, segment: Segment, stats) -> np.ndarray:
+    def _block(
+        self, segment: Segment, metrics: MetricsRegistry
+    ) -> np.ndarray:
         entry = self._resident.get(segment.index)
         if entry is not None:
             # Refresh LRU position (dicts iterate in insertion order).
@@ -601,18 +604,14 @@ class SegmentedPackedMatrix:
             return entry[0]
         self._evict_for(segment.nbytes)
         block = segment.open_block()
-        if stats is not None:
-            stats.segments_mmap_reads += 1
+        metrics.incr("counting.segments.mmap_reads")
         self._resident[segment.index] = (block, segment.nbytes)
         self._resident_bytes += segment.nbytes
-        self._record_gauges(stats)
+        self._record_gauges(metrics)
         return block
 
-    def _admit(self, segment: Segment, block: np.ndarray, stats) -> None:
-        self._replace_resident(segment, block, stats)
-
     def _replace_resident(
-        self, segment: Segment, block: np.ndarray, stats,
+        self, segment: Segment, block: np.ndarray, metrics: MetricsRegistry,
     ) -> None:
         entry = self._resident.pop(segment.index, None)
         if entry is not None:
@@ -620,7 +619,7 @@ class SegmentedPackedMatrix:
         self._evict_for(segment.nbytes)
         self._resident[segment.index] = (block, segment.nbytes)
         self._resident_bytes += segment.nbytes
-        self._record_gauges(stats)
+        self._record_gauges(metrics)
 
     def _evict_for(self, incoming: int) -> None:
         if self.max_resident_bytes is None:
@@ -633,14 +632,12 @@ class SegmentedPackedMatrix:
             _, nbytes = self._resident.pop(index)
             self._resident_bytes -= nbytes
 
-    def _record_gauges(self, stats) -> None:
-        if stats is None:
-            return
-        stats.segments_resident_bytes = max(
-            stats.segments_resident_bytes, self._resident_bytes
+    def _record_gauges(self, metrics: MetricsRegistry) -> None:
+        metrics.max_gauge(
+            "counting.segments.resident_bytes", self._resident_bytes
         )
-        stats.segments_spilled_bytes = max(
-            stats.segments_spilled_bytes, self.spilled_bytes
+        metrics.max_gauge(
+            "counting.segments.spilled_bytes", self.spilled_bytes
         )
 
     # -- counting ------------------------------------------------------
@@ -649,7 +646,7 @@ class SegmentedPackedMatrix:
         self,
         candidates: Collection[Itemset],
         taxonomy: Taxonomy | None = None,
-        stats=None,
+        metrics: MetricsRegistry | None = None,
     ) -> dict[Itemset, int]:
         """Sum per-segment kernel counts; bounded resident blocks."""
         totals: dict[Itemset, int] = {
@@ -657,10 +654,13 @@ class SegmentedPackedMatrix:
         }
         if not totals:
             return totals
+        if metrics is None:
+            metrics = MetricsRegistry()
         for segment in self._segments:
-            block = self._block(segment, stats)
+            block = self._block(segment, metrics)
             partial = count_segment_block(
-                segment, block, candidates, taxonomy=taxonomy, stats=stats,
+                segment, block, candidates, taxonomy=taxonomy,
+                metrics=metrics,
             )
             for items, count in partial.items():
                 totals[items] += count

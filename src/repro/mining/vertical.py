@@ -40,7 +40,7 @@ from collections.abc import Collection, Iterable
 
 from ..itemset import Itemset
 from ..obs import api as obs
-from ..obs.registry import MetricsRegistry, stats_property
+from ..obs.registry import MetricsRegistry
 from ..taxonomy.tree import Taxonomy
 
 #: Approximate per-entry dict overhead (key + table slot), added to
@@ -51,124 +51,6 @@ _ENTRY_OVERHEAD = 64
 def _entry_bytes(bitmap: int) -> int:
     """Approximate footprint of one stored big-int bitmap."""
     return sys.getsizeof(bitmap) + _ENTRY_OVERHEAD
-
-
-class CacheStats:
-    """Observable accounting of vertical-cache activity.
-
-    Since the observability layer (DESIGN.md §8) every field is a view
-    over a :class:`~repro.obs.registry.MetricsRegistry` — reads and
-    writes (``stats.hits += 1``) go straight to named registry metrics,
-    so the same numbers feed :class:`repro.core.negmining.MiningStats`,
-    the ``--metrics`` summary and the trace file without hand-threaded
-    copies. By default each instance owns a private registry (the
-    classic standalone-accumulator behavior); pass ``registry=`` to
-    record into a shared one (e.g. the active observability session's),
-    and ``prefix=`` to namespace the metrics (worker processes record
-    under ``worker.``).
-
-    Attributes
-    ----------
-    hits:
-        Counting passes served from an already-built index
-        (``cache.hits``).
-    misses:
-        Counting passes that had to build (or rebuild) an index
-        (``cache.misses``).
-    invalidations:
-        Rebuilds forced by a fingerprint mismatch — data changed under
-        the cache (``cache.invalidations``).
-    bytes:
-        High-water-mark footprint of the index (gauge ``cache.bytes``;
-        merging registries keeps the maximum).
-    kernel_batches:
-        Vectorized candidate batches executed by the bit-packed NumPy
-        kernel (``kernel.batches``) — nonzero only under the packed
-        engines (``"mmap"``, ``"parallel-shm"``).
-    kernel_words:
-        64-bit words gathered and intersected by those batches
-        (``kernel.words``) — the kernel's work volume.
-    extensions:
-        Incremental catch-ups: an index or segmented matrix absorbed
-        appended rows in O(append) instead of rebuilding
-        (``cache.extensions``).
-    matrix_bytes:
-        High-water footprint of a packed matrix (gauge
-        ``kernel.matrix_bytes``): ``parallel-shm``'s whole in-RAM
-        matrix, set when it packs, or the largest segment block
-        ``mmap`` counted against — the number the out-of-core engine
-        keeps bounded.
-    segments_packed / segments_extended / segments_reused:
-        Segmented-matrix maintenance (``counting.segments.*``): blocks
-        packed from scratch, tail blocks extended in place, and blocks
-        reused untouched across a sync.
-    segments_spilled_bytes / segments_resident_bytes:
-        Gauges of bytes persisted under the spill directory and the
-        high-water bytes of concurrently open segment blocks (the
-        ``max_resident_bytes`` bound is asserted against the latter).
-    segments_mmap_reads:
-        Segment blocks re-opened from disk via ``np.memmap``
-        (``counting.segments.mmap_reads``).
-    """
-
-    #: field name -> (metric kind, registry metric name)
-    _FIELDS = {
-        "hits": ("counter", "cache.hits"),
-        "misses": ("counter", "cache.misses"),
-        "invalidations": ("counter", "cache.invalidations"),
-        "extensions": ("counter", "cache.extensions"),
-        "bytes": ("gauge", "cache.bytes"),
-        "kernel_batches": ("counter", "kernel.batches"),
-        "kernel_words": ("counter", "kernel.words"),
-        "matrix_bytes": ("gauge", "kernel.matrix_bytes"),
-        "segments_packed": ("counter", "counting.segments.packed"),
-        "segments_extended": ("counter", "counting.segments.extended"),
-        "segments_reused": ("counter", "counting.segments.reused"),
-        "segments_spilled_bytes": (
-            "gauge", "counting.segments.spilled_bytes"
-        ),
-        "segments_resident_bytes": (
-            "gauge", "counting.segments.resident_bytes"
-        ),
-        "segments_mmap_reads": ("counter", "counting.segments.mmap_reads"),
-    }
-
-    __slots__ = ("registry", "_prefix")
-
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        prefix: str = "",
-        **values: int,
-    ) -> None:
-        self.registry = (
-            registry if registry is not None else MetricsRegistry()
-        )
-        self._prefix = prefix
-        for name, value in values.items():
-            if name not in self._FIELDS:
-                raise TypeError(
-                    f"CacheStats has no field {name!r}; "
-                    f"choose from {tuple(self._FIELDS)}"
-                )
-            setattr(self, name, value)
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of counting passes served without a physical build."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)}" for name in self._FIELDS
-        )
-        return f"CacheStats({fields})"
-
-
-for _name, (_kind, _metric) in CacheStats._FIELDS.items():
-    setattr(CacheStats, _name, stats_property(_metric, _kind))
-del _name, _kind, _metric
 
 
 class VerticalIndex:
@@ -251,7 +133,7 @@ class VerticalIndex:
         token = database.cache_token()
         return token is self._token or token == self._token
 
-    def extend_from(self, source, stats: CacheStats | None = None) -> bool:
+    def extend_from(self, source, metrics: MetricsRegistry) -> bool:
         """Absorb rows appended to *source* since the index was built.
 
         Succeeds only when *source* proves the growth is a pure append:
@@ -292,8 +174,7 @@ class VerticalIndex:
             token_fn = getattr(source, "cache_token", None)
             if token_fn is not None:
                 self._token = token_fn()
-        if stats is not None:
-            stats.bytes = max(stats.bytes, self._nbytes)
+        metrics.max_gauge("cache.bytes", self._nbytes)
         return True
 
     @property
@@ -374,7 +255,7 @@ class VerticalIndex:
 # Database-attached caching
 # ----------------------------------------------------------------------
 def get_index(
-    database, stats: CacheStats | None = None
+    database, metrics: MetricsRegistry | None = None
 ) -> VerticalIndex:
     """The vertical index of *database*, building (or rebuilding) on demand.
 
@@ -384,25 +265,23 @@ def get_index(
     database can prove is a *pure append* (``append_epoch`` identity
     preserved, more rows) is absorbed incrementally via
     :meth:`VerticalIndex.extend_from` — counted as an extension + hit,
-    not an invalidation.
+    not an invalidation. The ``cache.*`` counters land in *metrics*.
     """
+    if metrics is None:
+        metrics = MetricsRegistry()
     cached = getattr(database, "_vertical_index", None)
     if cached is not None:
         if cached.valid_for(database):
-            if stats is not None:
-                stats.hits += 1
+            metrics.incr("cache.hits")
             return cached
-        if cached.extend_from(database, stats):
+        if cached.extend_from(database, metrics):
             # Pure append: the index caught up in O(append) instead of
             # rebuilding — an incremental hit, not a miss.
-            if stats is not None:
-                stats.extensions += 1
-                stats.hits += 1
+            metrics.incr("cache.extensions")
+            metrics.incr("cache.hits")
             return cached
-        if stats is not None:
-            stats.invalidations += 1
-    if stats is not None:
-        stats.misses += 1
+        metrics.incr("cache.invalidations")
+    metrics.incr("cache.misses")
     index = VerticalIndex.build(database)
     try:
         database._vertical_index = index
@@ -423,7 +302,7 @@ def count_with_index(
     source,
     candidates: Collection[Itemset],
     taxonomy: Taxonomy | None = None,
-    stats: CacheStats | None = None,
+    metrics: MetricsRegistry | None = None,
 ) -> dict[Itemset, int]:
     """The ``"cached"`` engine: count via the vertical index of *source*.
 
@@ -432,14 +311,14 @@ def count_with_index(
     canonical rows (a one-shot index is built, as the serial engines
     would scan the rows once).
     """
+    if metrics is None:
+        metrics = MetricsRegistry()
     if hasattr(source, "scan"):
-        index = get_index(source, stats=stats)
+        index = get_index(source, metrics)
         source.count_logical_pass()
     else:
-        if stats is not None:
-            stats.misses += 1
+        metrics.incr("cache.misses")
         index = VerticalIndex.from_rows(source)
     counts = index.count(candidates, taxonomy=taxonomy)
-    if stats is not None:
-        stats.bytes = max(stats.bytes, index.nbytes)
+    metrics.max_gauge("cache.bytes", index.nbytes)
     return counts

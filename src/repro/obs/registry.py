@@ -3,17 +3,17 @@
 The registry is the single store every instrumented subsystem writes
 into — the counting engines, the vertical cache, the bit-packed kernel,
 the worker pool, and the miners all record named metrics here instead of
-threading ad-hoc counter fields through every call chain (the legacy
-``CacheStats``/``ParallelStats`` accumulators are now thin views over a
-registry; see :mod:`repro.mining.vertical` and
-:mod:`repro.parallel.pool`).
+threading ad-hoc counter fields through every call chain. Each mining
+run owns one registry (``MiningSession.run_metrics``): every counting
+pass of the run writes its ``cache.*``, ``kernel.*``,
+``counting.segments.*`` and ``parallel.*`` metrics into it, the run's
+:class:`~repro.core.negmining.MiningStats` carries it as ``metrics``,
+and the summary lines are rendered from it.
 
 Three metric kinds, all plain data:
 
 counters
-    Monotonically growing integers (``incr``). ``set_counter`` exists
-    for the adapter classes that historically assigned (e.g.
-    ``stats.bytes = max(...)``).
+    Monotonically growing integers (``incr``).
 gauges
     Last-written floats (``set_gauge``) with a ``max_gauge`` convenience
     for high-water marks. Merging keeps the maximum — the only gauge
@@ -146,10 +146,6 @@ class MetricsRegistry:
         """Current value of counter *name* (0 when never written)."""
         return self._counters.get(name, 0)
 
-    def set_counter(self, name: str, value: int) -> None:
-        """Overwrite counter *name* (adapter support; prefer ``incr``)."""
-        self._counters[name] = value
-
     # ------------------------------------------------------------------
     # Gauges
     # ------------------------------------------------------------------
@@ -193,21 +189,27 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Aggregation / export
     # ------------------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
+    def merge(
+        self, other: "MetricsRegistry", prefix: str = ""
+    ) -> "MetricsRegistry":
         """Fold *other* into this registry; returns self.
 
         Counters add, gauges keep the maximum, histograms merge
         bucket-wise (boundaries must match). The canonical use is the
         driver absorbing registries shipped back from worker processes.
+        *prefix* is prepended to every name of *other* (``"worker."``
+        for counts made inside a pool worker).
         """
         for name, value in other._counters.items():
-            self.incr(name, value)
+            self.incr(prefix + name, value)
         for name, value in other._gauges.items():
-            self.max_gauge(name, value)
+            self.max_gauge(prefix + name, value)
         for name, histogram in other._histograms.items():
-            mine = self._histograms.get(name)
+            mine = self._histograms.get(prefix + name)
             if mine is None:
-                mine = self._histograms[name] = Histogram(histogram.bounds)
+                mine = self._histograms[prefix + name] = Histogram(
+                    histogram.bounds
+                )
             mine.merge(histogram)
         return self
 
@@ -270,34 +272,3 @@ class MetricsRegistry:
             f"histograms={len(self._histograms)})"
         )
 
-
-def stats_property(metric: str, kind: str = "counter") -> property:
-    """A field property for registry-backed stats-view classes.
-
-    The owning class must expose ``registry`` (a
-    :class:`MetricsRegistry`) and ``_prefix`` (a metric-name prefix,
-    usually empty; ``"worker."`` inside pool workers). Reads and writes
-    of the property go straight to the named metric, so legacy
-    accumulator idioms (``stats.hits += 1``,
-    ``stats.bytes = max(stats.bytes, n)``) keep working while the data
-    lives in one mergeable registry. ``kind="gauge"`` backs the field
-    with a gauge (merge keeps the maximum — high-water marks); the
-    default backs it with a counter (merge adds).
-    """
-    if kind == "gauge":
-
-        def fget(self) -> int:
-            return int(self.registry.gauge(self._prefix + metric))
-
-        def fset(self, value) -> None:
-            self.registry.set_gauge(self._prefix + metric, value)
-
-    else:
-
-        def fget(self) -> int:
-            return self.registry.counter(self._prefix + metric)
-
-        def fset(self, value) -> None:
-            self.registry.set_counter(self._prefix + metric, value)
-
-    return property(fget, fset)

@@ -8,8 +8,9 @@ splits each pass's *candidates* across workers.
 
 * :mod:`~repro.parallel.pool` — a crash-safe persistent worker pool
   (:class:`~repro.parallel.pool.PersistentWorkerPool`) with per-task
-  timeouts, bounded retry with backoff, and serial fallback; plus the
-  :class:`~repro.parallel.pool.ParallelStats` accumulator.
+  timeouts, bounded retry with backoff, and serial fallback; its
+  per-pass :class:`~repro.parallel.pool.PoolStats` land in the run's
+  ``parallel.*`` metrics.
 * :mod:`~repro.parallel.shm` — zero-copy publication of the bit-packed
   word matrix through ``multiprocessing.shared_memory``, with explicit
   create/attach/close/unlink lifecycle and leak safety nets.
@@ -20,7 +21,6 @@ selects ``parallel-shm`` when no ``--engine`` is given).
 """
 
 from .pool import (
-    ParallelStats,
     PersistentWorkerPool,
     PoolConfig,
     PoolStats,
@@ -28,7 +28,6 @@ from .pool import (
 from .shm import SegmentHandle, SharedPackedMatrix, live_segments
 
 __all__ = [
-    "ParallelStats",
     "PersistentWorkerPool",
     "PoolConfig",
     "PoolStats",

@@ -35,7 +35,7 @@ from multiprocessing.connection import wait as _connection_wait
 from .._util import check_nonnegative, check_positive
 from ..errors import ConfigError
 from ..obs import api as _obs
-from ..obs.registry import MetricsRegistry, stats_property
+from ..obs.registry import MetricsRegistry
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,78 +111,15 @@ class PoolStats:
     fallbacks: int = 0
 
 
-class ParallelStats:
-    """Accumulated worker accounting across parallel counting passes.
-
-    One instance is typically threaded through a whole mining run (see
-    ``MiningConfig.n_jobs``) and absorbs the pool statistics of every
-    ``parallel-shm`` pass. Since the observability layer (DESIGN.md §8)
-    every field is a view over a
-    :class:`~repro.obs.registry.MetricsRegistry` under ``parallel.*``
-    metric names — by default a private registry (the classic
-    standalone-accumulator behavior); pass ``registry=`` to record into
-    a shared one and ``prefix=`` to namespace the metrics.
-    """
-
-    #: field name -> registry counter name
-    _FIELDS = {
-        "worker_tasks": "parallel.worker_tasks",
-        "workers_launched": "parallel.workers_launched",
-        "worker_retries": "parallel.worker_retries",
-        "worker_timeouts": "parallel.worker_timeouts",
-        "worker_crashes": "parallel.worker_crashes",
-        "worker_fallbacks": "parallel.worker_fallbacks",
-        "serial_tasks": "parallel.serial_tasks",
-        "shm_publishes": "parallel.shm.publishes",
-        "shm_batches": "parallel.shm.batches",
-        "shm_bytes": "parallel.shm.bytes",
-    }
-
-    #: Fields backed by a gauge (merge keeps the maximum) instead of a
-    #: counter: segment size is a high-water mark, not a running total.
-    _GAUGE_FIELDS = frozenset({"shm_bytes"})
-
-    __slots__ = ("registry", "_prefix")
-
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        prefix: str = "",
-        **values: int,
-    ) -> None:
-        self.registry = (
-            registry if registry is not None else MetricsRegistry()
-        )
-        self._prefix = prefix
-        for name, value in values.items():
-            if name not in self._FIELDS:
-                raise TypeError(
-                    f"ParallelStats has no field {name!r}; "
-                    f"choose from {tuple(self._FIELDS)}"
-                )
-            setattr(self, name, value)
-
-    def absorb(self, pool_stats: PoolStats) -> None:
-        """Fold one pool's statistics into this accumulator."""
-        self.worker_tasks += pool_stats.tasks
-        self.workers_launched += pool_stats.workers_launched
-        self.worker_retries += pool_stats.retries
-        self.worker_timeouts += pool_stats.timeouts
-        self.worker_crashes += pool_stats.crashes + pool_stats.errors
-        self.worker_fallbacks += pool_stats.fallbacks
-        self.serial_tasks += pool_stats.serial_tasks
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)}" for name in self._FIELDS
-        )
-        return f"ParallelStats({fields})"
-
-
-for _name, _metric in ParallelStats._FIELDS.items():
-    _kind = "gauge" if _name in ParallelStats._GAUGE_FIELDS else "counter"
-    setattr(ParallelStats, _name, stats_property(_metric, _kind))
-del _name, _metric, _kind
+def record_pool_stats(metrics: MetricsRegistry, stats: PoolStats) -> None:
+    """Fold one drained :class:`PoolStats` into ``parallel.*`` counters."""
+    metrics.incr("parallel.worker_tasks", stats.tasks)
+    metrics.incr("parallel.workers_launched", stats.workers_launched)
+    metrics.incr("parallel.worker_retries", stats.retries)
+    metrics.incr("parallel.worker_timeouts", stats.timeouts)
+    metrics.incr("parallel.worker_crashes", stats.crashes + stats.errors)
+    metrics.incr("parallel.worker_fallbacks", stats.fallbacks)
+    metrics.incr("parallel.serial_tasks", stats.serial_tasks)
 
 
 def _persistent_child(setup_func, setup_payload, func, connection) -> None:

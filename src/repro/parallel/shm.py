@@ -57,9 +57,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..mining import vertical
 from ..mining.bitpack import PackedMatrix
 from ..obs import api as obs
+from ..obs.registry import MetricsRegistry
 
 #: Every segment name this package creates starts with this, so stale
 #: entries are attributable (and findable by :func:`live_segments`).
@@ -300,10 +300,9 @@ def shm_worker_count(state: _WorkerState, payload):
         with obs.span("parallel.shm.batch") as span:
             span.annotate("candidates", len(candidates))
             span.annotate("fingerprint", state.shared.handle.fingerprint)
-            stats = vertical.CacheStats(
-                registry=registry, prefix="worker."
-            )
+            kernel = MetricsRegistry()
             counts = matrix.count(
-                candidates, taxonomy=state.taxonomy, stats=stats
+                candidates, taxonomy=state.taxonomy, metrics=kernel
             )
+        registry.merge(kernel, "worker.")
     return [counts[candidate] for candidate in candidates], registry

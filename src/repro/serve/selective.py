@@ -265,13 +265,12 @@ def mine_selective(
     logical_now = getattr(database, "logical_scans", database.scans)
     stats = _build_stats(
         logical_now - start_logical,
+        database.scans - start_physical,
         index,
         candidates,
         negatives,
         batches,
-        session.parallel_stats,
-        physical_passes=database.scans - start_physical,
-        cache=session.cache_stats,
+        session.run_metrics,
     )
     session.publish_run(stats)
     return SelectiveResult(

@@ -14,7 +14,7 @@ from repro.mining.bitpack import (
     zeros,
 )
 from repro.core.session import MiningSession
-from repro.mining.vertical import CacheStats
+from repro.obs.registry import MetricsRegistry
 from repro.taxonomy.builders import taxonomy_from_parents
 
 ROWS = [(1, 2, 3), (1, 3), (2, 4), (1, 2, 4), (3, 4), (1, 2, 3, 4)]
@@ -78,22 +78,24 @@ class TestCountCandidates:
         """Batching is a memory knob only; a 1-word budget still counts."""
         matrix = PackedMatrix.from_rows(ROWS)
         expected = brute(ROWS, CANDIDATES)
-        stats = CacheStats()
-        counts = matrix.count(CANDIDATES, batch_words=1, stats=stats)
+        metrics = MetricsRegistry()
+        counts = matrix.count(CANDIDATES, batch_words=1, metrics=metrics)
         assert counts == expected
         # Every (size, candidate) pair becomes its own batch under a
         # one-word budget — strictly more batches than size groups.
-        assert stats.kernel_batches == len(CANDIDATES)
-        one_shot = CacheStats()
-        assert matrix.count(CANDIDATES, stats=one_shot) == expected
-        assert one_shot.kernel_batches < stats.kernel_batches
+        assert metrics.counter("kernel.batches") == len(CANDIDATES)
+        one_shot = MetricsRegistry()
+        assert matrix.count(CANDIDATES, metrics=one_shot) == expected
+        assert one_shot.counter("kernel.batches") < metrics.counter(
+            "kernel.batches"
+        )
 
     def test_default_budget_batches_once_per_size(self):
         matrix = PackedMatrix.from_rows(ROWS)
-        stats = CacheStats()
-        matrix.count(CANDIDATES, stats=stats)
+        metrics = MetricsRegistry()
+        matrix.count(CANDIDATES, metrics=metrics)
         sizes = {len(candidate) for candidate in CANDIDATES}
-        assert stats.kernel_batches == len(sizes)
+        assert metrics.counter("kernel.batches") == len(sizes)
 
     def test_stats_optional(self):
         matrix = PackedMatrix.from_rows(ROWS)
@@ -170,10 +172,12 @@ class TestCountRows:
             assert session.count(CANDIDATES) == brute(ROWS, CANDIDATES)
         finally:
             session.close()
-        stats = session.cache_stats
+        metrics = session.run_metrics
         sizes = {len(candidate) for candidate in CANDIDATES}
-        assert stats.kernel_batches == len(sizes)
-        assert stats.matrix_bytes == PackedMatrix.from_rows(ROWS).nbytes
+        assert metrics.counter("kernel.batches") == len(sizes)
+        assert metrics.gauge("kernel.matrix_bytes") == (
+            PackedMatrix.from_rows(ROWS).nbytes
+        )
 
     def test_default_batch_budget_is_bounded(self):
         assert DEFAULT_BATCH_WORDS == 1 << 21

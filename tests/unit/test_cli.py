@@ -183,6 +183,31 @@ class TestMine:
         for line in lines:
             json.loads(line)  # every line is valid JSON
 
+    @pytest.mark.parametrize("miner", ["improved", "naive"])
+    def test_metrics_json_names_every_stage(self, dataset_files, miner,
+                                            capsys):
+        import json
+
+        baskets, taxonomy = dataset_files
+        code = main(
+            [
+                "mine",
+                "--baskets", baskets,
+                "--taxonomy", taxonomy,
+                "--minsup", "0.2",
+                "--minri", "0.3",
+                "--miner", miner,
+                "--metrics", "json",
+            ]
+        )
+        assert code == 0
+        histograms = json.loads(capsys.readouterr().err)["histograms"]
+        for stage in (
+            "positive", "candidate_gen", "negative_count", "select",
+            "rule_gen",
+        ):
+            assert f"span.mine.{stage}" in histograms
+
     def test_config_error_exits_2(self, dataset_files, capsys):
         baskets, taxonomy = dataset_files
         code = main(

@@ -249,11 +249,11 @@ class TestSessionLifecycle:
         )
         session.count(CANDIDATES)
         session.count(CANDIDATES)
-        assert session.parallel_stats.serial_tasks == 2
-        assert session.cache_stats.hits == 1
+        assert session.run_metrics.counter("parallel.serial_tasks") == 2
+        assert session.run_metrics.counter("cache.hits") == 1
         session.begin_run()
-        assert session.parallel_stats.serial_tasks == 0
-        assert session.cache_stats.hits == 0
+        assert session.run_metrics.counter("parallel.serial_tasks") == 0
+        assert session.run_metrics.counter("cache.hits") == 0
         session.close()
 
     def test_publish_run_merges_into_active_obs(self):

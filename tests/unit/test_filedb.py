@@ -227,7 +227,7 @@ class TestIncrementalEnginesOnDisk:
             candidates
         )
         assert counted == reference
-        assert session.cache_stats.extensions == 1
+        assert session.run_metrics.counter("cache.extensions") == 1
 
     def test_cached_engine_extends_over_filedb(self, basket_path):
         database = FileBackedDatabase(basket_path)
@@ -241,5 +241,5 @@ class TestIncrementalEnginesOnDisk:
         counted = session.count(candidates)
         assert database.scans == build_scans
         assert counted == {(1,): 4, (2,): 4, (4,): 3}
-        assert session.cache_stats.extensions == 1
-        assert session.cache_stats.invalidations == 0
+        assert session.run_metrics.counter("cache.extensions") == 1
+        assert session.run_metrics.counter("cache.invalidations") == 0

@@ -11,6 +11,7 @@ from repro.core.negmining import (
 from repro.core.session import MiningSession
 from repro.data.database import TransactionDatabase
 from repro.errors import ConfigError
+from repro.obs.registry import MetricsRegistry
 from repro.taxonomy.builders import taxonomy_from_nested
 
 
@@ -214,29 +215,29 @@ class TestNegativeItemsetType:
 
 class TestMiningStatsSummary:
     def test_reports_cache_hit_rate_and_pass_ratio(self):
-        stats = MiningStats(
-            data_passes=4,
-            physical_passes=1,
-            cache_hits=3,
-            cache_misses=1,
-            cache_bytes=1024,
-        )
+        metrics = MetricsRegistry()
+        metrics.incr("cache.hits", 3)
+        metrics.incr("cache.misses", 1)
+        metrics.max_gauge("cache.bytes", 1024)
+        stats = MiningStats(data_passes=4, physical_passes=1, metrics=metrics)
         assert stats.cache_hit_rate == pytest.approx(0.75)
         text = stats.summary()
-        assert "data passes     : 4" in text
-        assert "physical passes : 1" in text
-        assert "physical/logical: 0.25" in text
+        # Four logical passes served by one physical read.
+        assert "data passes    : 4" in text
+        assert "physical passes: 1" in text
         assert "3/4 hits (75%)" in text
         assert "1024 bytes" in text
 
     def test_omits_cache_line_when_cache_unused(self):
         text = MiningStats(data_passes=3, physical_passes=3).summary()
         assert "hits" not in text
-        assert "physical/logical: 1.00" in text
+        # One physical read per logical pass: no separate physical line.
+        assert "data passes    : 3" in text
+        assert "physical passes" not in text
 
     def test_zero_passes_no_ratio_line(self):
         text = MiningStats().summary()
-        assert "physical/logical" not in text
+        assert "physical passes" not in text
         assert MiningStats().cache_hit_rate == 0.0
 
 
@@ -257,7 +258,7 @@ class TestCachedEngineMiners:
         # Same logical pass schedule, fewer physical reads.
         assert cached.stats.data_passes == expected.stats.data_passes
         assert cached.stats.physical_passes < cached.stats.data_passes
-        assert cached.stats.cache_hits > 0
+        assert cached.stats.metrics.counter("cache.hits") > 0
 
     def test_naive_cached_matches_bitmap(self, database, taxonomy):
         expected = NaiveNegativeMiner(database, taxonomy, 0.15, 0.4).mine()

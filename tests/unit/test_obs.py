@@ -2,8 +2,8 @@
 
 Covers the metric registry (merge semantics, pickling), span nesting
 and timing, the zero-allocation disabled path, the trace/summary sinks,
-session install/restore semantics, the registry-backed stats adapters,
-and the parallel == serial metric-totals invariant.
+session install/restore semantics, the per-run registry a mining run's
+stats carry, and the parallel == serial metric-totals invariant.
 """
 
 import gc
@@ -17,16 +17,13 @@ import pytest
 from repro.data.database import TransactionDatabase
 from repro.errors import ConfigError
 from repro.core.session import MiningSession
-from repro.mining.vertical import CacheStats
 from repro.obs import api as obs
 from repro.obs.registry import (
     DEFAULT_BOUNDS,
     Histogram,
     MetricsRegistry,
-    stats_property,
 )
 from repro.obs.span import NULL_SPAN
-from repro.parallel.pool import ParallelStats
 
 
 @pytest.fixture(autouse=True)
@@ -105,6 +102,18 @@ class TestRegistry:
         assert ours.counter("n") == 5  # counters add
         assert ours.gauge("peak") == 7.0  # gauges keep the max
         assert ours.histogram("h").count == 2  # histograms merge
+
+    def test_merge_prefix_names_worker_metrics(self):
+        """A pool worker's kernel metrics land under ``worker.*``."""
+        driver, kernel = MetricsRegistry(), MetricsRegistry()
+        kernel.incr("cache.hits", 4)
+        kernel.max_gauge("cache.bytes", 1024)
+        kernel.observe("h", 0.5)
+        driver.merge(kernel, "worker.")
+        assert driver.counter("worker.cache.hits") == 4
+        assert driver.gauge("worker.cache.bytes") == 1024
+        assert driver.histogram("worker.h").count == 1
+        assert driver.counter("cache.hits") == 0
 
     def test_pickled_worker_registry_merges_like_local(self):
         """The pool ships registries by pickle; totals must survive."""
@@ -302,46 +311,48 @@ class TestSinks:
 
 
 # ----------------------------------------------------------------------
-# Registry-backed stats adapters
+# One run registry
 # ----------------------------------------------------------------------
-class TestStatsAdapters:
-    def test_cache_stats_keyword_ctor_and_arithmetic(self):
-        stats = CacheStats(hits=3, misses=1)
-        stats.hits += 2
-        assert stats.hits == 5
-        assert stats.hit_rate == pytest.approx(5 / 6)
-        assert CacheStats().hit_rate == 0.0
+class TestRunRegistry:
+    @pytest.mark.parametrize(
+        "engine, n_jobs",
+        [("cached", 1), ("mmap", 1), ("parallel-shm", 2)],
+    )
+    def test_stats_metrics_match_the_emitted_snapshot(
+        self, engine, n_jobs, capsys
+    ):
+        """The run's registry is the one vocabulary: every counter and
+        gauge ``result.stats.metrics`` holds reads the same in the
+        ``--metrics json`` document."""
+        from repro.core.api import mine_negative_rules
+        from repro.taxonomy.builders import taxonomy_from_parents
 
-    def test_cache_stats_rejects_unknown_fields(self):
-        with pytest.raises(TypeError):
-            CacheStats(frobs=1)
-
-    def test_adapter_writes_land_in_the_registry(self):
-        registry = MetricsRegistry()
-        stats = CacheStats(registry=registry, prefix="worker.")
-        stats.hits += 4
-        stats.bytes = 1024
-        assert registry.counter("worker.cache.hits") == 4
-        assert registry.gauge("worker.cache.bytes") == 1024
-        parallel = ParallelStats(registry=registry)
-        parallel.shm_batches += 2
-        assert registry.counter("parallel.shm.batches") == 2
-
-    def test_stats_property_kinds(self):
-        class View:
-            __slots__ = ("registry", "_prefix")
-            tally = stats_property("tally")
-            peak = stats_property("peak", kind="gauge")
-
-            def __init__(self, registry):
-                self.registry = registry
-                self._prefix = ""
-
-        view = View(MetricsRegistry())
-        view.tally += 3
-        view.peak = 9.5
-        assert view.tally == 3
-        assert view.peak == 9  # gauge reads back as int
+        taxonomy = taxonomy_from_parents({1: 10, 2: 10, 3: 11, 4: 11})
+        result = mine_negative_rules(
+            TransactionDatabase(small_rows()),
+            taxonomy,
+            minsup=0.1,
+            minri=0.2,
+            engine=engine,
+            n_jobs=n_jobs,
+            metrics="json",
+        )
+        emitted = json.loads(capsys.readouterr().err)
+        snapshot = result.stats.metrics.snapshot()
+        assert snapshot["counters"]
+        engine_layers = (
+            "cache.", "kernel.", "parallel.", "counting.segments."
+        )
+        for kind in ("counters", "gauges"):
+            for name, value in snapshot[kind].items():
+                assert emitted[kind][name] == value, name
+            # ...and no driver-side engine metric bypasses the run.
+            for name, value in emitted[kind].items():
+                if name.startswith(engine_layers):
+                    assert snapshot[kind][name] == value, name
+        assert emitted["counters"]["mine.data_passes"] == (
+            result.stats.data_passes
+        )
 
 
 # ----------------------------------------------------------------------
@@ -383,7 +394,7 @@ class TestParallelTotals:
             if name.startswith("worker.")
         ]
         assert worker  # shipped back and merged
-        # Parent-side batch accounting stays in the session's per-run
-        # stats until publish_run folds it into the obs registry.
-        assert session.parallel_stats.shm_batches == 2
+        # Parent-side batch accounting stays in the session's run
+        # registry until publish_run folds it into the obs registry.
+        assert session.run_metrics.counter("parallel.shm.batches") == 2
         assert parallel_registry.counter("parallel.shm.batches") == 0

@@ -28,8 +28,8 @@ from repro.data.database import TransactionDatabase
 from repro.mining.bitpack import PackedMatrix
 from repro.mining.engines.parallel import ParallelShmEngine
 from repro.parallel import shm
+from repro.obs.registry import MetricsRegistry
 from repro.parallel.pool import (
-    ParallelStats,
     PersistentWorkerPool,
     PoolConfig,
 )
@@ -390,7 +390,10 @@ class TestParallelShmEngine:
         engine = fresh_engine()
         try:
             state = engine.prepare(list(ROWS), None)
-            assert engine.count(state, CANDIDATES) == expected_counts()
+            counts = engine.count(
+                state, CANDIDATES, metrics=MetricsRegistry()
+            )
+            assert counts == expected_counts()
             assert live_segments()  # published while the engine lives
         finally:
             engine.close()
@@ -402,7 +405,10 @@ class TestParallelShmEngine:
         engine = fresh_engine()
         try:
             state = engine.prepare(list(ROWS), taxonomy)
-            assert engine.count(state, candidates) == expected_counts(
+            counts = engine.count(
+                state, candidates, metrics=MetricsRegistry()
+            )
+            assert counts == expected_counts(
                 candidates=candidates, taxonomy=taxonomy
             )
         finally:
@@ -416,11 +422,12 @@ class TestParallelShmEngine:
             first = session.count(CANDIDATES)
             second = session.count(CANDIDATES)
             assert first == second == expected_counts()
-            assert session.parallel_stats.shm_publishes == 1
-            assert session.parallel_stats.shm_batches >= 2
-            assert session.cache_stats.hits >= 1  # matrix reused
-            assert session.parallel_stats.workers_launched == 2
-            assert session.parallel_stats.shm_bytes > 0
+            metrics = session.run_metrics
+            assert metrics.counter("parallel.shm.publishes") == 1
+            assert metrics.counter("parallel.shm.batches") >= 2
+            assert metrics.counter("cache.hits") >= 1  # matrix reused
+            assert metrics.counter("parallel.workers_launched") == 2
+            assert metrics.gauge("parallel.shm.bytes") > 0
         finally:
             session.engine.close()
 
@@ -428,13 +435,17 @@ class TestParallelShmEngine:
         engine = fresh_engine()
         try:
             first_db = TransactionDatabase(ROWS)
-            engine.count(engine.prepare(first_db, None), CANDIDATES)
+            engine.count(
+                engine.prepare(first_db, None), CANDIDATES,
+                metrics=MetricsRegistry(),
+            )
             first_name = engine._shared.handle.name
             assert engine._shared.handle.fingerprint == 1
 
             mutated = TransactionDatabase(list(ROWS) + [(1, 2, 3, 4)])
             counts = engine.count(
-                engine.prepare(mutated, None), CANDIDATES
+                engine.prepare(mutated, None), CANDIDATES,
+                metrics=MetricsRegistry(),
             )
             assert counts == expected_counts(rows=mutated)
             assert engine._shared.handle.fingerprint == 2
@@ -447,7 +458,10 @@ class TestParallelShmEngine:
         engine = ParallelShmEngine(n_jobs=1)
         try:
             state = engine.prepare(list(ROWS), None)
-            assert engine.count(state, CANDIDATES) == expected_counts()
+            counts = engine.count(
+                state, CANDIDATES, metrics=MetricsRegistry()
+            )
+            assert counts == expected_counts()
             assert engine._shared is None
             assert engine._pool is None
             assert not live_segments()
@@ -471,13 +485,11 @@ class TestParallelShmEngine:
         engine = fresh_engine(retries=2)
         try:
             state = engine.prepare(list(ROWS), None)
-            stats = ParallelStats()
-            counts = engine.count(
-                state, CANDIDATES, parallel_stats=stats
-            )
+            metrics = MetricsRegistry()
+            counts = engine.count(state, CANDIDATES, metrics=metrics)
             assert counts == expected_counts()
-            assert stats.worker_crashes >= 1
-            assert stats.worker_retries >= 1
+            assert metrics.counter("parallel.worker_crashes") >= 1
+            assert metrics.counter("parallel.worker_retries") >= 1
         finally:
             engine.close()
         assert not live_segments()
@@ -486,7 +498,10 @@ class TestParallelShmEngine:
         engine = fresh_engine(start_method="spawn")
         try:
             state = engine.prepare(list(ROWS), None)
-            assert engine.count(state, CANDIDATES) == expected_counts()
+            counts = engine.count(
+                state, CANDIDATES, metrics=MetricsRegistry()
+            )
+            assert counts == expected_counts()
         finally:
             engine.close()
         assert not live_segments()
@@ -534,8 +549,8 @@ class TestParallelShmEngine:
         ]
         assert parallel.rules == serial.rules
         assert parallel.stats.data_passes == serial.stats.data_passes
-        assert parallel.stats.worker_tasks > 0
-        assert serial.stats.worker_tasks == 0
+        assert parallel.stats.metrics.counter("parallel.worker_tasks") > 0
+        assert serial.stats.metrics.counter("parallel.worker_tasks") == 0
 
     def test_summary_reports_retries(
         self, tmp_path, monkeypatch
@@ -569,12 +584,13 @@ class TestParallelShmEngine:
             )
         finally:
             session.close()
-        assert result.stats.worker_retries >= 1
+        retried = result.stats.metrics.counter("parallel.worker_retries")
+        assert retried >= 1
         line = next(
             line for line in result.summary(taxonomy).splitlines()
             if line.startswith("shared memory")
         )
         retries = int(line.split("retries ")[1].split(",")[0])
-        assert retries == result.stats.worker_retries >= 1
+        assert retries == retried
         assert "fallbacks 0" in line
         assert set(live_segments()) <= before

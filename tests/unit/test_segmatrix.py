@@ -29,7 +29,6 @@ from repro.mining.segmatrix import (
     chain_fingerprint,
     live_spill_dirs,
 )
-from repro.mining.vertical import CacheStats
 
 #: (segment_rows, n_rows) pairs straddling word and segment boundaries:
 #: exact multiples of 64, off-by-one around a word, segments smaller
@@ -104,27 +103,28 @@ class TestLayoutAndCounting:
 class TestSyncPaths:
     def test_unchanged_database_is_a_hit(self):
         database = TransactionDatabase(make_rows(30))
-        stats = CacheStats()
+        metrics = MetricsRegistry()
         with SegmentedPackedMatrix(segment_rows=8) as matrix:
-            matrix.sync(database, stats=stats)
-            packed = stats.segments_packed
-            matrix.sync(database, stats=stats)
-            assert stats.hits == 1
-            assert stats.segments_packed == packed
+            matrix.sync(database, metrics=metrics)
+            packed = metrics.counter("counting.segments.packed")
+            matrix.sync(database, metrics=metrics)
+            assert metrics.counter("cache.hits") == 1
+            assert metrics.counter("counting.segments.packed") == packed
 
     def test_append_extends_tail_and_reuses_the_rest(self):
         rows = make_rows(30)
         database = TransactionDatabase(rows)
-        stats = CacheStats()
+        metrics = MetricsRegistry()
         with SegmentedPackedMatrix(segment_rows=8) as matrix:
-            matrix.sync(database, stats=stats)
+            matrix.sync(database, metrics=metrics)
             assert matrix.n_segments == 4  # 8+8+8+6
             tail = [(0, 1), (2, 21)]
             database.append(tail)
-            matrix.sync(database, stats=stats)
-            assert stats.extensions == 1
-            assert stats.segments_extended == 1  # the partial tail
-            assert stats.segments_reused == 3  # everything else untouched
+            matrix.sync(database, metrics=metrics)
+            assert metrics.counter("cache.extensions") == 1
+            # The partial tail is extended; everything else is untouched.
+            assert metrics.counter("counting.segments.extended") == 1
+            assert metrics.counter("counting.segments.reused") == 3
             assert matrix.n_rows == 32
             assert matrix.count(CANDIDATES) == brute_counts(
                 rows + tail, CANDIDATES
@@ -133,32 +133,33 @@ class TestSyncPaths:
     def test_append_overflowing_the_tail_packs_new_segments(self):
         rows = make_rows(10)
         database = TransactionDatabase(rows)
-        stats = CacheStats()
+        metrics = MetricsRegistry()
         with SegmentedPackedMatrix(segment_rows=4) as matrix:
-            matrix.sync(database, stats=stats)
-            packed_before = stats.segments_packed
+            matrix.sync(database, metrics=metrics)
+            packed_before = metrics.counter("counting.segments.packed")
             tail = make_rows(9, n_items=11)
             database.append(tail)
-            matrix.sync(database, stats=stats)
+            matrix.sync(database, metrics=metrics)
             # 10 -> 19 rows at 4/segment: the 2-row tail fills to 4 and
             # 2 whole new segments are packed (one partial).
-            assert stats.segments_extended == 1
-            assert stats.segments_packed == packed_before + 2
+            assert metrics.counter("counting.segments.extended") == 1
+            packed = metrics.counter("counting.segments.packed")
+            assert packed == packed_before + 2
             assert matrix.count(CANDIDATES) == brute_counts(
                 rows + tail, CANDIDATES
             )
 
     def test_out_of_band_rewrite_triggers_resync(self):
         database = TransactionDatabase(make_rows(12))
-        stats = CacheStats()
+        metrics = MetricsRegistry()
         with SegmentedPackedMatrix(segment_rows=4) as matrix:
-            matrix.sync(database, stats=stats)
+            matrix.sync(database, metrics=metrics)
             rewrite = make_rows(14, n_items=9)
             database._transactions = tuple(
                 tuple(row) for row in rewrite
             )
-            matrix.sync(database, stats=stats)
-            assert stats.invalidations == 1
+            matrix.sync(database, metrics=metrics)
+            assert metrics.counter("cache.invalidations") == 1
             assert matrix.count(CANDIDATES) == brute_counts(
                 rewrite, CANDIDATES
             )
@@ -166,18 +167,19 @@ class TestSyncPaths:
     def test_resync_reuses_fingerprint_matching_segments(self):
         rows = [tuple(row) for row in make_rows(20)]
         database = TransactionDatabase(rows)
-        stats = CacheStats()
+        metrics = MetricsRegistry()
         with SegmentedPackedMatrix(segment_rows=4) as matrix:
-            matrix.sync(database, stats=stats)
-            packed_before = stats.segments_packed
+            matrix.sync(database, metrics=metrics)
+            packed_before = metrics.counter("counting.segments.packed")
             # Rewrite one row in the middle segment only.
             mutated = list(rows)
             mutated[9] = (0, 1, 2)
             database._transactions = tuple(mutated)
-            matrix.sync(database, stats=stats)
+            matrix.sync(database, metrics=metrics)
             # Only segment 2 (rows 8..11) changed; 4 of 5 reused.
-            assert stats.segments_packed == packed_before + 1
-            assert stats.segments_reused == 4
+            packed = metrics.counter("counting.segments.packed")
+            assert packed == packed_before + 1
+            assert metrics.counter("counting.segments.reused") == 4
             assert matrix.count(CANDIDATES) == brute_counts(
                 mutated, CANDIDATES
             )
@@ -193,25 +195,27 @@ class TestResidency:
         with SegmentedPackedMatrix.from_rows(
             rows, segment_rows=8, max_resident_bytes=block_bytes
         ) as matrix:
-            stats = CacheStats()
-            assert matrix.count(CANDIDATES, stats=stats) == brute_counts(
+            metrics = MetricsRegistry()
+            assert matrix.count(CANDIDATES, metrics=metrics) == brute_counts(
                 rows, CANDIDATES
             )
             # At most one block stays open; the rest were evicted during
             # packing and get re-mapped on demand while counting.
             assert matrix.resident_bytes <= block_bytes
-            assert stats.segments_mmap_reads >= matrix.n_segments - 1
-            assert stats.segments_resident_bytes <= block_bytes
+            reads = metrics.counter("counting.segments.mmap_reads")
+            assert reads >= matrix.n_segments - 1
+            resident = metrics.gauge("counting.segments.resident_bytes")
+            assert resident <= block_bytes
 
     def test_unbounded_budget_keeps_blocks_resident(self):
         rows = make_rows(40)
         with SegmentedPackedMatrix.from_rows(
             rows, segment_rows=8
         ) as matrix:
-            stats = CacheStats()
-            matrix.count(CANDIDATES, stats=stats)
+            metrics = MetricsRegistry()
+            matrix.count(CANDIDATES, metrics=metrics)
             assert matrix.resident_bytes == matrix.spilled_bytes
-            assert stats.segments_mmap_reads == 0
+            assert metrics.counter("counting.segments.mmap_reads") == 0
 
 
 class TestSpillLifecycle:
@@ -462,14 +466,15 @@ class TestEngineSurface:
         database = TransactionDatabase(rows)
         session = MiningSession(database, engine="mmap", segment_rows=8)
         assert session.count(CANDIDATES) == brute_counts(rows, CANDIDATES)
-        stats = session.cache_stats
-        assert stats.segments_packed == 4
-        assert stats.segments_spilled_bytes > 0
-        assert stats.matrix_bytes > 0  # per-segment kernel footprint
+        metrics = session.run_metrics
+        assert metrics.counter("counting.segments.packed") == 4
+        assert metrics.gauge("counting.segments.spilled_bytes") > 0
+        # The per-segment kernel footprint.
+        assert metrics.gauge("kernel.matrix_bytes") > 0
         database.append([(1, 2, 3)])
         session.count(CANDIDATES)
-        assert stats.extensions == 1
-        assert stats.segments_extended == 1
+        assert metrics.counter("cache.extensions") == 1
+        assert metrics.counter("counting.segments.extended") == 1
 
     def test_incremental_recount_needs_no_physical_pass(self):
         rows = make_rows(40)

@@ -308,10 +308,10 @@ class TestStreamingMiner:
             stream_setup["append"] = appended
             _append(stream_setup)
             assert miner.poll()
-            stats = miner.session.cache_stats
-            assert stats.extensions == 1
-            assert stats.invalidations == 0
-            assert stats.misses == 0
+            stats = miner.session.run_metrics
+            assert stats.counter("cache.extensions") == 1
+            assert stats.counter("cache.invalidations") == 0
+            assert stats.counter("cache.misses") == 0
         assert miner.index.version == 3
         assert database.scans == bootstrap_scans
 

@@ -12,7 +12,9 @@ from repro.errors import DatabaseError
 from repro.itemset import itemset
 from repro.mining import vertical
 from repro.core.session import MiningSession
-from repro.mining.vertical import CacheStats, VerticalIndex
+from repro.core.negmining import MiningStats
+from repro.mining.vertical import VerticalIndex
+from repro.obs.registry import MetricsRegistry
 from repro.taxonomy.builders import taxonomy_from_parents
 from repro.taxonomy.tree import Taxonomy
 
@@ -84,21 +86,22 @@ class TestVerticalIndex:
 class TestGetIndex:
     def test_second_call_hits_cache(self):
         database = TransactionDatabase(ROWS)
-        stats = CacheStats()
-        first = vertical.get_index(database, stats=stats)
-        second = vertical.get_index(database, stats=stats)
+        metrics = MetricsRegistry()
+        first = vertical.get_index(database, metrics)
+        second = vertical.get_index(database, metrics)
         assert first is second
-        assert (stats.hits, stats.misses) == (1, 1)
+        assert metrics.counter("cache.hits") == 1
+        assert metrics.counter("cache.misses") == 1
         assert database.scans == 1
 
     def test_mutated_database_invalidates(self):
         database = TransactionDatabase(ROWS)
-        stats = CacheStats()
-        vertical.get_index(database, stats=stats)
+        metrics = MetricsRegistry()
+        vertical.get_index(database, metrics)
         new_rows = ((5, 6), (5,), (6,))
         database._transactions = new_rows
-        index = vertical.get_index(database, stats=stats)
-        assert stats.invalidations == 1
+        index = vertical.get_index(database, metrics)
+        assert metrics.counter("cache.invalidations") == 1
         assert index.count([(5,), (6,), (5, 6)]) == brute(
             new_rows, [(5,), (6,), (5, 6)]
         )
@@ -119,7 +122,7 @@ class TestFileBackedInvalidation:
         assert session.count([(1,), (2,)]) == {(1,): 1, (2,): 2}
         path.write_text("1 2\n1 3\n1 4\n")
         assert session.count([(1,), (2,)]) == {(1,): 3, (2,): 1}
-        assert session.cache_stats.invalidations == 1
+        assert session.run_metrics.counter("cache.invalidations") == 1
 
     def test_cache_token_requires_existing_file(self, tmp_path):
         path = tmp_path / "baskets.txt"
@@ -134,7 +137,7 @@ class TestCachedEngine:
     def test_plain_rows_one_shot(self):
         session = MiningSession(list(ROWS), engine="cached")
         assert session.count(CANDIDATES) == brute(ROWS, CANDIDATES)
-        assert session.cache_stats.misses == 1
+        assert session.run_metrics.counter("cache.misses") == 1
 
     def test_database_pass_accounting(self):
         database = TransactionDatabase(ROWS)
@@ -152,9 +155,14 @@ class TestCachedEngine:
 
 
 class TestCacheStats:
+    """The cache's counters, read back as a run's hit rate."""
+
     def test_hit_rate(self):
-        stats = CacheStats(hits=3, misses=1)
-        assert stats.hit_rate == 0.75
+        database = TransactionDatabase(ROWS)
+        metrics = MetricsRegistry()
+        for _ in range(4):
+            vertical.get_index(database, metrics)
+        assert MiningStats(metrics=metrics).cache_hit_rate == 0.75
 
     def test_hit_rate_no_lookups(self):
-        assert CacheStats().hit_rate == 0.0
+        assert MiningStats().cache_hit_rate == 0.0
