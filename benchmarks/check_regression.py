@@ -1,20 +1,17 @@
-"""CI benchmark-regression gate: engines, serving, parallel scaling.
+"""CI benchmark-regression gate: engines, serving, maintenance, measures.
 
 Re-runs the quick engine matrix (``bench_engine_matrix --quick``) and
-compares each engine's mean wall-clock per logical pass against the
-committed baseline in ``BENCH_counting.json`` (the
+compares each engine's ``mean_wall_per_10_passes_s`` (its mean wall per
+logical pass, timed over at least
+``bench_engine_matrix.MIN_CELL_WALL_S`` of passes per cell, times ten —
+scaled so every engine sits above the measurement floor) against the committed baseline in ``BENCH_counting.json`` (the
 ``["quick"]["engine_matrix"]`` key, written by a ``--quick`` run on the
 maintainer's machine). It then does the same for the serving layer
 (``bench_serving --quick``): the cold (all matches and ``limit`` 10)
 and hot-LRU scoring paths are compared through their
 ``wall_per_10k_s`` figures (per-request latency times 10,000 — scaled
 so all sit above the measurement floor) under the
-``["quick"]["serving"]`` key. Finally the parallel-scaling profile
-(``bench_parallel_scaling --quick``) is gated the same way: each
-variant's steady-state per-pass wall (serial cached, ``parallel-shm``
-at several job counts) under
-``["quick"]["parallel_scaling"]``; only the variants present in both
-the baseline and the run are compared. The
+``["quick"]["serving"]`` key. The
 incremental-maintenance profile (``bench_incremental --quick``) gates
 the append-then-recount walls of the ``mmap`` and ``cached`` engines —
 incremental and full-invalidation modes — under
@@ -69,6 +66,9 @@ DEFAULT_THRESHOLD = 1.25
 #: engine regressing from under the floor to real time (e.g. 2 ms ->
 #: 7 ms) still rises above it and trips the gate.
 MEASUREMENT_FLOOR_S = 0.005
+
+#: The engine-matrix figure the gate compares (see the module docstring).
+MATRIX_FIELD = "mean_wall_per_10_passes_s"
 
 
 def geometric_mean(values: list[float]) -> float:
@@ -137,10 +137,10 @@ def _run_quick_matrix(out: Path, trace: str | None, repeats: int) -> dict:
                     f"engine matrix run failed with exit code {code}"
                 )
             report = json.loads(out.read_text())["quick"]["engine_matrix"]
-            for engine, value in report["mean_wall_per_pass_s"].items():
+            for engine, value in report[MATRIX_FIELD].items():
                 best[engine] = min(best.get(engine, value), value)
             print(f"[repeat {attempt + 1}/{repeats}] done")
-    report["mean_wall_per_pass_s"] = best
+    report[MATRIX_FIELD] = best
     report["repeats"] = repeats
     return report
 
@@ -167,33 +167,6 @@ def _run_quick_serving(out: Path, repeats: int) -> dict:
             best[mode] = min(best.get(mode, value), value)
         print(f"[serving repeat {attempt + 1}/{repeats}] done")
     report["wall_per_10k_s"] = best
-    report["repeats"] = repeats
-    return report
-
-
-def _run_quick_parallel(out: Path, repeats: int) -> dict:
-    """Run the quick parallel-scaling benchmark; keep per-variant minima.
-
-    The element-wise minimum over repeats is taken per variant label
-    (``cached``, ``parallel-shm@2``, …), mirroring
-    :func:`_run_quick_matrix`.
-    """
-    from benchmarks import bench_parallel_scaling
-
-    argv = ["--quick", "--no-check", "--out", str(out)]
-    report: dict = {}
-    best: dict[str, float] = {}
-    for attempt in range(repeats):
-        code = bench_parallel_scaling.main(argv)
-        if code != 0:
-            raise SystemExit(
-                f"parallel scaling run failed with exit code {code}"
-            )
-        report = json.loads(out.read_text())["quick"]["parallel_scaling"]
-        for variant, value in report["steady_wall_per_pass_s"].items():
-            best[variant] = min(best.get(variant, value), value)
-        print(f"[parallel repeat {attempt + 1}/{repeats}] done")
-    report["steady_wall_per_pass_s"] = best
     report["repeats"] = repeats
     return report
 
@@ -359,9 +332,6 @@ def main(argv: list[str] | None = None) -> int:
         serving = _run_quick_serving(
             Path(tmp) / "serving.json", args.repeats
         )
-        parallel = _run_quick_parallel(
-            Path(tmp) / "parallel.json", args.repeats
-        )
         incremental = _run_quick_incremental(
             Path(tmp) / "incremental.json", args.repeats
         )
@@ -377,25 +347,20 @@ def main(argv: list[str] | None = None) -> int:
 
         fold_report(args.baseline, "engine_matrix", current, quick=True)
         fold_report(args.baseline, "serving", serving, quick=True)
-        fold_report(
-            args.baseline, "parallel_scaling", parallel, quick=True
-        )
         fold_report(args.baseline, "incremental", incremental, quick=True)
         fold_report(args.baseline, "streaming", streaming, quick=True)
         fold_report(args.baseline, "measures", measures, quick=True)
         print(
-            f"re-baselined quick engine_matrix, serving, "
-            f"parallel_scaling, incremental, streaming and measures "
-            f"in {args.baseline}"
+            f"re-baselined quick engine_matrix, serving, incremental, "
+            f"streaming and measures in {args.baseline}"
         )
         return 0
 
     baseline_doc = json.loads(args.baseline.read_text())
     failed: list[str] = []
     gates = (
-        ("engine_matrix", "mean_wall_per_pass_s", current),
+        ("engine_matrix", MATRIX_FIELD, current),
         ("serving", "wall_per_10k_s", serving),
-        ("parallel_scaling", "steady_wall_per_pass_s", parallel),
         ("incremental", "wall_recount_s", incremental),
         ("streaming", "wall_update_s", streaming),
         ("measures", "wall_per_eval_s", measures),

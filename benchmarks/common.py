@@ -64,22 +64,17 @@ def dataset(kind: str) -> SyntheticDataset:
 
 
 def engine_matrix_configurations() -> list[tuple[str, dict]]:
-    """The serial engine cells, derived from the registry.
+    """The engine cells, derived from the registry.
 
-    One cell per registered in-process engine (every engine but the
-    shared-memory one, which E11 benchmarks apart), labelled by its
-    name. Each entry is ``(label, session_kwargs)`` — the kwargs to build a
+    One cell per registered engine, labelled by its name. Each entry is
+    ``(label, session_kwargs)`` — the kwargs to build a
     :class:`~repro.core.session.MiningSession` for that cell. Adding an
     engine to the registry adds its row here (and in the regression
     gate's baseline) with no benchmark edit.
     """
-    from repro.mining.engines import registered_engines
+    from repro.mining.engines import engine_names
 
-    cells: list[tuple[str, dict]] = []
-    for name, cls in registered_engines().items():
-        if not cls.capabilities.shared_memory:
-            cells.append((name, {"engine": name}))
-    return cells
+    return [(name, {"engine": name}) for name in engine_names()]
 
 
 def paper_row(label: str, **columns) -> None:

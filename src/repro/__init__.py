@@ -46,7 +46,6 @@ from .mining.apriori import find_large_itemsets
 from .mining.generalized import mine_generalized
 from .mining.itemset_index import LargeItemsetIndex
 from .mining.rules import AssociationRule, generate_rules
-from .parallel import PoolConfig
 from .taxonomy.tree import Taxonomy
 
 __version__ = "1.0.0"
@@ -74,8 +73,6 @@ __all__ = [
     "mine_generalized",
     "AssociationRule",
     "generate_rules",
-    # parallel execution
-    "PoolConfig",
     # errors
     "ReproError",
     "ConfigError",

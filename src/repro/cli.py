@@ -102,20 +102,6 @@ def _measure_spec(value: str) -> str:
     return value
 
 
-_JOBS_HELP = (
-    "worker processes for the parallel-shm engine (1 = count "
-    "in-process); > 1 selects parallel-shm when no --engine is given"
-)
-
-
-def _mining_engine(engine: str | None, n_jobs: int) -> str:
-    """The engine a ``mine``/``positive`` run uses: ``--jobs`` means
-    ``parallel-shm`` unless ``--engine`` names one explicitly."""
-    if engine is not None:
-        return engine
-    return "parallel-shm" if n_jobs > 1 else DEFAULT_ENGINE
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-mine",
@@ -156,19 +142,16 @@ def _build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--algorithm",
                       choices=("basic", "cumulate", "estmerge"),
                       default="cumulate")
-    mine.add_argument("--engine", type=_engine_spec, default=None,
-                      metavar="NAME",
-                      help=f"counting engine (default: {DEFAULT_ENGINE}, "
-                           f"or parallel-shm with --jobs > 1; list with "
-                           f"'python -m repro engines')")
+    mine.add_argument("--engine", type=_engine_spec,
+                      default=DEFAULT_ENGINE, metavar="NAME",
+                      help="counting engine (default: %(default)s; list "
+                           "with 'python -m repro engines')")
     mine.add_argument("--measure", type=_measure_spec, default="ri",
                       metavar="NAME",
                       help="interestingness measure judging candidates "
                            "and rules (list with "
                            "'python -m repro measures')")
     mine.add_argument("--max-size", type=int, default=None)
-    mine.add_argument("--jobs", type=int, default=1, dest="n_jobs",
-                      help=_JOBS_HELP)
     mine.add_argument("--segment-rows", type=int, default=None,
                       dest="segment_rows",
                       help="mmap engine: rows per spilled packed segment")
@@ -214,8 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
     positive.add_argument("--algorithm",
                           choices=("basic", "cumulate", "estmerge"),
                           default="cumulate")
-    positive.add_argument("--jobs", type=int, default=1, dest="n_jobs",
-                          help=_JOBS_HELP)
     positive.add_argument("--limit", type=int, default=25)
 
     inspect = commands.add_parser(
@@ -400,11 +381,10 @@ def _command_mine(args: argparse.Namespace) -> int:
         minri=args.minri,
         miner=args.miner,
         algorithm=args.algorithm,
-        engine=_mining_engine(args.engine, args.n_jobs),
+        engine=args.engine,
         measure=args.measure,
         max_size=args.max_size,
         max_sibling_replacements=args.max_sibling_replacements,
-        n_jobs=args.n_jobs,
         segment_rows=args.segment_rows,
         max_resident_bytes=args.max_resident_bytes,
         spill_dir=args.spill_dir,
@@ -448,19 +428,9 @@ def _command_mine(args: argparse.Namespace) -> int:
 def _command_positive(args: argparse.Namespace) -> int:
     database = load_basket_file(args.baskets)
     taxonomy = load_taxonomy_file(args.taxonomy)
-    session = MiningSession(
-        database,
-        taxonomy,
-        engine=_mining_engine(None, args.n_jobs),
-        n_jobs=args.n_jobs,
+    index = mine_generalized(
+        database, taxonomy, args.minsup, algorithm=args.algorithm
     )
-    try:
-        index = mine_generalized(
-            database, taxonomy, args.minsup, algorithm=args.algorithm,
-            session=session,
-        )
-    finally:
-        session.close()
     rules = generate_rules(index, args.minconf)
     print(f"large itemsets : {len(index)}")
     print(f"rules          : {len(rules)}")

@@ -58,7 +58,7 @@ class MiningConfig:
     engine:
         Support-counting engine: a registered engine name
         (``"cached"``, ``"bitmap"``, ``"hashtree"``, ``"brute"``,
-        ``"mmap"``, ``"parallel-shm"``). Defaults
+        ``"mmap"``). Defaults
         to :data:`~repro.mining.engines.DEFAULT_ENGINE` (``"cached"``:
         one physical scan builds a vertical index that serves every
         pass). Run ``python -m repro engines`` for the full capability
@@ -92,12 +92,6 @@ class MiningConfig:
         Negative values are rejected.
     seed:
         Seed for the EstMerge sample, when used.
-    n_jobs:
-        ``engine="parallel-shm"`` only: worker processes that split each
-        counting pass's candidates (see :mod:`repro.parallel`). ``1``
-        (default) counts in-process. Any higher value with another
-        engine raises :class:`~repro.errors.ConfigError`. Counts are
-        bit-identical either way.
     segment_rows:
         ``engine="mmap"`` only: rows per spilled packed segment
         (:mod:`repro.mining.segmatrix`). ``None`` uses the default
@@ -116,7 +110,7 @@ class MiningConfig:
         the process) goes away.
     trace_path:
         Write a JSON-lines trace of every span (counting passes, cache
-        builds, worker batches, miner phases) plus a final metrics
+        builds, miner phases) plus a final metrics
         snapshot to this file (see :mod:`repro.obs`). ``None`` (default)
         disables tracing entirely — the no-op path costs one ``is None``
         check per instrumentation point.
@@ -140,7 +134,6 @@ class MiningConfig:
     figure3_literal: bool = False
     max_sibling_replacements: int | None = None
     seed: int | None = None
-    n_jobs: int = 1
     segment_rows: int | None = None
     max_resident_bytes: int | None = None
     spill_dir: str | None = None
@@ -159,8 +152,7 @@ class MiningConfig:
                 f"unknown algorithm {self.algorithm!r}; "
                 f"choose from {ALGORITHMS}"
             )
-        check_positive(self.n_jobs, "n_jobs")
-        validate_spec(self.engine, n_jobs=self.n_jobs)
+        validate_spec(self.engine)
         validate_measure_spec(self.measure)
         if self.figure3_literal and self.measure != "ri":
             raise ConfigError(

@@ -92,10 +92,9 @@ class MiningStats:
     MetricsRegistry` (``MiningSession.run_metrics``): every engine
     counter of the run, under the names ``--metrics`` prints —
     ``cache.*`` (vertical-index and packed-matrix reuse), ``kernel.*``
-    (bit-packed kernel batches, words and matrix bytes),
+    (bit-packed kernel batches, words and matrix bytes) and
     ``counting.segments.*`` (the ``"mmap"`` engine's segments and
-    memory) and ``parallel.*`` (``"parallel-shm"`` workers, retries,
-    fallbacks and shared-memory publishes).
+    memory).
     """
 
     data_passes: int = 0
@@ -170,16 +169,6 @@ class MiningStats:
                 f"segments {resident} B "
                 f"resident / {gauge('counting.segments.spilled_bytes')} B "
                 f"spilled"
-            )
-        if counter("parallel.shm.batches"):
-            lines.append(
-                f"shared memory  : {counter('parallel.shm.batches')} "
-                f"batches "
-                f"(workers {counter('parallel.workers_launched')}, "
-                f"retries {counter('parallel.worker_retries')}, "
-                f"fallbacks {counter('parallel.worker_fallbacks')}, "
-                f"publishes {counter('parallel.shm.publishes')}, "
-                f"{gauge('parallel.shm.bytes')} bytes)"
             )
         return "\n".join(lines)
 
@@ -304,9 +293,9 @@ class NaiveNegativeMiner:
         Fractional minimum support and minimum rule interest.
     session:
         The :class:`~repro.core.session.MiningSession` every counting
-        pass goes through — engine choice, cache policy and parallel
-        policy all live there. ``None`` builds a serial default-engine
-        session over *database*/*taxonomy*.
+        pass goes through — engine choice and cache policy live
+        there. ``None`` builds a default-engine session over
+        *database*/*taxonomy*.
     max_size:
         Optional cap on itemset size.
     figure3_literal:

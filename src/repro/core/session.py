@@ -2,22 +2,21 @@
 
 A :class:`MiningSession` binds everything a counting pass needs once —
 database, taxonomy, the resolved :class:`~repro.mining.engines.
-CountingEngine`, cache/parallel policy and the observability sinks — and
+CountingEngine`, its out-of-core policy and the observability sinks — and
 is the only object passed from :class:`~repro.core.api.MiningConfig`
 down through the miners.
 
 Lifecycle
 ---------
 ``MiningSession.from_config`` resolves the config's engine spec through
-the registry (``n_jobs > 1`` is valid only with ``"parallel-shm"``).
-``prepare()`` runs once per session for the
-bound database, so engines with per-database state build it a single
-time. Each miner ``mine()`` run brackets itself with :meth:`begin_run`
-(a fresh per-run :class:`~repro.obs.registry.MetricsRegistry`,
+the registry. ``prepare()`` runs once per session for the bound
+database, so engines with per-database state build it a single time.
+Each miner ``mine()`` run brackets itself with :meth:`begin_run` (a
+fresh per-run :class:`~repro.obs.registry.MetricsRegistry`,
 ``run_metrics`` — a second run never reports the first run's numbers)
 and :meth:`publish_run` (folds that registry into the active
-observability session). :meth:`close` releases the engine's workers,
-segments and spill files.
+observability session). :meth:`close` releases the engine's segments
+and spill files.
 """
 
 from __future__ import annotations
@@ -69,12 +68,8 @@ class MiningSession:
     taxonomy:
         Default taxonomy for :meth:`count`; ``None`` for flat mining.
     engine:
-        An engine spec (``"bitmap"``, ``"parallel-shm"``, …) or an
+        An engine spec (``"bitmap"``, ``"mmap"``, …) or an
         already-built :class:`CountingEngine`.
-    n_jobs:
-        Worker processes of the ``"parallel-shm"`` engine. The default
-        ``1`` counts in-process and starts no worker. ``n_jobs > 1``
-        with any other engine raises :class:`~repro.errors.ConfigError`.
     segment_rows, max_resident_bytes, spill_dir:
         Out-of-core policy for the ``"mmap"`` engine: rows per spilled
         segment, the budget for concurrently open segment blocks, and
@@ -96,7 +91,6 @@ class MiningSession:
         taxonomy: Taxonomy | None = None,
         engine: str | CountingEngine = DEFAULT_ENGINE,
         *,
-        n_jobs: int = 1,
         segment_rows: int | None = None,
         max_resident_bytes: int | None = None,
         spill_dir: str | None = None,
@@ -110,7 +104,6 @@ class MiningSession:
         self.engine = create_engine(
             engine,
             EnginePolicy(
-                n_jobs=n_jobs,
                 segment_rows=segment_rows,
                 max_resident_bytes=max_resident_bytes,
                 spill_dir=spill_dir,
@@ -151,7 +144,6 @@ class MiningSession:
             transactions,
             taxonomy,
             engine=config.engine,
-            n_jobs=config.n_jobs,
             segment_rows=config.segment_rows,
             max_resident_bytes=config.max_resident_bytes,
             spill_dir=config.spill_dir,
@@ -203,7 +195,7 @@ class MiningSession:
         """Start a fresh run of the given kind: a new ``run_metrics``.
 
         A second ``mine()`` on the same session must never report the
-        first run's cache/worker activity; the previous run's registry
+        first run's cache activity; the previous run's registry
         stays with that run's stats. *kind* (one of
         :data:`RUN_KINDS`; ``None`` means the session's
         ``default_run_kind``) selects the counter prefix
@@ -223,7 +215,7 @@ class MiningSession:
         self.run_metrics = MetricsRegistry()
 
     def close(self) -> None:
-        """Release the engine's workers, segments and spill files."""
+        """Release the engine's segments and spill files."""
         self.engine.close()
 
     def observed(self) -> contextlib.AbstractContextManager:

@@ -92,8 +92,8 @@ def find_large_itemsets(
         Fractional minimum support in ``(0, 1]``.
     session:
         The :class:`~repro.core.session.MiningSession` to count through
-        (engine, cache and parallel policy); ``None`` uses a serial
-        default-engine session.
+        (engine and cache policy); ``None`` uses a default-engine
+        session.
     max_size:
         Optional cap on itemset size (``None`` mines to exhaustion).
 

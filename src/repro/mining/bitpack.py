@@ -37,11 +37,9 @@ bit-identical to per-row ``ancestor_closure`` extension (property-tested
 against the ``"brute"`` oracle).
 
 Consumers: :func:`count_candidates` is the batched kernel behind
-:meth:`PackedMatrix.count`. The ``"parallel-shm"`` engine counts
-against one persistent matrix, in-process at ``n_jobs=1`` and in the
-shared-memory workers of :mod:`repro.parallel.shm` above that; the
-out-of-core segments of :mod:`repro.mining.segmatrix` (``"mmap"``)
-wrap each spilled block in one.
+:meth:`PackedMatrix.count`; the out-of-core segments of
+:mod:`repro.mining.segmatrix` (``"mmap"``) wrap each spilled block in
+one.
 """
 
 from __future__ import annotations
@@ -168,8 +166,7 @@ class PackedMatrix:
     One ``uint64`` row of :func:`words_for` words per item occurring in
     the rows (other items resolve to an all-zero row); derived category
     rows (OR over descendants) are memoized per taxonomy for the
-    lifetime of the matrix. The ``"parallel-shm"`` engine keeps one per
-    database across passes.
+    lifetime of the matrix.
     """
 
     __slots__ = (
@@ -236,13 +233,7 @@ class PackedMatrix:
 
     @property
     def nodes(self) -> np.ndarray:
-        """The sorted ``int64`` node ids owning matrix rows, slot order.
-
-        Together with :attr:`words` this is the matrix's entire portable
-        state: :mod:`repro.parallel.shm` copies both arrays into one
-        shared-memory segment and rebuilds an identical matrix over
-        zero-copy views on the worker side.
-        """
+        """The sorted ``int64`` node ids owning matrix rows, slot order."""
         return self._nodes
 
     @property

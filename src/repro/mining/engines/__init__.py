@@ -28,10 +28,8 @@ from .base import (
 from . import serial as _serial  # noqa: E402  (bitmap, hashtree, brute)
 from . import cached as _cached  # noqa: E402
 from . import outofcore as _outofcore  # noqa: E402  (mmap)
-from . import parallel as _parallel  # noqa: E402
 from .cached import CachedEngine
 from .outofcore import MmapEngine
-from .parallel import ParallelShmEngine
 from .serial import (
     BitmapEngine,
     BruteEngine,
@@ -40,7 +38,7 @@ from .serial import (
     extended_rows,
 )
 
-del _serial, _cached, _outofcore, _parallel
+del _serial, _cached, _outofcore
 
 #: All registered engine names, in registration order.
 ENGINES = engine_names()
@@ -120,7 +118,6 @@ __all__ = [
     "CachedEngine",
     "HashTreeEngine",
     "MmapEngine",
-    "ParallelShmEngine",
     "RowScanEngine",
     "ENGINES",
     "DEFAULT_ENGINE",

@@ -14,9 +14,7 @@ Specs
 -----
 An engine *spec* is a plain registered name (``"bitmap"``, ``"mmap"``,
 …). :func:`create_engine` resolves a spec plus a policy into a ready
-engine object. ``n_jobs > 1`` is a setting of the one parallel engine,
-``"parallel-shm"``; with any other spec it is a
-:class:`~repro.errors.ConfigError`, never silently ignored.
+engine object.
 
 Validation
 ----------
@@ -57,11 +55,6 @@ class Capabilities:
     caching:
         Maintains a persistent per-database structure across passes
         (physical passes can drop below logical passes).
-    shared_memory:
-        Publishes its packed data via ``multiprocessing.shared_memory``
-        and counts through persistent workers attached zero-copy
-        (:mod:`repro.parallel.shm`); the only engine that accepts
-        ``n_jobs > 1``.
     out_of_core:
         Keeps its packed data in memory-mapped spill files with bounded
         resident bytes (:mod:`repro.mining.segmatrix`).
@@ -69,7 +62,6 @@ class Capabilities:
 
     packed: bool = False
     caching: bool = False
-    shared_memory: bool = False
     out_of_core: bool = False
 
     def describe(self) -> str:
@@ -88,13 +80,11 @@ class EnginePolicy:
     understands and ignores the rest.
     """
 
-    n_jobs: int = 1
     segment_rows: int | None = None
     max_resident_bytes: int | None = None
     spill_dir: str | None = None
 
     def __post_init__(self) -> None:
-        check_positive(self.n_jobs, "n_jobs")
         if self.segment_rows is not None:
             check_positive(self.segment_rows, "segment_rows")
         if self.max_resident_bytes is not None:
@@ -107,7 +97,7 @@ class EngineState:
 
     *transactions* is either the scan-counted database or the plain rows
     of one pass. ``prepare()`` exists so engines that build per-database
-    structures (the cached, mmap and parallel-shm engines) have a place
+    structures (the cached and mmap engines) have a place
     to do it once per session instead of once per pass.
     """
 
@@ -185,13 +175,13 @@ class CountingEngine:
     ) -> dict[Itemset, int]:
         """Count one validated pass; implemented by each engine.
 
-        The engine records its ``cache.*``, ``kernel.*``,
-        ``counting.segments.*`` and ``parallel.*`` metrics in *metrics*.
+        The engine records its ``cache.*``, ``kernel.*`` and
+        ``counting.segments.*`` metrics in *metrics*.
         """
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release workers, segments or spill files (default: none)."""
+        """Release segments or spill files (default: none)."""
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.spec!r}>"
@@ -202,8 +192,9 @@ _REGISTRY: dict[str, type[CountingEngine]] = {}
 #: Removed engine names and the registered engine that replaces each.
 _RETIRED = {
     "index": "bitmap",
-    "parallel": "parallel-shm",
-    "numpy": "parallel-shm",
+    "parallel": "cached",
+    "parallel-shm": "cached",
+    "numpy": "cached",
 }
 
 
@@ -240,8 +231,8 @@ def parse_spec(spec: str) -> str:
     if ":" in spec:
         raise ConfigError(
             f"engine spec {spec!r} is not a registered name: "
-            f"'name:inner' compositions were removed; for parallel "
-            f"counting use engine='parallel-shm' with n_jobs"
+            f"'name:inner' compositions were removed; choose from "
+            f"{engine_names()}"
         )
     if spec in _RETIRED:
         raise ConfigError(
@@ -256,28 +247,11 @@ def parse_spec(spec: str) -> str:
     return spec
 
 
-def validate_spec(spec: "str | CountingEngine", n_jobs: int = 1) -> str:
-    """Validate an engine spec (and its *n_jobs*); return it normalized.
-
-    ``n_jobs > 1`` is accepted only by an engine that declares the
-    ``shared_memory`` capability (``"parallel-shm"``); any other spec
-    raises :class:`~repro.errors.ConfigError` rather than silently
-    counting serially.
-    """
+def validate_spec(spec: "str | CountingEngine") -> str:
+    """Validate an engine spec; return it normalized."""
     if isinstance(spec, CountingEngine):
-        engine_cls = type(spec)
-        normalized = spec.spec
-    else:
-        normalized = parse_spec(spec)
-        engine_cls = _REGISTRY[normalized]
-    if n_jobs > 1 and not engine_cls.capabilities.shared_memory:
-        raise ConfigError(
-            f"n_jobs={n_jobs} needs the parallel engine, but engine="
-            f"{normalized!r} counts in one process; pass "
-            f"engine=\"parallel-shm\" (CLI: --engine parallel-shm, or "
-            f"--jobs alone) or n_jobs=1"
-        )
-    return normalized
+        return spec.spec
+    return parse_spec(spec)
 
 
 def create_engine(
@@ -287,15 +261,13 @@ def create_engine(
     """Resolve a spec + policy into a ready engine object.
 
     A :class:`CountingEngine` instance passes through unchanged (its
-    own settings win), but ``policy.n_jobs > 1`` is still checked
-    against it: see :func:`validate_spec`.
+    own settings win).
     """
-    if policy is None:
-        policy = EnginePolicy()
-    validate_spec(spec, policy.n_jobs)
     if isinstance(spec, CountingEngine):
         return spec
-    return _REGISTRY[spec].from_policy(policy)
+    if policy is None:
+        policy = EnginePolicy()
+    return _REGISTRY[parse_spec(spec)].from_policy(policy)
 
 
 def validate_candidates(candidates: Collection[Itemset]) -> None:
@@ -330,8 +302,7 @@ def count_pass(
     caller's *metrics*, else the active observability registry, else a
     throwaway one. Only when an observability session is active does it
     also record the ``counting.*`` metrics and wrap the pass in a
-    ``count.<name>`` span. Outside the driver scope the engine's
-    metrics are merged in under the scope's prefix (``worker.*``).
+    ``count.<name>`` span.
     """
     validate_candidates(candidates)
     if not candidates:
@@ -347,16 +318,14 @@ def count_pass(
             restrict_to_candidate_items=restrict_to_candidate_items,
             metrics=metrics if metrics is not None else MetricsRegistry(),
         )
-    prefix = "" if obs_state.scope == "driver" else obs_state.scope + "."
     n_rows = state.n_rows()
     registry = obs_state.registry
-    registry.incr(prefix + "counting.passes")
-    registry.incr(prefix + "counting.candidates", len(candidates))
+    registry.incr("counting.passes")
+    registry.incr("counting.candidates", len(candidates))
     if n_rows is not None:
-        registry.incr(prefix + "counting.rows", n_rows)
-    scoped = metrics is None and bool(prefix)
+        registry.incr("counting.rows", n_rows)
     if metrics is None:
-        metrics = MetricsRegistry() if scoped else registry
+        metrics = registry
     with obs.span("count." + engine.name) as span:
         span.annotate("candidates", len(candidates))
         if n_rows is not None:
@@ -367,6 +336,4 @@ def count_pass(
             restrict_to_candidate_items=restrict_to_candidate_items,
             metrics=metrics,
         )
-    if scoped:
-        registry.merge(metrics, prefix)
     return counts

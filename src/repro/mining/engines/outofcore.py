@@ -35,8 +35,8 @@ from .base import (
 class MmapEngine(CountingEngine):
     """Segmented mmap-backed counting with bounded resident bytes.
 
-    The segmented matrix is owned by the engine (like the shm engine's
-    published matrix, not like the database-attached vertical cache) and
+    The segmented matrix is owned by the engine (not attached to the
+    database like the vertical cache) and
     persists across passes: each ``count()`` synchronizes it against the
     source — a no-op on an unchanged database, an O(append) tail
     extension after ``database.append(...)``, a fingerprint-guided
@@ -44,7 +44,7 @@ class MmapEngine(CountingEngine):
     segment blocks. Plain row iterables get a one-shot matrix that is
     closed before returning. Taxonomy candidates are matched by
     descendant-OR per segment, so ``restrict_to_candidate_items`` is
-    moot, exactly as for the ``parallel-shm``/``cached`` engines.
+    moot, exactly as for the ``cached`` engine.
     """
 
     capabilities = Capabilities(

@@ -125,8 +125,8 @@ def mine_generalized(
         ``"basic"``, ``"cumulate"`` (default) or ``"estmerge"``.
     session:
         The :class:`~repro.core.session.MiningSession` every counting
-        pass goes through (engine, cache and parallel policy); ``None``
-        uses a serial default-engine session over *database*.
+        pass goes through (engine and cache policy); ``None`` uses a
+        default-engine session over *database*.
     max_size:
         Optional cap on itemset size.
     sample_fraction, estimation_slack, rng:

@@ -1,9 +1,9 @@
 """Segmented, memory-mapped packed matrix for out-of-core counting.
 
 The paper's efficiency argument assumes the database does not fit in
-memory — passes cost real IO — yet the other packed engine
-(``"parallel-shm"``) holds the entire bit-packed word matrix in RAM and
-invalidates it wholesale through one global fingerprint. This module
+memory — passes cost real IO — yet a single
+:class:`~repro.mining.bitpack.PackedMatrix` holds the entire
+bit-packed word matrix in RAM. This module
 splits the row dimension into fixed-size *segments*: each segment packs
 its own rows into a ``uint64`` word block (one row per item occurring in
 the segment), spills the block to a file under a private spill
@@ -40,9 +40,7 @@ immutable spill files
 Spill directories are temporary and crash-safe: every live matrix holds
 a ``weakref.finalize`` on its directory (runs on garbage collection
 *and* interpreter exit) and an atexit sweep closes whatever a caller
-forgot, mirroring the shared-memory leak guard of
-:mod:`repro.parallel.shm`. :func:`live_spill_dirs` exposes the live set
-for leak tests.
+forgot. :func:`live_spill_dirs` exposes the live set for leak tests.
 """
 
 from __future__ import annotations
@@ -167,8 +165,7 @@ def count_segment_block(
 
 
 #: Matrices with live spill directories; the atexit sweep removes
-#: whatever a caller forgot so no temp directory outlives the process —
-#: the spill-dir mirror of ``parallel.shm``'s segment leak guard.
+#: whatever a caller forgot so no temp directory outlives the process.
 _LIVE_MATRICES: "weakref.WeakSet[SegmentedPackedMatrix]" = weakref.WeakSet()
 
 
@@ -199,7 +196,7 @@ class SegmentedPackedMatrix:
         grows in place on append until full.
     max_resident_bytes:
         Budget for concurrently open segment blocks. ``None`` keeps
-        every block resident (still spilled, for workers and restarts).
+        every block resident (still spilled, for restarts).
         Must be at least one segment block to be honored exactly: the
         block being counted is always admitted.
     spill_dir:
@@ -482,8 +479,8 @@ class SegmentedPackedMatrix:
 
     def _spill_path(self, index: int) -> Path:
         # A fresh name per (re)pack: files are never rewritten in place,
-        # so a parallel worker holding a mapping of the old file keeps
-        # reading consistent bits until it drops the map.
+        # so a reader holding a mapping of the old file keeps reading
+        # consistent bits until it drops the map.
         self._file_serial += 1
         return self._dir / f"seg{index:06d}.{self._file_serial}.u64"
 

@@ -1,8 +1,7 @@
 """Observability: tracing spans + process-wide metrics (DESIGN.md §8).
 
 Instrument with :func:`span`/:func:`incr`; enable with
-:func:`obs_session` (driver) or :func:`worker_collection` (pool
-workers); everything is a near-free no-op while disabled.
+:func:`obs_session`; everything is a near-free no-op while disabled.
 """
 
 from .api import (
@@ -11,17 +10,14 @@ from .api import (
     active_registry,
     configure,
     current,
-    detach,
     enabled,
     in_span,
     incr,
     max_gauge,
-    merge_registry,
     obs_session,
     observe,
     shutdown,
     span,
-    worker_collection,
 )
 from .registry import DEFAULT_BOUNDS, Histogram, MetricsRegistry
 from .sinks import JsonlSink, NullSink, SummarySink
@@ -41,15 +37,12 @@ __all__ = [
     "active_registry",
     "configure",
     "current",
-    "detach",
     "enabled",
     "in_span",
     "incr",
     "max_gauge",
-    "merge_registry",
     "obs_session",
     "observe",
     "shutdown",
     "span",
-    "worker_collection",
 ]

@@ -16,15 +16,8 @@ manager), an :class:`Observability` instance holds:
 - the :class:`~repro.obs.registry.MetricsRegistry` all metrics land in,
 - the trace sinks finished spans are emitted to,
 - the active-span stack (nesting depth + parent linkage), and
-- a ``scope`` tag — ``"driver"`` in the main process, ``"worker"``
-  inside pool workers — stamped on every span event.
-
-Process boundaries: pool workers are forked and would inherit the
-driver's state, including open sink file handles; ``pool._child``
-calls :func:`detach` first. A worker that should measure opens a fresh
-worker-scope collection with :func:`worker_collection` and ships the
-resulting registry back for the driver to
-:meth:`~repro.obs.registry.MetricsRegistry.merge`.
+- a ``scope`` tag, set by :func:`configure`, stamped on every span
+  event.
 """
 
 from __future__ import annotations
@@ -129,18 +122,6 @@ def shutdown() -> None:
         state.finish()
 
 
-def detach() -> None:
-    """Drop inherited state WITHOUT touching sinks (forked workers).
-
-    A forked pool worker inherits the driver's ``_STATE`` — including
-    open trace-file handles it must not write to or close. This resets
-    the slot so the worker starts disabled; it may then open its own
-    worker-scope collection via :func:`worker_collection`.
-    """
-    global _STATE
-    _STATE = None
-
-
 def current() -> Observability | None:
     """The active observability state, or None when disabled."""
     return _STATE
@@ -190,13 +171,6 @@ def in_span(prefix: str) -> bool:
     """True when enabled AND inside a span whose name starts *prefix*."""
     state = _STATE
     return state is not None and state.in_span(prefix)
-
-
-def merge_registry(other: MetricsRegistry | None) -> None:
-    """Fold a worker-shipped registry into the active one (if any)."""
-    state = _STATE
-    if state is not None and other is not None:
-        state.registry.merge(other)
 
 
 # ----------------------------------------------------------------------
@@ -251,22 +225,3 @@ def obs_session(
     finally:
         _STATE = previous
         state.finish()
-
-
-@contextmanager
-def worker_collection(scope: str = "worker"):
-    """Collect metrics in a fresh registry for a worker-side block.
-
-    Installs sink-less observability under *scope*, yields the
-    registry (for the worker to ship back to the driver), and restores
-    whatever was installed before. Used by the shard-counting worker
-    functions when the driver requested measurement.
-    """
-    global _STATE
-    previous = _STATE
-    state = Observability(scope=scope)
-    _STATE = state
-    try:
-        yield state.registry
-    finally:
-        _STATE = previous

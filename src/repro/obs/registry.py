@@ -1,12 +1,12 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
 The registry is the single store every instrumented subsystem writes
-into — the counting engines, the vertical cache, the bit-packed kernel,
-the worker pool, and the miners all record named metrics here instead of
+into — the counting engines, the vertical cache, the bit-packed kernel
+and the miners all record named metrics here instead of
 threading ad-hoc counter fields through every call chain. Each mining
 run owns one registry (``MiningSession.run_metrics``): every counting
-pass of the run writes its ``cache.*``, ``kernel.*``,
-``counting.segments.*`` and ``parallel.*`` metrics into it, the run's
+pass of the run writes its ``cache.*``, ``kernel.*`` and
+``counting.segments.*`` metrics into it, the run's
 :class:`~repro.core.negmining.MiningStats` carries it as ``metrics``,
 and the summary lines are rendered from it.
 
@@ -17,17 +17,16 @@ counters
 gauges
     Last-written floats (``set_gauge``) with a ``max_gauge`` convenience
     for high-water marks. Merging keeps the maximum — the only gauge
-    semantics that aggregates sensibly across worker processes.
+    semantics that aggregates sensibly across runs.
 histograms
     Fixed-boundary bucket counts plus total count and sum
     (:class:`Histogram`). Span durations land here, one histogram per
     span name.
 
-Registries are **mergeable and picklable**: a parallel worker builds a
-fresh registry, records into it, ships it back through the worker pool,
-and the driver folds it in with :meth:`MetricsRegistry.merge` — counters
-add, gauges max, histograms add bucket-wise. Merging requires identical
-histogram boundaries (they are fixed at first observation).
+Registries are **mergeable**: a session folds each run's registry into
+the active observability registry with :meth:`MetricsRegistry.merge` —
+counters add, gauges max, histograms add bucket-wise. Merging requires
+identical histogram boundaries (they are fixed at first observation).
 """
 
 from __future__ import annotations
@@ -122,12 +121,11 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters, gauges and histograms; mergeable across processes.
+    """Named counters, gauges and histograms; mergeable across runs.
 
-    Plain dictionaries underneath, so the default pickle round-trips a
-    registry unchanged — exactly what the worker pool ships back to the
-    driver. All mutating methods are cheap enough for per-pass hot paths
-    (one dict operation each); nothing here is per-row.
+    Plain dictionaries underneath; all mutating methods are cheap enough
+    for per-pass hot paths (one dict operation each); nothing here is
+    per-row.
     """
 
     def __init__(self) -> None:
@@ -189,27 +187,22 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Aggregation / export
     # ------------------------------------------------------------------
-    def merge(
-        self, other: "MetricsRegistry", prefix: str = ""
-    ) -> "MetricsRegistry":
+    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold *other* into this registry; returns self.
 
         Counters add, gauges keep the maximum, histograms merge
-        bucket-wise (boundaries must match). The canonical use is the
-        driver absorbing registries shipped back from worker processes.
-        *prefix* is prepended to every name of *other* (``"worker."``
-        for counts made inside a pool worker).
+        bucket-wise (boundaries must match). The canonical use is a
+        session folding one run's registry into the active
+        observability registry.
         """
         for name, value in other._counters.items():
-            self.incr(prefix + name, value)
+            self.incr(name, value)
         for name, value in other._gauges.items():
-            self.max_gauge(prefix + name, value)
+            self.max_gauge(name, value)
         for name, histogram in other._histograms.items():
-            mine = self._histograms.get(prefix + name)
+            mine = self._histograms.get(name)
             if mine is None:
-                mine = self._histograms[prefix + name] = Histogram(
-                    histogram.bounds
-                )
+                mine = self._histograms[name] = Histogram(histogram.bounds)
             mine.merge(histogram)
         return self
 

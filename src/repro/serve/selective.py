@@ -9,7 +9,7 @@ lattice. :func:`mine_selective` is that restriction wired into this
 repo's machinery — the generalized counting, the negative-candidate
 generator and the RI rule generator of :mod:`repro.core` — driven
 through a :class:`~repro.core.session.MiningSession`, so every counting
-engine (bitmap, cached, mmap, ``parallel-shm``, …) works unchanged.
+engine (bitmap, cached, mmap, …) works unchanged.
 
 Pass schedule (all through ``session.count``):
 

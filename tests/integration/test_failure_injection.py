@@ -29,13 +29,6 @@ def taxonomy():
     )
 
 
-#: Every registered engine serially, plus the worker-side path of the
-#: shared-memory engine.
-FOREIGN_ITEM_RUNS = [(engine, 1) for engine in engine_names()] + [
-    ("parallel-shm", 2),
-]
-
-
 class TestForeignItems:
     def test_transaction_item_outside_taxonomy_raises(self, taxonomy):
         database = TransactionDatabase([[taxonomy.id_of("cola"), 9999]])
@@ -47,8 +40,8 @@ class TestForeignItems:
         with pytest.raises(TaxonomyError):
             mine_negative_rules(database, taxonomy, minsup=0.5, minri=0.5)
 
-    @pytest.mark.parametrize(("engine", "n_jobs"), FOREIGN_ITEM_RUNS)
-    def test_every_engine_rejects_the_item(self, taxonomy, engine, n_jobs):
+    @pytest.mark.parametrize("engine", engine_names())
+    def test_every_engine_rejects_the_item(self, taxonomy, engine):
         """The vertical engines never extend rows with ancestors, yet
         they must reject the same input the row-scanning engines do."""
         cola = taxonomy.id_of("cola")
@@ -56,21 +49,16 @@ class TestForeignItems:
         with pytest.raises(TaxonomyError, match="unknown node 9999"):
             mine_negative_rules(
                 database, taxonomy, minsup=0.5, minri=0.5,
-                engine=engine, n_jobs=n_jobs,
+                engine=engine,
             )
 
-    @pytest.mark.parametrize(
-        "engine", (*engine_names(), "parallel-shm@2")
-    )
+    @pytest.mark.parametrize("engine", engine_names())
     def test_item_appended_after_a_pass_is_rejected(self, taxonomy, engine):
         """An append re-runs the check, so an index extended in place
         cannot let a foreign item through on the next pass."""
         cola = taxonomy.id_of("cola")
         database = TransactionDatabase([[cola], [cola]])
-        name, _, jobs = engine.partition("@")
-        session = MiningSession(
-            database, taxonomy, name, n_jobs=int(jobs or 1)
-        )
+        session = MiningSession(database, taxonomy, engine)
         try:
             assert session.count([(cola,)]) == {(cola,): 2}
             database.append([[cola, 9999]])

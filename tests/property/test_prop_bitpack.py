@@ -1,7 +1,7 @@
 """Property-based tests: the NumPy kernel is bit-identical to brute force.
 
-The bit-packed kernel (``PackedMatrix.count``) is what the
-``parallel-shm`` and ``mmap`` engines count with. Its contract mirrors
+The bit-packed kernel (``PackedMatrix.count``) is what the ``mmap``
+engine counts with. Its contract mirrors
 the cached engine's: no observable count ever changes — not for flat
 candidate sets, not under a taxonomy (descendant-OR versus per-row
 ancestor extension), not at word boundaries (row counts straddling

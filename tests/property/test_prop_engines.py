@@ -3,12 +3,7 @@
 The registry is the source of truth: the parametrization enumerates
 :func:`repro.mining.engines.engine_names`, so a newly registered engine
 is covered by these bit-identity checks automatically, with and without
-a taxonomy. ``parallel-shm`` runs twice: at its default one job (the
-in-process packed path) and as ``parallel-shm@2`` against one
-persistent module-level two-worker engine. Every example rebinds a
-different database, so the publish / re-publish / pool-reconfigure
-cycle is exercised hundreds of times while the worker processes
-themselves live for the whole module.
+a taxonomy.
 """
 
 import pytest
@@ -58,55 +53,17 @@ leaf_transactions_strategy = st.lists(
 )
 
 
-_SHM_ENGINE = None
-
-
-def _shm_engine():
-    """One persistent two-worker shm engine shared by every example."""
-    global _SHM_ENGINE
-    if _SHM_ENGINE is None:
-        from repro.mining.engines.parallel import ParallelShmEngine
-        from repro.parallel.pool import PoolConfig
-
-        _SHM_ENGINE = ParallelShmEngine(
-            n_jobs=2,
-            pool_config=PoolConfig(n_jobs=2, retries=1, backoff=0.0),
-        )
-    return _SHM_ENGINE
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _close_shm_engine():
-    """Tear the persistent engine down so its segment and workers do
-    not outlive this module (later tests assert no live segments)."""
-    yield
-    global _SHM_ENGINE
-    if _SHM_ENGINE is not None:
-        _SHM_ENGINE.close()
-        _SHM_ENGINE = None
-
-
-#: Every registered engine (``parallel-shm`` at its default one job,
-#: in-process), plus ``parallel-shm`` over the module's two workers.
-ENGINE_CELLS = (*engine_names(), "parallel-shm@2")
-
-
-def session_for(spec, transactions, taxonomy=None):
-    """A session over *spec*; ``parallel-shm@2`` shares the module engine."""
-    if spec == "parallel-shm@2":
-        return MiningSession(transactions, taxonomy, _shm_engine())
-    return MiningSession(transactions, taxonomy, spec)
-
-
-@pytest.mark.parametrize("spec", ENGINE_CELLS)
+@pytest.mark.parametrize("spec", engine_names())
 @settings(max_examples=25, deadline=None)
 @given(transactions_strategy, candidates_strategy)
 def test_engine_matches_brute(spec, transactions, candidates):
     expected = MiningSession(transactions, engine="brute").count(candidates)
-    assert session_for(spec, transactions).count(candidates) == expected
+    assert MiningSession(transactions, engine=spec).count(
+        candidates
+    ) == expected
 
 
-@pytest.mark.parametrize("spec", ENGINE_CELLS)
+@pytest.mark.parametrize("spec", engine_names())
 @settings(max_examples=15, deadline=None)
 @given(leaf_transactions_strategy, taxonomy_strategy, st.data())
 def test_engine_matches_brute_generalized(spec, transactions, taxonomy, data):
@@ -123,16 +80,16 @@ def test_engine_matches_brute_generalized(spec, transactions, taxonomy, data):
     expected = MiningSession(transactions, taxonomy, "brute").count(
         candidates
     )
-    counted = session_for(spec, transactions, taxonomy).count(candidates)
+    counted = MiningSession(transactions, taxonomy, spec).count(candidates)
     assert counted == expected
 
 
-@pytest.mark.parametrize("spec", ENGINE_CELLS)
+@pytest.mark.parametrize("spec", engine_names())
 @settings(max_examples=15, deadline=None)
 @given(transactions_strategy, candidates_strategy)
 def test_restriction_never_changes_counts(spec, transactions, candidates):
-    plain = session_for(spec, transactions).count(candidates)
-    restricted = session_for(spec, transactions).count(
+    plain = MiningSession(transactions, engine=spec).count(candidates)
+    restricted = MiningSession(transactions, engine=spec).count(
         candidates, restrict_to_candidate_items=True
     )
     assert restricted == plain
@@ -149,14 +106,11 @@ def test_restriction_never_changes_counts(spec, transactions, candidates):
 segment_rows_strategy = st.sampled_from([1, 3, 7, 8, 63, 64, 65])
 
 #: The engines that keep per-database state across passes: the
-#: vertical cache, the segmented mmap matrix and the published shm
-#: matrix (re-published on change).
-INCREMENTAL_SPECS = ("cached", "mmap", "parallel-shm")
+#: vertical cache and the segmented mmap matrix.
+INCREMENTAL_SPECS = ("cached", "mmap")
 
 
 def incremental_session(spec, database, segment_rows):
-    if spec == "parallel-shm":
-        return MiningSession(database, engine=_shm_engine())
     return MiningSession(database, engine=spec, segment_rows=segment_rows)
 
 

@@ -10,8 +10,6 @@ Two families of invariants:
   applied to the same counted candidates; the comparison covers the
   negative itemsets, the rules, and the explain text, on flat and
   taxonomy-bearing data across every registered engine.
-  ``parallel-shm`` runs against one persistent module-level two-worker
-  engine, as in ``test_prop_engines.py``.
 * **Determinism** — every registered measure is a pure function of the
   counted run: re-judging the same candidates with the counts dict and
   negative list arbitrarily permuted must reproduce the same negatives
@@ -51,46 +49,6 @@ def leaf_databases(draw):
         for _ in range(row_count)
     ]
     return TransactionDatabase(rows)
-
-
-_SHM_ENGINE = None
-
-
-def _shm_engine():
-    """One persistent two-worker shm engine shared by every example."""
-    global _SHM_ENGINE
-    if _SHM_ENGINE is None:
-        from repro.mining.engines.parallel import ParallelShmEngine
-        from repro.parallel.pool import PoolConfig
-
-        _SHM_ENGINE = ParallelShmEngine(
-            n_jobs=2,
-            pool_config=PoolConfig(n_jobs=2, retries=1, backoff=0.0),
-        )
-    return _SHM_ENGINE
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _close_shm_engine():
-    """Tear the persistent engine down so its segment and workers do
-    not outlive this module (later tests assert no live segments)."""
-    yield
-    global _SHM_ENGINE
-    if _SHM_ENGINE is not None:
-        _SHM_ENGINE.close()
-        _SHM_ENGINE = None
-
-
-#: Every registered engine (``parallel-shm`` at its default one job,
-#: in-process), plus ``parallel-shm`` over the module's two workers.
-ENGINE_CELLS = (*engine_names(), "parallel-shm@2")
-
-
-def session_for(spec, transactions, taxonomy=None):
-    """A session over *spec*; ``parallel-shm@2`` shares the module engine."""
-    if spec == "parallel-shm@2":
-        return MiningSession(transactions, taxonomy, _shm_engine())
-    return MiningSession(transactions, taxonomy, spec)
 
 
 # --- inline oracle: the pre-registry hard-wired RI pipeline ----------
@@ -188,14 +146,14 @@ def _oracle_ri_line(rule, taxonomy):
     )
 
 
-@pytest.mark.parametrize("spec", ENGINE_CELLS)
+@pytest.mark.parametrize("spec", engine_names())
 @settings(max_examples=10, deadline=None)
 @given(leaf_databases(), st.sampled_from([0.1, 0.2]),
        st.sampled_from([0.3, 0.5]))
 def test_default_ri_bit_identical_to_oracle(spec, database, minsup, minri):
     """measure='ri' (the default) == the pre-registry pipeline, on
     taxonomy-bearing data, for every registered engine."""
-    session = session_for(spec, database, TAXONOMY)
+    session = MiningSession(database, TAXONOMY, spec)
     output = ImprovedNegativeMiner(
         database, TAXONOMY, minsup, minri, session=session
     ).mine()

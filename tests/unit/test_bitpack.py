@@ -165,9 +165,10 @@ class TestCountRows:
         ) == brute(ROWS, candidates, taxonomy=TAXONOMY)
 
     def test_kernel_batches_recorded_through_engine(self):
-        """The serial packed engine records its kernel batches and the
-        footprint of the matrix it packs."""
-        session = MiningSession(list(ROWS), engine="parallel-shm")
+        """The packed engine records its kernel batches and the
+        footprint of the matrix it packs (one 64-row segment here, so
+        the block is exactly the one-shot pack)."""
+        session = MiningSession(list(ROWS), engine="mmap", segment_rows=64)
         try:
             assert session.count(CANDIDATES) == brute(ROWS, CANDIDATES)
         finally:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import main
-from repro.parallel.shm import live_segments
 from repro.data.io import (
     load_basket_file,
     load_taxonomy_file,
@@ -95,53 +94,10 @@ class TestMine:
         )
         assert code == 0
 
-    def test_jobs_flag_matches_serial_output(self, dataset_files, capsys):
-        baskets, taxonomy = dataset_files
-        base_args = [
-            "mine",
-            "--baskets", baskets,
-            "--taxonomy", taxonomy,
-            "--minsup", "0.2",
-            "--minri", "0.3",
-        ]
-        assert main(base_args + ["--jobs", "1"]) == 0
-        serial_out = capsys.readouterr().out
-        # Earlier tests may leave engines for the GC; this command must
-        # unlink its own segment before main() returns.
-        before = set(live_segments())
-        assert main(base_args + ["--jobs", "2"]) == 0
-        assert set(live_segments()) <= before
-        parallel_out = capsys.readouterr().out
-        # --jobs alone selects parallel-shm: two workers, no retries.
-        assert (
-            "(workers 2, retries 0, fallbacks 0, publishes 1"
-            in parallel_out
-        )
-        serial_rules = [
-            line for line in serial_out.splitlines() if "=>" in line
-        ]
-        parallel_rules = [
-            line for line in parallel_out.splitlines() if "=>" in line
-        ]
-        assert serial_rules
-        assert parallel_rules == serial_rules
-
-    @pytest.mark.parametrize("engine", ["cached", "bitmap", "mmap"])
-    def test_jobs_with_another_engine_is_a_config_error(
-        self, dataset_files, capsys, engine
-    ):
-        baskets, taxonomy = dataset_files
-        code = main(
-            [
-                "mine", "--baskets", baskets, "--taxonomy", taxonomy,
-                "--engine", engine, "--jobs", "2",
-            ]
-        )
-        assert code == 2
-        assert 'engine="parallel-shm"' in capsys.readouterr().err
-
     @pytest.mark.parametrize(
-        "spec", ["parallel", "parallel:numpy", "parallel:cached", "numpy"]
+        "spec",
+        ["parallel", "parallel:numpy", "parallel:cached", "numpy",
+         "parallel-shm"],
     )
     def test_retired_parallel_specs_are_rejected(
         self, dataset_files, capsys, spec
@@ -155,7 +111,7 @@ class TestMine:
                 ]
             )
         assert excinfo.value.code == 2
-        assert "parallel-shm" in capsys.readouterr().err
+        assert "'cached'" in capsys.readouterr().err
 
     def test_trace_and_metrics_flags(self, dataset_files, tmp_path,
                                      capsys):
@@ -244,6 +200,18 @@ class TestMine:
             )
         assert excinfo.value.code == 2
 
+    def test_jobs_flag_is_gone(self, dataset_files):
+        baskets, taxonomy = dataset_files
+        for command in ("mine", "positive"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(
+                    [
+                        command, "--baskets", baskets,
+                        "--taxonomy", taxonomy, "--jobs", "2",
+                    ]
+                )
+            assert excinfo.value.code == 2
+
 
 class TestPositive:
     def test_prints_positive_rules(self, dataset_files, capsys):
@@ -261,24 +229,6 @@ class TestPositive:
         out = capsys.readouterr().out
         assert "large itemsets" in out
         assert "=>" in out
-
-    def test_jobs_flag(self, dataset_files, capsys):
-        baskets, taxonomy = dataset_files
-        base_args = [
-            "positive",
-            "--baskets", baskets,
-            "--taxonomy", taxonomy,
-            "--minsup", "0.2",
-            "--minconf", "0.5",
-        ]
-        assert main(base_args + ["--jobs", "1"]) == 0
-        serial_out = capsys.readouterr().out
-        before = set(live_segments())
-        assert main(base_args + ["--jobs", "2"]) == 0
-        assert set(live_segments()) <= before
-        parallel_out = capsys.readouterr().out
-        assert "=>" in serial_out
-        assert parallel_out == serial_out
 
 
 class TestInspect:
@@ -306,7 +256,7 @@ class TestEngines:
         out = capsys.readouterr().out
         assert "| engine |" in out
         assert "Serving:" in out
-        assert "`parallel-shm`" in out
+        assert "`mmap`" in out
 
 
 class TestCompile:

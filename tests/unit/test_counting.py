@@ -4,30 +4,20 @@ import pytest
 
 from repro.core.session import MiningSession
 from repro.errors import ConfigError
-from repro.mining.engines import (
-    EnginePolicy,
-    count_pass,
-    create_engine,
-    engine_names,
-)
+from repro.mining.engines import count_pass, create_engine, engine_names
 from repro.taxonomy.builders import taxonomy_from_parents
 
 ROWS = [(1, 2, 3), (2, 3), (1, 3), (3,), (1, 2)]
 CANDIDATES = [(1,), (2, 3), (1, 2, 3), (4,), (1, 3)]
 EXPECTED = {(1,): 3, (2, 3): 2, (1, 2, 3): 1, (4,): 0, (1, 3): 2}
 
-#: Every registered engine (``parallel-shm`` at its default one job),
-#: plus ``parallel-shm`` counting through two workers.
-ENGINE_CELLS = (*engine_names(), "parallel-shm@2")
+#: Every registered engine.
+ENGINE_CELLS = engine_names()
 
 
 def count(engine_spec, rows, candidates, taxonomy=None, restrict=False):
-    """One counting pass through the registry, as the session does it.
-
-    *engine_spec* is a registered name or ``name@jobs``.
-    """
-    name, _, jobs = engine_spec.partition("@")
-    engine = create_engine(name, EnginePolicy(n_jobs=int(jobs or 1)))
+    """One counting pass through the registry, as the session does it."""
+    engine = create_engine(engine_spec)
     try:
         return count_pass(
             engine,
@@ -168,9 +158,8 @@ class TestPlainRowsMutatedInPlace:
 
     @pytest.mark.parametrize("engine", ENGINE_CELLS)
     def test_recount_sees_the_appended_row(self, engine):
-        name, _, jobs = engine.partition("@")
         rows = [(1, 2), (1, 3)]
-        session = MiningSession(rows, engine=name, n_jobs=int(jobs or 1))
+        session = MiningSession(rows, engine=engine)
         try:
             candidates = [(1,), (1, 2)]
             assert session.count(candidates) == {(1,): 2, (1, 2): 1}

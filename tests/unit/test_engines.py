@@ -1,6 +1,5 @@
 """Unit tests for the engine registry and the MiningSession lifecycle."""
 
-import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -14,12 +13,10 @@ from repro.mining.engines import (
     ENGINES,
     BitmapEngine,
     EnginePolicy,
-    ParallelShmEngine,
     capability_table,
     create_engine,
     engine_names,
     parse_spec,
-    registered_engines,
     validate_spec,
 )
 from repro.obs import api as obs
@@ -34,36 +31,18 @@ EXPECTED = {(1,): 3, (2, 3): 2, (1, 2, 3): 1}
 class TestRegistry:
     def test_builtin_engines_registered_in_order(self):
         assert engine_names() == (
-            "bitmap", "hashtree", "brute",
-            "cached", "mmap", "parallel-shm",
+            "bitmap", "hashtree", "brute", "cached", "mmap",
         )
         assert ENGINES == engine_names()
 
     def test_default_engine_is_registered(self):
         assert DEFAULT_ENGINE in engine_names()
 
-    def test_only_parallel_shm_declares_shared_memory(self):
-        classes = registered_engines()
-        assert [
-            name
-            for name in engine_names()
-            if classes[name].capabilities.shared_memory
-        ] == ["parallel-shm"]
-
     def test_capability_table_lists_every_engine(self):
         text = capability_table()
         for name in engine_names():
             assert name in text
         assert "out_of_core" in text
-
-    def test_capability_table_shows_shared_memory_flag(self):
-        text = capability_table()
-        assert "shared_memory" in text
-        shm_row = next(
-            line for line in text.splitlines()
-            if line.startswith("parallel-shm")
-        )
-        assert "yes" in shm_row
 
     def test_capability_table_marks_only_the_default(self):
         marked = [
@@ -74,7 +53,7 @@ class TestRegistry:
         assert marked == [DEFAULT_ENGINE]
 
     def test_configs_and_cli_default_to_the_default_engine(self):
-        from repro.cli import _build_parser, _mining_engine
+        from repro.cli import _build_parser
 
         assert MiningConfig().engine == DEFAULT_ENGINE
         parser = _build_parser()
@@ -82,19 +61,9 @@ class TestRegistry:
             ["compile", "--baskets", "b", "--taxonomy", "t", "--out", "o"],
             ["serve", "--index", "i"],
             ["watch", "--baskets", "b", "--taxonomy", "t", "--index", "i"],
+            ["mine", "--baskets", "b", "--taxonomy", "t"],
         ):
             assert parser.parse_args(argv).engine == DEFAULT_ENGINE
-        # mine resolves its engine after parsing: --jobs > 1 alone
-        # selects parallel-shm, an explicit --engine always wins.
-        mine = ["mine", "--baskets", "b", "--taxonomy", "t"]
-        for extra, expected in (
-            ([], DEFAULT_ENGINE),
-            (["--jobs", "1"], DEFAULT_ENGINE),
-            (["--jobs", "2"], "parallel-shm"),
-            (["--jobs", "2", "--engine", "bitmap"], "bitmap"),
-        ):
-            args = parser.parse_args(mine + extra)
-            assert _mining_engine(args.engine, args.n_jobs) == expected
 
     def test_capability_table_markdown(self):
         lines = capability_table(markdown=True).splitlines()
@@ -126,16 +95,19 @@ class TestSpecParsing:
     )
     def test_composed_specs_rejected(self, spec):
         with pytest.raises(
-            ConfigError, match="compositions were removed.*parallel-shm"
+            ConfigError, match="compositions were removed.*'cached'"
         ):
             parse_spec(spec)
 
-    @pytest.mark.parametrize("spec", ["index", "parallel", "numpy"])
+    @pytest.mark.parametrize(
+        "spec", ["index", "parallel", "numpy", "parallel-shm"]
+    )
     def test_retired_name_names_its_replacement(self, spec):
         replacement = {
             "index": "bitmap",
-            "parallel": "parallel-shm",
-            "numpy": "parallel-shm",
+            "parallel": "cached",
+            "numpy": "cached",
+            "parallel-shm": "cached",
         }[spec]
         with pytest.raises(
             ConfigError, match=f"removed; use '{replacement}'"
@@ -143,8 +115,7 @@ class TestSpecParsing:
             parse_spec(spec)
 
     def test_numpy_is_retired_in_config_and_session(self):
-        """The serial packed path is ``parallel-shm`` at one job."""
-        message = "'numpy' was removed; use 'parallel-shm'"
+        message = "'numpy' was removed; use 'cached'"
         with pytest.raises(ConfigError, match=message):
             MiningConfig(engine="numpy")
         with pytest.raises(ConfigError, match=message):
@@ -172,57 +143,16 @@ class TestCreateEngine:
     def test_serial_stays_serial_without_jobs(self):
         assert isinstance(create_engine("bitmap"), BitmapEngine)
 
-    def test_n_jobs_configures_parallel_shm(self):
-        session = MiningSession(ROWS, engine="parallel-shm", n_jobs=2)
-        assert isinstance(session.engine, ParallelShmEngine)
-        assert session.engine.n_jobs == 2
-        session.close()
-        assert MiningConfig(engine="parallel-shm", n_jobs=4).n_jobs == 4
-        with pytest.raises(ConfigError, match="n_jobs"):
-            MiningConfig(engine="parallel-shm", n_jobs=0)
-
-    def test_n_jobs_defaults_to_one_and_must_be_positive(self):
-        """``engine="parallel-shm"`` alone counts in-process: no pool,
-        no worker process, no shared-memory segment."""
-        assert EnginePolicy().n_jobs == 1
-        children = set(multiprocessing.active_children())
-        session = MiningSession(ROWS, engine="parallel-shm")
-        try:
-            assert session.engine.n_jobs == 1
-            assert session.count(CANDIDATES) == EXPECTED
-            assert session.engine._pool is None
-            assert session.engine._shared is None
-            assert set(multiprocessing.active_children()) == children
-        finally:
-            session.close()
-        with pytest.raises(ConfigError, match="n_jobs"):
-            EnginePolicy(n_jobs=0)
-        with pytest.raises(ConfigError, match="n_jobs"):
-            ParallelShmEngine(n_jobs=0)
-        with pytest.raises(ConfigError, match="n_jobs"):
-            MiningSession(ROWS, engine="parallel-shm", n_jobs=-1)
-
-    @pytest.mark.parametrize(
-        "engine", [name for name in engine_names() if name != "parallel-shm"]
-    )
-    def test_n_jobs_above_one_needs_parallel_shm(self, engine):
-        # Never silently serial, never a silent switch to another engine
-        # (an mmap run must keep its memory bound).
-        with pytest.raises(ConfigError, match='engine="parallel-shm"'):
-            MiningConfig(engine=engine, n_jobs=2)
-        with pytest.raises(ConfigError, match='engine="parallel-shm"'):
-            MiningSession(ROWS, engine=engine, n_jobs=2)
-        assert MiningConfig(engine=engine, n_jobs=1).engine == engine
-        assert MiningSession(ROWS, engine=engine, n_jobs=1).engine.name == (
-            engine
-        )
-
-    def test_n_jobs_checked_against_engine_instances(self):
-        with pytest.raises(ConfigError, match='engine="parallel-shm"'):
-            MiningSession(ROWS, engine=BitmapEngine(), n_jobs=2)
-        engine = ParallelShmEngine(n_jobs=2)
-        assert MiningSession(ROWS, engine=engine, n_jobs=2).engine is engine
-        engine.close()
+    def test_n_jobs_is_gone(self):
+        """Counting runs in one process: ``n_jobs`` is not a setting."""
+        with pytest.raises(TypeError, match="n_jobs"):
+            MiningConfig(n_jobs=1)
+        with pytest.raises(TypeError, match="n_jobs"):
+            MiningSession(ROWS, n_jobs=1)
+        with pytest.raises(TypeError, match="n_jobs"):
+            EnginePolicy(n_jobs=1)
+        with pytest.raises(TypeError, match="n_jobs"):
+            validate_spec(DEFAULT_ENGINE, n_jobs=1)
 
 
 class TestSessionLifecycle:
@@ -244,15 +174,13 @@ class TestSessionLifecycle:
         assert session._state is state
 
     def test_begin_run_resets_accumulators(self):
-        session = MiningSession(
-            TransactionDatabase(ROWS), engine="parallel-shm", n_jobs=1
-        )
+        session = MiningSession(TransactionDatabase(ROWS), engine="mmap")
         session.count(CANDIDATES)
         session.count(CANDIDATES)
-        assert session.run_metrics.counter("parallel.serial_tasks") == 2
+        assert session.run_metrics.counter("kernel.batches") > 0
         assert session.run_metrics.counter("cache.hits") == 1
         session.begin_run()
-        assert session.run_metrics.counter("parallel.serial_tasks") == 0
+        assert session.run_metrics.counter("kernel.batches") == 0
         assert session.run_metrics.counter("cache.hits") == 0
         session.close()
 

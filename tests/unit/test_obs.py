@@ -3,7 +3,7 @@
 Covers the metric registry (merge semantics, pickling), span nesting
 and timing, the zero-allocation disabled path, the trace/summary sinks,
 session install/restore semantics, the per-run registry a mining run's
-stats carry, and the parallel == serial metric-totals invariant.
+stats carry, and the driver totals one counting pass records.
 """
 
 import gc
@@ -29,9 +29,9 @@ from repro.obs.span import NULL_SPAN
 @pytest.fixture(autouse=True)
 def _obs_disabled():
     """Every test starts and ends with observability off."""
-    obs.detach()
+    obs.shutdown()
     yield
-    obs.detach()
+    obs.shutdown()
 
 
 def small_rows():
@@ -103,20 +103,8 @@ class TestRegistry:
         assert ours.gauge("peak") == 7.0  # gauges keep the max
         assert ours.histogram("h").count == 2  # histograms merge
 
-    def test_merge_prefix_names_worker_metrics(self):
-        """A pool worker's kernel metrics land under ``worker.*``."""
-        driver, kernel = MetricsRegistry(), MetricsRegistry()
-        kernel.incr("cache.hits", 4)
-        kernel.max_gauge("cache.bytes", 1024)
-        kernel.observe("h", 0.5)
-        driver.merge(kernel, "worker.")
-        assert driver.counter("worker.cache.hits") == 4
-        assert driver.gauge("worker.cache.bytes") == 1024
-        assert driver.histogram("worker.h").count == 1
-        assert driver.counter("cache.hits") == 0
-
     def test_pickled_worker_registry_merges_like_local(self):
-        """The pool ships registries by pickle; totals must survive."""
+        """A registry survives a pickle round trip; totals must too."""
         worker = MetricsRegistry()
         worker.incr("worker.counting.passes", 4)
         worker.set_gauge("worker.cache.bytes", 123.0)
@@ -256,18 +244,6 @@ class TestObsSession:
             with obs.obs_session(metrics="verbose"):
                 pass
 
-    def test_worker_collection_scopes_and_restores(self):
-        with obs.worker_collection() as registry:
-            assert obs.current().scope == "worker"
-            obs.incr("worker.counting.passes")
-        assert not obs.enabled()
-        assert registry.counter("worker.counting.passes") == 1
-
-    def test_detach_disables_without_finishing_sinks(self):
-        obs.configure(registry=MetricsRegistry())
-        assert obs.enabled()
-        obs.detach()
-        assert not obs.enabled()
 
 
 # ----------------------------------------------------------------------
@@ -314,13 +290,8 @@ class TestSinks:
 # One run registry
 # ----------------------------------------------------------------------
 class TestRunRegistry:
-    @pytest.mark.parametrize(
-        "engine, n_jobs",
-        [("cached", 1), ("mmap", 1), ("parallel-shm", 2)],
-    )
-    def test_stats_metrics_match_the_emitted_snapshot(
-        self, engine, n_jobs, capsys
-    ):
+    @pytest.mark.parametrize("engine", ["cached", "mmap"])
+    def test_stats_metrics_match_the_emitted_snapshot(self, engine, capsys):
         """The run's registry is the one vocabulary: every counter and
         gauge ``result.stats.metrics`` holds reads the same in the
         ``--metrics json`` document."""
@@ -334,15 +305,12 @@ class TestRunRegistry:
             minsup=0.1,
             minri=0.2,
             engine=engine,
-            n_jobs=n_jobs,
             metrics="json",
         )
         emitted = json.loads(capsys.readouterr().err)
         snapshot = result.stats.metrics.snapshot()
         assert snapshot["counters"]
-        engine_layers = (
-            "cache.", "kernel.", "parallel.", "counting.segments."
-        )
+        engine_layers = ("cache.", "kernel.", "counting.segments.")
         for kind in ("counters", "gauges"):
             for name, value in snapshot[kind].items():
                 assert emitted[kind][name] == value, name
@@ -356,45 +324,22 @@ class TestRunRegistry:
 
 
 # ----------------------------------------------------------------------
-# Parallel == serial metric totals
+# Driver totals of one counting pass
 # ----------------------------------------------------------------------
-class TestParallelTotals:
+class TestCountPassTotals:
     CANDIDATES = ((1,), (2,), (4,), (1, 2), (2, 3), (1, 2, 3))
 
-    def _driver_counters(self, n_jobs):
+    def test_one_pass_records_counting_totals(self):
         registry = MetricsRegistry()
-        database = TransactionDatabase(small_rows())
-        session = MiningSession(
-            database, engine="parallel-shm", n_jobs=n_jobs
-        )
+        session = MiningSession(TransactionDatabase(small_rows()))
         with obs.obs_session(registry=registry):
-            counts = session.count(list(self.CANDIDATES))
-        session.close()
-        driver = {
-            name: registry.counter(name)
-            for name in registry.names()
-            if name.startswith("counting.")
-        }
-        return counts, driver, registry, session
-
-    def test_parallel_equals_serial_driver_totals(self):
-        serial_counts, serial_driver, _, _ = self._driver_counters(1)
-        parallel_counts, parallel_driver, parallel_registry, session = (
-            self._driver_counters(2)
+            session.count(list(self.CANDIDATES))
+        assert registry.counter("counting.passes") == 1
+        assert registry.counter("counting.candidates") == len(
+            self.CANDIDATES
         )
-        assert parallel_counts == serial_counts
-        assert serial_driver == parallel_driver  # bit-identical
-        assert serial_driver["counting.passes"] == 1
-        assert serial_driver["counting.candidates"] == len(self.CANDIDATES)
-        assert serial_driver["counting.rows"] == len(small_rows())
-        # Worker-side activity lands under worker.*, never counting.*.
-        worker = [
-            name
-            for name in parallel_registry.names()
-            if name.startswith("worker.")
-        ]
-        assert worker  # shipped back and merged
-        # Parent-side batch accounting stays in the session's run
-        # registry until publish_run folds it into the obs registry.
-        assert session.run_metrics.counter("parallel.shm.batches") == 2
-        assert parallel_registry.counter("parallel.shm.batches") == 0
+        assert registry.counter("counting.rows") == len(small_rows())
+        # The engine's own metrics stay in the session's run registry
+        # until publish_run folds them into the obs registry.
+        assert session.run_metrics.counter("cache.misses") == 1
+        assert registry.counter("cache.misses") == 0

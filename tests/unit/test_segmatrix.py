@@ -5,8 +5,7 @@ the three sync paths (unchanged / append / fingerprint-guided resync),
 the resident-byte budget, and the spill-directory lifecycle — including
 a subprocess that exits without ``close()`` (the finalizer must sweep
 the directory) and a Linux-only constrained-address-space run proving
-the ``mmap`` engine completes where the in-RAM ``parallel-shm`` engine
-cannot.
+the ``mmap`` engine completes where a dense in-RAM pack cannot.
 """
 
 import os
@@ -385,14 +384,14 @@ obs.shutdown()
 )
 class TestConstrainedMemory:
     def test_out_of_core_survives_address_space_cap(self, tmp_path):
-        """Under an address-space cap the dense in-RAM pack of the
-        ``parallel-shm`` engine (one job, in-process) fails while the
-        ``mmap`` engine — streaming bounded segment blocks — completes
+        """Under an address-space cap the dense in-RAM pack
+        (:meth:`PackedMatrix.from_rows`) fails while the ``mmap``
+        engine — streaming bounded segment blocks — completes
         bit-identically.
 
-        The subprocess computes the expected counts with
-        ``parallel-shm`` *before* the cap, then applies ``RLIMIT_AS``
-        slightly above the current ``VmSize`` and retries both engines.
+        The subprocess computes the expected counts from one dense pack
+        *before* the cap, then applies ``RLIMIT_AS`` slightly above the
+        current ``VmSize`` and retries the dense pack and the engine.
         """
         script = r"""
 import resource
@@ -400,6 +399,7 @@ import sys
 
 from repro.core.session import MiningSession
 from repro.data.database import TransactionDatabase
+from repro.mining.bitpack import PackedMatrix
 
 N_ROWS, N_ITEMS = 50_000, 2_000
 rows = [
@@ -410,9 +410,7 @@ rows = [
 # boolean matrix of ~N_ITEMS x N_ROWS bytes (~100 MB here).
 candidates = [(i,) for i in range(N_ITEMS)]
 
-expected = MiningSession(
-    TransactionDatabase(rows), engine="parallel-shm"
-).count(candidates)
+expected = PackedMatrix.from_rows(rows).count(candidates)
 
 def vm_size():
     with open("/proc/self/status") as handle:
@@ -421,20 +419,18 @@ def vm_size():
                 return int(line.split()[1]) * 1024
     raise RuntimeError("no VmSize")
 
-# Headroom far below the ~100 MB dense boolean matrix the parallel-shm
-# engine materializes for 50k x 2k, and comfortably above the mmap
-# engine's per-segment working set.
+# Headroom far below the ~100 MB dense boolean matrix one pack
+# materializes for 50k x 2k, and comfortably above the mmap engine's
+# per-segment working set.
 cap = vm_size() + 48 * 1024 * 1024
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 try:
-    MiningSession(TransactionDatabase(rows), engine="parallel-shm").count(
-        candidates
-    )
+    PackedMatrix.from_rows(rows).count(candidates)
 except MemoryError:
-    print("parallel-shm:MemoryError")
+    print("dense-pack:MemoryError")
 else:
-    print("parallel-shm:completed")
+    print("dense-pack:completed")
 
 session = MiningSession(
     TransactionDatabase(rows),
@@ -454,7 +450,7 @@ print("mmap:match" if counted == expected else "mmap:MISMATCH")
         )
         assert done.returncode == 0, done.stderr
         lines = done.stdout.split()
-        assert "parallel-shm:MemoryError" in lines, done.stdout
+        assert "dense-pack:MemoryError" in lines, done.stdout
         assert "mmap:match" in lines, done.stdout
         # The spill directory was temporary: nothing left behind.
         assert list(tmp_path.iterdir()) == []

@@ -146,15 +146,13 @@ class TestSessionIntegration:
 
     def test_works_with_every_registered_serial_engine(self, database,
                                                        taxonomy):
-        from repro.mining.engines import registered_engines
+        from repro.mining.engines import engine_names
 
         lemonade = taxonomy.id_of("lemonade")
         reference = mine_selective(
             database, taxonomy, lemonade, minsup=0.2, minri=0.3
         )
-        for name, cls in registered_engines().items():
-            if cls.capabilities.shared_memory:
-                continue
+        for name in engine_names():
             session = MiningSession(database, taxonomy, engine=name)
             result = mine_selective(
                 database, taxonomy, lemonade, minsup=0.2, minri=0.3,
