@@ -74,9 +74,8 @@ def _run_mode(
     from repro.mining import vertical
 
     database = TransactionDatabase.from_canonical_rows(base_rows)
-    session = MiningSession(
-        database, engine=engine, segment_rows=segment_rows
-    )
+    options = {"segment_rows": segment_rows} if engine == "mmap" else {}
+    session = MiningSession(database, engine=engine, **options)
     built = session.count(candidates)  # untimed initial build
     start = time.perf_counter()
     for batch in batches:

@@ -16,7 +16,6 @@ from . import (
     bench_ablation_counting,
     bench_ablation_substitutes,
     bench_ablation_filedb,
-    bench_ablation_miners,
     bench_ablation_estimate,
     bench_ablation_generalized,
     bench_ablation_memory,
@@ -44,7 +43,6 @@ MODULES = [
     ("A5 memory batching", bench_ablation_memory),
     ("A6 pass accounting", bench_ablation_passes),
     ("A7 disk-backed passes", bench_ablation_filedb),
-    ("A8 frequent miners", bench_ablation_miners),
     ("A9 substitute knowledge", bench_ablation_substitutes),
     ("E8 vertical cache", bench_vertical_cache),
     ("E9 engine matrix", bench_engine_matrix),

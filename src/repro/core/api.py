@@ -19,7 +19,11 @@ from ..errors import ConfigError
 from ..measures.registry import (
     validate_spec as validate_measure_spec,
 )
-from ..mining.engines import DEFAULT_ENGINE, validate_spec
+from ..mining.engines import (
+    DEFAULT_ENGINE,
+    out_of_core_options,
+    validate_spec,
+)
 from ..mining.generalized import ALGORITHMS
 from ..mining.itemset_index import LargeItemsetIndex
 from ..obs import api as obs
@@ -170,6 +174,12 @@ class MiningConfig:
             check_positive(self.segment_rows, "segment_rows")
         if self.max_resident_bytes is not None:
             check_positive(self.max_resident_bytes, "max_resident_bytes")
+        out_of_core_options(
+            self.engine,
+            self.segment_rows,
+            self.max_resident_bytes,
+            self.spill_dir,
+        )
         if self.metrics not in METRICS_MODES:
             raise ConfigError(
                 f"unknown metrics mode {self.metrics!r}; "

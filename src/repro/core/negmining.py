@@ -33,11 +33,7 @@ from .._util import check_fraction, check_positive
 from ..data.database import TransactionDatabase
 from ..itemset import Itemset
 from ..errors import ConfigError
-from ..measures.registry import (
-    InterestMeasure,
-    MeasurePolicy,
-    create_measure,
-)
+from ..measures.registry import InterestMeasure, create_measure
 from ..mining.generalized import iter_generalized_levels, mine_generalized
 from ..mining.itemset_index import LargeItemsetIndex
 from ..obs import api as obs
@@ -212,12 +208,10 @@ def resolve_measure(
     if resolved is None or isinstance(resolved, str):
         return create_measure(
             resolved if resolved is not None else "ri",
-            MeasurePolicy(figure3_literal=figure3_literal),
+            figure3_literal=figure3_literal,
         )
     if figure3_literal and not getattr(resolved, "figure3_literal", False):
-        return create_measure(
-            resolved.name, MeasurePolicy(figure3_literal=True)
-        )
+        return create_measure(resolved.name, figure3_literal=True)
     return resolved
 
 

@@ -30,13 +30,11 @@ from ..itemset import Itemset
 from ..measures.registry import (
     DEFAULT_MEASURE,
     InterestMeasure,
-    MeasurePolicy,
     create_measure,
 )
 from ..mining.engines import (
     DEFAULT_ENGINE,
     CountingEngine,
-    EnginePolicy,
     EngineState,
     count_pass,
     create_engine,
@@ -71,9 +69,11 @@ class MiningSession:
         An engine spec (``"bitmap"``, ``"mmap"``, …) or an
         already-built :class:`CountingEngine`.
     segment_rows, max_resident_bytes, spill_dir:
-        Out-of-core policy for the ``"mmap"`` engine: rows per spilled
+        Out-of-core options of the ``"mmap"`` engine: rows per spilled
         segment, the budget for concurrently open segment blocks, and
-        the parent directory for the temporary spill directory.
+        the parent directory for the temporary spill directory. Any
+        other engine rejects them with a
+        :class:`~repro.errors.ConfigError`.
     measure:
         The interestingness measure bound to this execution context — a
         registered spec (``"ri"``, ``"kong-interest"``, ``"coherent"``)
@@ -103,11 +103,9 @@ class MiningSession:
         self.taxonomy = taxonomy
         self.engine = create_engine(
             engine,
-            EnginePolicy(
-                segment_rows=segment_rows,
-                max_resident_bytes=max_resident_bytes,
-                spill_dir=spill_dir,
-            ),
+            segment_rows=segment_rows,
+            max_resident_bytes=max_resident_bytes,
+            spill_dir=spill_dir,
         )
         self.measure = create_measure(measure)
         self.trace_path = trace_path
@@ -148,8 +146,7 @@ class MiningSession:
             max_resident_bytes=config.max_resident_bytes,
             spill_dir=config.spill_dir,
             measure=create_measure(
-                config.measure,
-                MeasurePolicy(figure3_literal=config.figure3_literal),
+                config.measure, figure3_literal=config.figure3_literal
             ),
             trace_path=config.trace_path,
             metrics=config.metrics,

@@ -31,7 +31,6 @@ from .registry import (
     DEFAULT_MEASURE,
     InterestMeasure,
     MeasureCapabilities,
-    MeasurePolicy,
     create_measure,
     measure_names,
     measure_table,
@@ -55,7 +54,6 @@ __all__ = [
     "DEFAULT_MEASURE",
     "InterestMeasure",
     "MeasureCapabilities",
-    "MeasurePolicy",
     "create_measure",
     "measure_names",
     "measure_table",

@@ -15,8 +15,8 @@ Specs
 -----
 A measure *spec* is a plain registered name (``"ri"``,
 ``"kong-interest"``, ``"coherent"``); measures do not compose, so there
-is no ``":"`` syntax. :func:`create_measure` resolves a spec plus a
-:class:`MeasurePolicy` into a ready measure object, mirroring
+is no ``":"`` syntax. :func:`create_measure` resolves a spec (plus the
+RI-only ``figure3_literal`` flag) into a ready measure object, mirroring
 ``create_engine``.
 
 Semantics contract
@@ -69,32 +69,13 @@ class MeasureCapabilities:
     bounded_range: bool = False
     monotone_prune: bool = True
 
-    def describe(self) -> str:
-        """The set flags as a short comma-separated string."""
-        names = [f.name for f in fields(self) if getattr(self, f.name)]
-        return ", ".join(names) if names else "-"
-
-
-@dataclass(frozen=True, slots=True)
-class MeasurePolicy:
-    """Run policy a measure is configured from (once, up front).
-
-    The registry-side mirror of the measure-related ``MiningConfig``
-    fields; :func:`create_measure` hands it to each measure class's
-    ``from_policy`` so the class picks out the fields it understands
-    and rejects the ones it cannot honor.
-    """
-
-    figure3_literal: bool = False
-
 
 class InterestMeasure:
     """Base class and protocol for interestingness measures.
 
     Subclasses set :attr:`name` and :attr:`capabilities`, register with
     :func:`register_measure`, and implement :meth:`admits_itemset`,
-    :meth:`rule_score` and :meth:`admits_rule`. They may override
-    :meth:`from_policy` to consume policy fields.
+    :meth:`rule_score` and :meth:`admits_rule`.
     """
 
     name: ClassVar[str] = ""
@@ -104,21 +85,6 @@ class InterestMeasure:
     def spec(self) -> str:
         """The spec string that would recreate this measure's shape."""
         return self.name
-
-    @classmethod
-    def from_policy(cls, policy: MeasurePolicy) -> "InterestMeasure":
-        """Build a measure from *policy*.
-
-        The base implementation rejects the RI-specific
-        ``figure3_literal`` knob; the RI measure overrides this to
-        honor it.
-        """
-        if policy.figure3_literal:
-            raise ConfigError(
-                "figure3_literal is the RI measure's literal Figure 3 "
-                f"predicate; measure {cls.name!r} does not support it"
-            )
-        return cls()
 
     def admits_itemset(
         self,
@@ -207,20 +173,26 @@ def validate_spec(spec: "str | InterestMeasure") -> str:
 
 
 def create_measure(
-    spec: "str | InterestMeasure",
-    policy: MeasurePolicy | None = None,
+    spec: "str | InterestMeasure", *, figure3_literal: bool = False
 ) -> InterestMeasure:
-    """Resolve a spec + policy into a ready measure object.
+    """Resolve a spec into a ready measure object.
 
-    An :class:`InterestMeasure` instance passes through unchanged (the
-    policy, if any, must then already be baked into it).
+    *figure3_literal* goes straight to the ``"ri"`` measure's
+    constructor; any other measure rejects it. An
+    :class:`InterestMeasure` instance passes through unchanged (the
+    flag, if any, must then already be baked into it).
     """
     if isinstance(spec, InterestMeasure):
         return spec
-    if policy is None:
-        policy = MeasurePolicy()
-    name = parse_spec(spec)
-    return _REGISTRY[name].from_policy(policy)
+    cls = _REGISTRY[parse_spec(spec)]
+    if not figure3_literal:
+        return cls()
+    if cls.name != "ri":
+        raise ConfigError(
+            "figure3_literal is the RI measure's literal Figure 3 "
+            f"predicate; measure {cls.name!r} does not support it"
+        )
+    return cls(figure3_literal=True)
 
 
 def _first_doc_line(cls: type) -> str:

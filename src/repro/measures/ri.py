@@ -94,10 +94,6 @@ class RIMeasure(InterestMeasure):
     def __init__(self, figure3_literal: bool = False) -> None:
         self.figure3_literal = figure3_literal
 
-    @classmethod
-    def from_policy(cls, policy) -> "RIMeasure":
-        return cls(figure3_literal=policy.figure3_literal)
-
     def admits_itemset(
         self,
         expected: float,

@@ -16,34 +16,21 @@ scratch:
   vertical index (one big-int bitmap per item).
 * :mod:`~repro.mining.generalized` — Basic / Cumulate / EstMerge miners over
   a taxonomy.
-* :mod:`~repro.mining.partition` — the authors' own two-pass Partition
-  algorithm (VLDB 1995), as an alternative substrate.
-* :mod:`~repro.mining.aprioritid` — AprioriTid (single data pass) and
-  AprioriHybrid, the other miners of Agrawal–Srikant 1994.
 * :mod:`~repro.mining.rules` — positive rule generation (ap-genrules).
 * :mod:`~repro.mining.itemset_index` — the hash table of large itemsets of
   Section 2.4.
 """
 
 from .apriori import apriori_gen, find_large_itemsets
-from .aprioritid import (
-    find_large_itemsets_aprioritid,
-    find_large_itemsets_hybrid,
-)
-from .generalized import extend_database, mine_generalized
+from .generalized import mine_generalized
 from .hash_tree import HashTree
 from .itemset_index import LargeItemsetIndex
-from .partition import find_large_itemsets_partition
 from .rules import AssociationRule, generate_rules
 
 __all__ = [
     "apriori_gen",
     "find_large_itemsets",
-    "find_large_itemsets_partition",
-    "find_large_itemsets_aprioritid",
-    "find_large_itemsets_hybrid",
     "mine_generalized",
-    "extend_database",
     "HashTree",
     "LargeItemsetIndex",
     "AssociationRule",

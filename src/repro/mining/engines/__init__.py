@@ -11,11 +11,11 @@ from __future__ import annotations
 from .base import (
     Capabilities,
     CountingEngine,
-    EnginePolicy,
     EngineState,
     count_pass,
     create_engine,
     engine_names,
+    out_of_core_options,
     parse_spec,
     register_engine,
     registered_engines,
@@ -111,7 +111,6 @@ def capability_table(markdown: bool = False) -> str:
 __all__ = [
     "Capabilities",
     "CountingEngine",
-    "EnginePolicy",
     "EngineState",
     "BitmapEngine",
     "BruteEngine",
@@ -126,6 +125,7 @@ __all__ = [
     "create_engine",
     "engine_names",
     "extended_rows",
+    "out_of_core_options",
     "parse_spec",
     "register_engine",
     "registered_engines",

@@ -1,7 +1,7 @@
 """The counting-engine protocol, capability flags and registry.
 
 Every support-counting backend is a :class:`CountingEngine`: a small
-object configured once (from an :class:`EnginePolicy`), asked to
+object configured once, asked to
 ``prepare()`` an :class:`EngineState` for a database/taxonomy pair, and
 then invoked through ``count(state, candidates)`` for each logical pass.
 Engines self-register under a name with :func:`register_engine`, which is
@@ -13,8 +13,8 @@ registry-parametrized equivalence test.
 Specs
 -----
 An engine *spec* is a plain registered name (``"bitmap"``, ``"mmap"``,
-…). :func:`create_engine` resolves a spec plus a policy into a ready
-engine object.
+…). :func:`create_engine` resolves a spec, plus the out-of-core options
+only the ``"mmap"`` engine takes, into a ready engine object.
 
 Validation
 ----------
@@ -32,10 +32,9 @@ before the engine is ever called.
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
-from ..._util import check_positive
 from ...errors import ConfigError
 from ...itemset import Itemset
 from ...obs import api as obs
@@ -63,32 +62,6 @@ class Capabilities:
     packed: bool = False
     caching: bool = False
     out_of_core: bool = False
-
-    def describe(self) -> str:
-        """The set flags as a short comma-separated string."""
-        names = [f.name for f in fields(self) if getattr(self, f.name)]
-        return ", ".join(names) if names else "-"
-
-
-@dataclass(frozen=True, slots=True)
-class EnginePolicy:
-    """Execution policy an engine is configured from (once, up front).
-
-    This is the registry-side mirror of the engine-related
-    ``MiningConfig`` fields; :func:`create_engine` hands it to each
-    engine class's ``from_policy`` so the class picks out the fields it
-    understands and ignores the rest.
-    """
-
-    segment_rows: int | None = None
-    max_resident_bytes: int | None = None
-    spill_dir: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.segment_rows is not None:
-            check_positive(self.segment_rows, "segment_rows")
-        if self.max_resident_bytes is not None:
-            check_positive(self.max_resident_bytes, "max_resident_bytes")
 
 
 @dataclass(slots=True)
@@ -142,8 +115,7 @@ class CountingEngine:
 
     Subclasses set :attr:`name` and :attr:`capabilities`, register with
     :func:`register_engine`, and implement :meth:`count`. They may
-    override :meth:`from_policy` to consume policy fields and
-    :meth:`prepare` to build per-database state.
+    override :meth:`prepare` to build per-database state.
     """
 
     name: ClassVar[str] = ""
@@ -153,11 +125,6 @@ class CountingEngine:
     def spec(self) -> str:
         """The spec string that would recreate this engine."""
         return self.name
-
-    @classmethod
-    def from_policy(cls, policy: EnginePolicy) -> "CountingEngine":
-        """Build an engine from *policy*."""
-        return cls()
 
     def prepare(
         self, transactions: Any, taxonomy: Taxonomy | None = None
@@ -254,20 +221,60 @@ def validate_spec(spec: "str | CountingEngine") -> str:
     return parse_spec(spec)
 
 
+def out_of_core_options(
+    spec: "str | CountingEngine",
+    segment_rows: int | None = None,
+    max_resident_bytes: int | None = None,
+    spill_dir: str | None = None,
+) -> dict[str, Any]:
+    """The out-of-core options that are set, checked against *spec*.
+
+    Only an ``out_of_core`` engine (``"mmap"``) takes them, so setting
+    any of them for another engine raises
+    :class:`~repro.errors.ConfigError` rather than running without the
+    bound the caller asked for.
+    """
+    options = {
+        name: value
+        for name, value in (
+            ("segment_rows", segment_rows),
+            ("max_resident_bytes", max_resident_bytes),
+            ("spill_dir", spill_dir),
+        )
+        if value is not None
+    }
+    if isinstance(spec, CountingEngine):
+        cls = type(spec)
+    else:
+        cls = _REGISTRY[parse_spec(spec)]
+    if options and not cls.capabilities.out_of_core:
+        raise ConfigError(
+            f"{', '.join(options)}: out-of-core options need "
+            f"--engine mmap; engine {cls.name!r} would ignore them"
+        )
+    return options
+
+
 def create_engine(
     spec: "str | CountingEngine",
-    policy: EnginePolicy | None = None,
+    *,
+    segment_rows: int | None = None,
+    max_resident_bytes: int | None = None,
+    spill_dir: str | None = None,
 ) -> CountingEngine:
-    """Resolve a spec + policy into a ready engine object.
+    """Resolve a spec into a ready engine object.
 
-    A :class:`CountingEngine` instance passes through unchanged (its
-    own settings win).
+    The out-of-core options go straight to the ``"mmap"`` engine's
+    constructor (see :func:`out_of_core_options`). A
+    :class:`CountingEngine` instance passes through unchanged (its own
+    settings win).
     """
+    options = out_of_core_options(
+        spec, segment_rows, max_resident_bytes, spill_dir
+    )
     if isinstance(spec, CountingEngine):
         return spec
-    if policy is None:
-        policy = EnginePolicy()
-    return _REGISTRY[parse_spec(spec)].from_policy(policy)
+    return _REGISTRY[spec](**options)
 
 
 def validate_candidates(candidates: Collection[Itemset]) -> None:

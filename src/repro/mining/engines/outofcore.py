@@ -25,7 +25,6 @@ from ..segmatrix import SegmentedPackedMatrix
 from .base import (
     Capabilities,
     CountingEngine,
-    EnginePolicy,
     EngineState,
     register_engine,
 )
@@ -63,14 +62,6 @@ class MmapEngine(CountingEngine):
         self.max_resident_bytes = max_resident_bytes
         self.spill_dir = spill_dir
         self._matrix: SegmentedPackedMatrix | None = None
-
-    @classmethod
-    def from_policy(cls, policy: EnginePolicy) -> "MmapEngine":
-        return cls(
-            segment_rows=policy.segment_rows,
-            max_resident_bytes=policy.max_resident_bytes,
-            spill_dir=policy.spill_dir,
-        )
 
     # -- lifecycle -----------------------------------------------------
 

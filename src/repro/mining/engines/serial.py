@@ -1,8 +1,9 @@
-"""The serial row-scanning engines: bitmap, hashtree, brute.
+"""The engines that read the rows once per pass: bitmap, hashtree, brute.
 
-All three share the same pass shape — read the rows once, optionally
-extend each with taxonomy ancestors, match candidates — and differ only
-in the matching data structure. :class:`RowScanEngine` holds the shared
+``bitmap`` builds a one-shot :class:`~repro.mining.vertical.VerticalIndex`
+per pass. ``hashtree`` and ``brute`` share the row-matching pass shape —
+extend each row with taxonomy ancestors, match candidates — and differ
+only in the matching data structure. :class:`RowScanEngine` holds that
 shape; each subclass supplies ``_count_rows``.
 """
 
@@ -15,6 +16,7 @@ from ...itemset import Itemset
 from ...obs.registry import MetricsRegistry
 from ...taxonomy.tree import Taxonomy
 from ..hash_tree import HashTree
+from ..vertical import VerticalIndex
 from .base import Capabilities, CountingEngine, EngineState, register_engine
 
 
@@ -37,7 +39,7 @@ def extended_rows(
 
 
 class RowScanEngine(CountingEngine):
-    """Shared pass shape of the serial row-scanning engines."""
+    """Shared pass shape of the row-matching engines (hashtree, brute)."""
 
     capabilities = Capabilities()
 
@@ -67,53 +69,31 @@ class RowScanEngine(CountingEngine):
 
 
 @register_engine("bitmap")
-class BitmapEngine(RowScanEngine):
+class BitmapEngine(CountingEngine):
     """Vertical counting with per-item transaction bitsets, rebuilt per pass.
 
-    Builds ``mask[item]`` — an arbitrary-precision integer whose bit
-    ``t`` is set when transaction ``t`` contains the item — restricted
-    to items that occur in some candidate, then intersects masks per
-    candidate and popcounts. By far the fastest row-scanning engine,
-    and the default ``cached`` engine keeps the same bitsets across passes instead.
-    The 1998 paper predates the vertical-layout literature, so both are
-    an engineering substitution (documented in DESIGN.md) — the
+    Each pass streams the rows once into a one-shot
+    :class:`~repro.mining.vertical.VerticalIndex` — per item, an
+    arbitrary-precision integer whose bit ``t`` is set when transaction
+    ``t`` contains the item — and counts through it: categories are the
+    OR of their descendants' bitsets, so rows are never extended with
+    ancestors and ``restrict_to_candidate_items`` is moot. The default
+    ``cached`` engine keeps the same index across passes instead. The
+    1998 paper predates the vertical-layout literature, so both are an
+    engineering substitution (documented in DESIGN.md) — the
     paper-faithful hash tree remains available and equivalent.
     """
 
-    @staticmethod
-    def _count_rows(
-        transactions: Iterable[Itemset], candidates: Collection[Itemset]
+    def count(
+        self,
+        state: EngineState,
+        candidates: Collection[Itemset],
+        *,
+        restrict_to_candidate_items: bool = False,
+        metrics: MetricsRegistry,
     ) -> dict[Itemset, int]:
-        if not candidates:
-            return {}
-        wanted = set()
-        for candidate in candidates:
-            wanted.update(candidate)
-        masks: dict[int, int] = {}
-        get_mask = masks.get
-        for position, row in enumerate(transactions):
-            bit = 1 << position
-            for item in row:
-                if item in wanted:
-                    masks[item] = get_mask(item, 0) | bit
-        counts: dict[Itemset, int] = {}
-        for candidate in candidates:
-            # Micro-fast path: a candidate whose items never occurred in
-            # this pass needs no mask intersection (and no popcount).
-            mask = get_mask(candidate[0])
-            if mask is None:
-                counts[candidate] = 0
-                continue
-            for item in candidate[1:]:
-                other = get_mask(item)
-                if other is None:
-                    mask = 0
-                    break
-                mask &= other
-                if not mask:
-                    break
-            counts[candidate] = mask.bit_count()
-        return counts
+        index = VerticalIndex.from_rows(state.rows(), state.taxonomy)
+        return index.count(candidates, taxonomy=state.taxonomy)
 
 
 @register_engine("hashtree")

@@ -78,19 +78,6 @@ def _resolve_session(session, database, taxonomy):
     return MiningSession(database, taxonomy)
 
 
-def extend_database(
-    database: TransactionDatabase, taxonomy: Taxonomy
-) -> TransactionDatabase:
-    """Materialize the ancestor-extended version of *database*.
-
-    Useful for running non-taxonomy miners (e.g. Partition) in the
-    generalized setting. Costs one pass over the data.
-    """
-    return TransactionDatabase(
-        taxonomy.ancestor_closure(row) for row in database.scan()
-    )
-
-
 def contains_item_and_ancestor(items: Itemset, taxonomy: Taxonomy) -> bool:
     """True when some member of *items* is an ancestor of another member."""
     members = set(items)

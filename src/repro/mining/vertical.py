@@ -13,7 +13,7 @@ Pass semantics split in two:
 
 logical pass
     One counting pass in the paper's cost model (the Improved miner's
-    ``n + 1``, Partition's ``2``). Every cached count records exactly one
+    ``n + 1``). Every cached count records exactly one
     via :meth:`~repro.data.database.TransactionDatabase.count_logical_pass`.
 physical pass
     An actual read of the rows. The cache build is one; later counts are
@@ -108,22 +108,34 @@ class VerticalIndex:
         return index
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Itemset]) -> "VerticalIndex":
-        """Build over already-materialized rows (one-shot counting)."""
-        materialized = rows if isinstance(rows, (list, tuple)) else list(rows)
-        index = cls(len(materialized))
-        index._ingest(materialized)
+    def from_rows(
+        cls, rows: Iterable[Itemset], taxonomy: Taxonomy | None = None
+    ) -> "VerticalIndex":
+        """Build over *rows* in one streaming read (one-shot counting).
+
+        The rows are counted while they are ingested, never held as a
+        list, so a database's ``scan()`` stays one streaming pass. With
+        *taxonomy*, an item outside it raises
+        :class:`~repro.errors.TaxonomyError`, as extending the row with
+        its ancestors would.
+        """
+        index = cls(0)
+        index.n_rows = index._ingest(rows)
+        if taxonomy is not None:
+            taxonomy.require_known(index._bits)
         return index
 
-    def _ingest(self, rows: Iterable[Itemset]) -> None:
-        """Scan *rows* once, building every base bitmap."""
+    def _ingest(self, rows: Iterable[Itemset]) -> int:
+        """Scan *rows* once, building every base bitmap; return |rows|."""
         bits = self._bits
         get = bits.get
+        position = -1
         for position, row in enumerate(rows):
             bit = 1 << position
             for item in row:
                 bits[item] = get(item, 0) | bit
         self._nbytes = sum(_entry_bytes(bitmap) for bitmap in bits.values())
+        return position + 1
 
     # ------------------------------------------------------------------
     # Validation / maintenance

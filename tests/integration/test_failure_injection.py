@@ -52,6 +52,17 @@ class TestForeignItems:
                 engine=engine,
             )
 
+    @pytest.mark.parametrize("engine", ["bitmap", "hashtree", "brute"])
+    def test_plain_rows_are_checked_by_the_per_pass_engines(
+        self, taxonomy, engine
+    ):
+        """Plain rows bypass the binding's per-epoch check; the engines
+        that read the rows on every pass reject the item themselves."""
+        cola = taxonomy.id_of("cola")
+        session = MiningSession([[cola, 9999], [cola]], taxonomy, engine)
+        with pytest.raises(TaxonomyError, match="unknown node 9999"):
+            session.count([(cola,)])
+
     @pytest.mark.parametrize("engine", engine_names())
     def test_item_appended_after_a_pass_is_rejected(self, taxonomy, engine):
         """An append re-runs the check, so an index extended in place

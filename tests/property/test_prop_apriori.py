@@ -8,11 +8,6 @@ from hypothesis import strategies as st
 from repro.data.database import TransactionDatabase
 from repro.itemset import itemset
 from repro.mining.apriori import apriori_gen, find_large_itemsets
-from repro.mining.aprioritid import (
-    find_large_itemsets_aprioritid,
-    find_large_itemsets_hybrid,
-)
-from repro.mining.partition import find_large_itemsets_partition
 
 databases = st.lists(
     st.lists(
@@ -48,16 +43,6 @@ def test_apriori_matches_exhaustive_oracle(database, minsup):
     assert dict(index.items()) == exhaustive_large_itemsets(
         database, minsup
     )
-
-
-@settings(max_examples=25, deadline=None)
-@given(databases, minsups, st.integers(min_value=1, max_value=6))
-def test_partition_equals_apriori(database, minsup, partitions):
-    apriori = find_large_itemsets(database, minsup)
-    partitioned = find_large_itemsets_partition(
-        database, minsup, partitions=partitions
-    )
-    assert partitioned == apriori
 
 
 @settings(max_examples=40, deadline=None)
@@ -105,18 +90,3 @@ def test_apriori_gen_completeness_on_full_lattice(universe):
         itemset(triple) for triple in combinations(sorted(universe), 3)
     }
 
-
-@settings(max_examples=25, deadline=None)
-@given(databases, minsups)
-def test_aprioritid_equals_apriori(database, minsup):
-    assert find_large_itemsets_aprioritid(
-        database, minsup
-    ) == find_large_itemsets(database, minsup)
-
-
-@settings(max_examples=25, deadline=None)
-@given(databases, minsups, st.sampled_from([1, 50, 100_000]))
-def test_hybrid_equals_apriori(database, minsup, budget):
-    assert find_large_itemsets_hybrid(
-        database, minsup, switch_budget=budget
-    ) == find_large_itemsets(database, minsup)

@@ -111,7 +111,8 @@ INCREMENTAL_SPECS = ("cached", "mmap")
 
 
 def incremental_session(spec, database, segment_rows):
-    return MiningSession(database, engine=spec, segment_rows=segment_rows)
+    options = {"segment_rows": segment_rows} if spec == "mmap" else {}
+    return MiningSession(database, engine=spec, **options)
 
 
 @settings(max_examples=20, deadline=None)

@@ -55,6 +55,30 @@ class TestMiningConfig:
     def test_boundary_caps_accepted(self, field, value):
         assert getattr(MiningConfig(**{field: value}), field) == value
 
+    @pytest.mark.parametrize(
+        "engine", ["cached", "bitmap", "hashtree", "brute"]
+    )
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("segment_rows", 64),
+            ("max_resident_bytes", 4096),
+            ("spill_dir", "spill"),
+        ],
+    )
+    def test_mmap_only_options_need_the_mmap_engine(
+        self, tmp_path, engine, field, value
+    ):
+        # A memory bound the engine would ignore is an error, not a
+        # silent unbounded run.
+        if field == "spill_dir":
+            value = str(tmp_path / value)
+        with pytest.raises(ConfigError, match="--engine mmap"):
+            MiningConfig(engine=engine, **{field: value})
+        assert getattr(
+            MiningConfig(engine="mmap", **{field: value}), field
+        ) == value
+
     def test_zero_sibling_replacements_turns_case_3_off(
         self, soft_drinks_taxonomy, soft_drinks_database
     ):

@@ -61,6 +61,13 @@ class TestFindLargeItemsets:
         index = find_large_itemsets(database, 0.5)
         assert (1,) in index  # exactly 0.5
 
+    def test_deep_itemsets(self):
+        # Every transaction identical: the lattice goes to full depth.
+        database = TransactionDatabase([[1, 2, 3, 4]] * 10)
+        index = find_large_itemsets(database, 0.9)
+        assert (1, 2, 3, 4) in index
+        assert len(index) == 15  # all non-empty subsets
+
     def test_downward_closure(self, random_database):
         index = find_large_itemsets(random_database, 0.1)
         for items, _support in index.items():

@@ -189,6 +189,23 @@ class TestMine:
         assert code == 2
         assert "--spill-dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--max-resident", "65536"), ("--segment-rows", "8")]
+    )
+    def test_mmap_only_flag_without_mmap_exits_2(self, dataset_files,
+                                                 capsys, flag, value):
+        baskets, taxonomy = dataset_files
+        code = main(
+            [
+                "mine", "--baskets", baskets, "--taxonomy", taxonomy,
+                flag, value,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "--engine mmap" in err
+
     def test_cache_budget_flag_is_gone(self, dataset_files):
         baskets, taxonomy = dataset_files
         with pytest.raises(SystemExit) as excinfo:

@@ -12,7 +12,6 @@ from repro.mining.engines import (
     DEFAULT_ENGINE,
     ENGINES,
     BitmapEngine,
-    EnginePolicy,
     capability_table,
     create_engine,
     engine_names,
@@ -143,14 +142,25 @@ class TestCreateEngine:
     def test_serial_stays_serial_without_jobs(self):
         assert isinstance(create_engine("bitmap"), BitmapEngine)
 
+    def test_out_of_core_options_need_an_out_of_core_engine(self):
+        with pytest.raises(ConfigError, match="--engine mmap"):
+            create_engine(DEFAULT_ENGINE, max_resident_bytes=4096)
+        with pytest.raises(ConfigError, match="--engine mmap"):
+            create_engine(BitmapEngine(), segment_rows=8)
+        with pytest.raises(ConfigError, match="--engine mmap"):
+            MiningSession(ROWS, spill_dir="spill")
+        engine = create_engine("mmap", segment_rows=2)
+        assert engine.segment_rows == 2
+        assert MiningSession(ROWS, engine=engine).count(CANDIDATES) == (
+            EXPECTED
+        )
+
     def test_n_jobs_is_gone(self):
         """Counting runs in one process: ``n_jobs`` is not a setting."""
         with pytest.raises(TypeError, match="n_jobs"):
             MiningConfig(n_jobs=1)
         with pytest.raises(TypeError, match="n_jobs"):
             MiningSession(ROWS, n_jobs=1)
-        with pytest.raises(TypeError, match="n_jobs"):
-            EnginePolicy(n_jobs=1)
         with pytest.raises(TypeError, match="n_jobs"):
             validate_spec(DEFAULT_ENGINE, n_jobs=1)
 

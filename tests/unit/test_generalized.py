@@ -9,7 +9,6 @@ from repro.data.database import TransactionDatabase
 from repro.errors import ConfigError
 from repro.mining.generalized import (
     contains_item_and_ancestor,
-    extend_database,
     iter_generalized_levels,
     mine_generalized,
 )
@@ -165,19 +164,6 @@ class TestIterLevels:
         )
         assert database.scans >= len(levels)
         assert database.scans == database.logical_scans
-
-
-class TestExtendDatabase:
-    def test_rows_gain_ancestors(self, taxonomy):
-        database = TransactionDatabase([[3], [6, 7]])
-        extended = extend_database(database, taxonomy)
-        assert extended.transaction(0) == (0, 1, 3)
-        assert extended.transaction(1) == (5, 6, 7)
-
-    def test_counts_one_pass(self, taxonomy):
-        database = TransactionDatabase([[3]])
-        extend_database(database, taxonomy)
-        assert database.scans == 1
 
 
 class TestValidation:

@@ -7,7 +7,6 @@ from repro.measures.registry import (
     DEFAULT_MEASURE,
     InterestMeasure,
     MeasureCapabilities,
-    MeasurePolicy,
     create_measure,
     measure_names,
     measure_table,
@@ -49,12 +48,11 @@ class TestRegistry:
         assert create_measure(measure) is measure
 
     def test_figure3_policy_is_ri_only(self):
-        policy = MeasurePolicy(figure3_literal=True)
-        literal = create_measure("ri", policy)
+        literal = create_measure("ri", figure3_literal=True)
         assert literal.figure3_literal
         for name in ("kong-interest", "coherent"):
             with pytest.raises(ConfigError, match="does not support"):
-                create_measure(name, policy)
+                create_measure(name, figure3_literal=True)
 
     def test_capability_flags(self):
         caps = {
@@ -68,12 +66,10 @@ class TestRegistry:
         assert caps["coherent"].supports_positive
         assert caps["coherent"].bounded_range
 
-    def test_capabilities_describe(self):
-        assert "monotone_prune" in MeasureCapabilities().describe()
-        empty = MeasureCapabilities(
-            needs_taxonomy_expectation=False, monotone_prune=False
-        )
-        assert empty.describe() == "-"
+    def test_capability_defaults(self):
+        caps = MeasureCapabilities()
+        assert caps.needs_taxonomy_expectation and caps.monotone_prune
+        assert not caps.supports_positive and not caps.bounded_range
 
     def test_measure_table_both_renderings(self):
         text = measure_table()
@@ -93,9 +89,7 @@ class TestRIMeasure:
         assert not ri.admits_itemset(0.04, 0.025, (), 0.04, 0.5)
 
     def test_figure3_literal_swaps_the_predicate(self):
-        literal = create_measure(
-            "ri", MeasurePolicy(figure3_literal=True)
-        )
+        literal = create_measure("ri", figure3_literal=True)
         # Figure 3 keeps any candidate whose *actual* support is below
         # the threshold, regardless of the deviation.
         assert literal.admits_itemset(0.021, 0.005, (), 0.04, 0.5)

@@ -18,11 +18,7 @@ from repro.data.database import TransactionDatabase
 from repro.errors import ConfigError
 from repro.core.session import MiningSession
 from repro.obs import api as obs
-from repro.obs.registry import (
-    DEFAULT_BOUNDS,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.span import NULL_SPAN
 
 
