@@ -1,4 +1,5 @@
-"""CI benchmark-regression gate: engines, serving, maintenance, measures.
+"""CI benchmark-regression gate: engines, serving, maintenance, measures
+and the paper's pipeline.
 
 Re-runs the quick engine matrix (``bench_engine_matrix --quick``) and
 compares each engine's ``mean_wall_per_10_passes_s`` (its mean wall per
@@ -21,7 +22,14 @@ delta-push and recompile-from-scratch serving-update paths for both
 engines under ``["quick"]["streaming"]``. Finally the cross-measure
 profile (``bench_measures --quick``) gates each registered
 interestingness measure's mean re-judgment wall over the grocery
-scenarios under ``["quick"]["measures"]``.
+scenarios under ``["quick"]["measures"]``. The pipeline profile
+(``bench_pipeline --quick``, run before the others, while the process
+holds little) gates one wall per paper stage (positive,
+candidates, count, select, rulegen) at each of its four points
+(``wall_per_10_runs_s``, keyed ``<dataset>@<minsup>:<stage>``) under
+``["quick"]["pipeline"]``, and requires each point's large itemsets,
+candidates, negative itemsets and rules to equal the baseline's
+exactly.
 
 Raw wall-clock is useless across machines, so both sides are normalized
 by their own geometric mean across the engines before comparing: a CI
@@ -34,17 +42,21 @@ and per-pass times below :data:`MEASUREMENT_FLOOR_S` are clamped to it
 (sub-5 ms cells jitter more between identical runs than the gate
 allows).
 
-Exits non-zero when any engine's normalized per-pass time — or either
-serving mode's normalized per-10k-request time — exceeds ``threshold``
-times its baseline share. ``--inject KEY`` doubles that engine's (or
-serving mode's — ``cold``/``cold-limit10``/``hot``) measured time after the run,
-demonstrating that the gate trips.
+Exits non-zero when any engine's normalized per-pass time — or any
+other profile's normalized cell — exceeds ``threshold`` times its
+baseline share, or when a pipeline count differs from the baseline.
+``--inject KEY`` doubles that engine's (or serving mode's —
+``cold``/``cold-limit10``/``hot`` — or pipeline cell's, e.g.
+``tall@0.06:candidates``) measured time after the run, demonstrating
+that the gate trips.
 
 Run::
 
     python -m benchmarks.check_regression
     python -m benchmarks.check_regression --inject mmap   # must fail
     python -m benchmarks.check_regression --inject hot    # must fail
+    python -m benchmarks.check_regression \
+        --inject tall@0.06:candidates                        # must fail
 """
 
 from __future__ import annotations
@@ -252,6 +264,44 @@ def _run_quick_measures(out: Path, repeats: int) -> dict:
     return report
 
 
+def _run_quick_pipeline(out: Path, repeats: int) -> dict:
+    """Run the quick pipeline benchmark; keep per-cell minima.
+
+    The element-wise minimum over repeats is taken per stage cell
+    (``short@0.1:candidates``, …), mirroring :func:`_run_quick_matrix`.
+    The exact counts are the same on every repeat.
+    """
+    from benchmarks import bench_pipeline
+
+    argv = ["--quick", "--out", str(out)]
+    report: dict = {}
+    best: dict[str, float] = {}
+    for attempt in range(repeats):
+        code = bench_pipeline.main(argv)
+        if code != 0:
+            raise SystemExit(
+                f"pipeline benchmark run failed with exit code {code}"
+            )
+        report = json.loads(out.read_text())["quick"]["pipeline"]
+        for cell, value in report["wall_per_10_runs_s"].items():
+            best[cell] = min(best.get(cell, value), value)
+        print(f"[pipeline repeat {attempt + 1}/{repeats}] done")
+    report["wall_per_10_runs_s"] = best
+    report["repeats"] = repeats
+    return report
+
+
+def compare_counts(
+    baseline: dict[str, dict], current: dict[str, dict]
+) -> list[str]:
+    """The points whose exact counts differ from the baseline's, or that
+    only one side has."""
+    return sorted(
+        point for point in set(baseline) | set(current)
+        if baseline.get(point) != current.get(point)
+    )
+
+
 def _write_step_summary(baseline: Path, failed: list[str]) -> None:
     """Append re-baselining instructions to the GitHub job summary.
 
@@ -299,8 +349,9 @@ def main(argv: list[str] | None = None) -> int:
         "--inject",
         metavar="KEY",
         default=None,
-        help="double this engine's or serving mode's "
-             "(cold/cold-limit10/hot) measured time after the run "
+        help="double this engine's, serving mode's "
+             "(cold/cold-limit10/hot) or pipeline cell's "
+             "(e.g. tall@0.06:candidates) measured time after the run "
              "(self-test: the gate must fail)",
     )
     parser.add_argument(
@@ -326,6 +377,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
+        pipeline = _run_quick_pipeline(
+            Path(tmp) / "pipeline.json", args.repeats
+        )
         current = _run_quick_matrix(
             Path(tmp) / "current.json", args.trace, args.repeats
         )
@@ -350,9 +404,10 @@ def main(argv: list[str] | None = None) -> int:
         fold_report(args.baseline, "incremental", incremental, quick=True)
         fold_report(args.baseline, "streaming", streaming, quick=True)
         fold_report(args.baseline, "measures", measures, quick=True)
+        fold_report(args.baseline, "pipeline", pipeline, quick=True)
         print(
             f"re-baselined quick engine_matrix, serving, incremental, "
-            f"streaming and measures in {args.baseline}"
+            f"streaming, measures and pipeline in {args.baseline}"
         )
         return 0
 
@@ -364,6 +419,7 @@ def main(argv: list[str] | None = None) -> int:
         ("incremental", "wall_recount_s", incremental),
         ("streaming", "wall_update_s", streaming),
         ("measures", "wall_per_eval_s", measures),
+        ("pipeline", "wall_per_10_runs_s", pipeline),
     )
     for key, field, run in gates:
         try:
@@ -400,6 +456,17 @@ def main(argv: list[str] | None = None) -> int:
                 f"now={row['current_per_pass_s']:.5f}s  "
                 f"ratio={row['normalized_ratio']:.3f}  {row['verdict']}"
             )
+
+    changed = compare_counts(
+        baseline_doc["quick"]["pipeline"]["counts"], pipeline["counts"]
+    )
+    for point in changed:
+        print(
+            f"pipeline counts {point}: baseline "
+            f"{baseline_doc['quick']['pipeline']['counts'].get(point)}, "
+            f"now {pipeline['counts'].get(point)}  REGRESSED"
+        )
+    failed.extend(f"pipeline:counts:{point}" for point in changed)
 
     if args.inject and not any(
         args.inject in run[field] for _, field, run in gates

@@ -28,27 +28,38 @@ admission rules:
 
 The enumeration enforces the 1-item-subset rule by drawing replacements
 only from large 1-itemsets, and the ancestor and threshold rules while it
-descends, before a candidate is built (see :func:`_expand`).
+descends, before a candidate is built (see :meth:`_Kernel.leaves`).
 
-The enumeration runs on integer bitmasks. Every large 1-itemset of the
-taxonomy (plus any source item that is not one) gets a dense id in
-ascending item order, so an itemset is an ``int`` whose set bits, read low
-to high, give its canonical tuple. Related closures and blocked sets are
-masks too, and a leaf is the mask ``prefix | bit``. The best expectation
-per mask lives in one dict that is seeded with every large itemset's mask
-as a sentinel no expectation can beat, so a leaf makes a single probe for
-both the "already large" test and the max-expectation dedup. The
-sentinels are dropped at the end, and the sorted tuple and the
-:class:`NegativeCandidate` are built once per kept candidate, in the
-order candidates were first reached.
+The enumeration is one level-wise NumPy kernel. Every large 1-itemset of
+the taxonomy (plus any source item that is not one) gets a dense id in
+ascending item order, so a candidate's sorted ids are its canonical
+tuple, packed into int64 key columns. Sources are grouped by size. For
+each case and replacement count, all (source, position subset) rows of a
+group are expanded as one batch, one replaced position per depth, over
+replacement pools padded to a common width. The cuts multiply in the
+order a depth-first walk would, and conflicts are tested on closure
+masks held as uint64 words.
+
+Each leaf has a *rank*: its place in the depth-first visit order
+(source, case, replacement count, position subset, pool indices). Leaves
+are reduced to one row per itemset that holds the largest expectation,
+ties going to the lowest rank, and the itemset's lowest rank. Large
+itemsets join that reduction as sentinel rows with an infinite
+expectation, so a leaf that reaches one is dropped by the same
+comparison. A depth-first walk keeping the best expectation per itemset
+in one dict would replace an entry only for a strictly larger
+expectation, and would insert each itemset when it first reached it, so
+ordering the kept itemsets by lowest rank gives exactly that dict's
+contents and order, which is what this function returns.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from collections.abc import Iterable, Iterator
-from itertools import combinations, islice
+from collections.abc import Iterable
+from itertools import chain, combinations
+
+import numpy as np
 
 from .._util import check_fraction
 from ..itemset import Itemset
@@ -59,6 +70,18 @@ from ..taxonomy.tree import Taxonomy
 
 CASE_CHILDREN = "children"
 CASE_SIBLINGS = "siblings"
+#: The cases in visit order; the kernel refers to a case by its index.
+CASES = (CASE_CHILDREN, CASE_SIBLINGS)
+
+#: Leaves expanded per chunk, about. Sources are expanded in chunks, in
+#: source order, and each chunk's leaves are reduced to distinct itemsets
+#: before the next chunk is expanded, which bounds the kernel's working
+#: memory.
+CHUNK_LEAVES = 1 << 14
+
+#: ``_BIT[k]`` is the uint64 word with bit *k* set.
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+_ZERO = np.uint64(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,36 +107,23 @@ class NegativeCandidate:
     case: str
 
 
-#: A replacement pool entry: ``(bit, ratio, related_mask)``.
-MaskPool = tuple[tuple[int, float, int], ...]
-
-#: The sentinel entry of a large itemset's mask. Candidate entries are
-#: ``(value, source, case)``; no finite expectation exceeds this value, so
-#: a leaf that reaches a large itemset is rejected by the same comparison
-#: that keeps the maximum.
-_LARGE = (math.inf,)
-
-
-class _RelativeCache:
+class _Relatives:
     """Dense ids, large-filtered children/sibling ratio pools and related
-    closures, computed per item.
+    closures of the items one call can meet.
 
     *universe* is every item that may appear in a candidate: the large
     1-itemsets in the taxonomy plus the items of the sources. Item
-    ``sorted(universe)[i]`` has the bit ``1 << i``.
+    ``item_at[i]`` has the dense id ``i``.
 
-    A pool entry is ``(bit, ratio, related)`` for one relative, where
+    A pool holds ``(id, ratio)`` for each large relative of an item, where
     ratio is ``sup(relative) / sup(item)`` — the expectation factor
-    contributed by replacing *item* with the relative — and related is
-    the relative's closure mask (see :meth:`related`). Pools are sorted by
-    descending ratio so the branch-and-bound enumeration can cut off as
-    soon as the bound falls below threshold.
+    contributed by replacing the item with the relative. Pools are sorted
+    by descending ratio (equal ratios keep the taxonomy's order), so a
+    pool's first ratio bounds the rest and the entries that pass a
+    threshold are a prefix.
     """
 
-    __slots__ = (
-        "_taxonomy", "_index", "bit_of", "item_at", "_children",
-        "_siblings", "_related",
-    )
+    __slots__ = ("_taxonomy", "_index", "id_of", "item_at")
 
     def __init__(
         self,
@@ -124,59 +134,65 @@ class _RelativeCache:
         self._taxonomy = taxonomy
         self._index = index
         self.item_at: list[int] = sorted(universe)
-        self.bit_of: dict[int, int] = {
-            item: 1 << position for position, item in enumerate(self.item_at)
+        self.id_of: dict[int, int] = {
+            item: ident for ident, item in enumerate(self.item_at)
         }
-        self._children: dict[int, MaskPool] = {}
-        self._siblings: dict[int, MaskPool] = {}
-        self._related: dict[int, int] = {}
 
-    def _pool(self, item: int, relatives: tuple[int, ...]) -> MaskPool:
+    def _pool(self, item: int, relatives: tuple[int, ...]) -> list:
         own_support = self._index.support_or_none((item,))
         if own_support is None or own_support <= 0.0:
-            return ()
+            return []
         entries = [
             (
-                self.bit_of[relative],
+                self.id_of[relative],
                 self._index.support((relative,)) / own_support,
-                self.related(relative),
             )
             for relative in relatives
             if self._index.is_large((relative,))
         ]
         entries.sort(key=lambda entry: -entry[1])
-        return tuple(entries)
+        return entries
 
-    def children_pool(self, item: int) -> MaskPool:
-        if item not in self._children:
-            self._children[item] = self._pool(
-                item, self._taxonomy.children(item)
-            )
-        return self._children[item]
+    def pool_table(
+        self, case: int, idents: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The children (case 0) or sibling (case 1) pools of *idents*,
+        one row each: ``(members, ratios, lengths)``, padded with id 0 and
+        ratio 0.0 to the widest pool."""
+        taxonomy = self._taxonomy
+        relatives_of = (taxonomy.children, taxonomy.siblings)[case]
+        pools = [
+            self._pool(item, relatives_of(item))
+            for item in map(self.item_at.__getitem__, idents.tolist())
+        ]
+        lengths = np.array([len(pool) for pool in pools], dtype=np.intp)
+        width = int(lengths.max(initial=0)) or 1
+        filled = np.arange(width) < lengths[:, None]
+        members = np.zeros((len(pools), width), dtype=np.intp)
+        ratios = np.zeros((len(pools), width))
+        members[filled] = [ident for pool in pools for ident, _ in pool]
+        ratios[filled] = [ratio for pool in pools for _, ratio in pool]
+        return members, ratios, lengths
 
-    def sibling_pool(self, item: int) -> MaskPool:
-        if item not in self._siblings:
-            self._siblings[item] = self._pool(
-                item, self._taxonomy.siblings(item)
-            )
-        return self._siblings[item]
-
-    def related(self, item: int) -> int:
-        """Mask of *item* with its ancestors and descendants: the items
-        that may not share a candidate with it. Built on first use, since
-        most nodes of a full taxonomy are never replacements."""
-        closure = self._related.get(item)
-        if closure is None:
-            bit_of = self.bit_of
-            closure = 0
+    def closure_words(self, idents: np.ndarray) -> np.ndarray:
+        """One row of uint64 words per id in *idents*: the bits of the
+        item, its ancestors and its descendants — the items that may not
+        share a candidate with it. Built only for the ids the kernel
+        meets, since most nodes of a full taxonomy never are."""
+        taxonomy, id_of = self._taxonomy, self.id_of
+        words = -(-len(self.item_at) // 64) or 1
+        chunks = []
+        for item in map(self.item_at.__getitem__, idents.tolist()):
+            mask = 0
             for node in (
-                (item,)
-                + self._taxonomy.ancestors(item)
-                + self._taxonomy.descendants(item)
+                (item,) + taxonomy.ancestors(item) + taxonomy.descendants(item)
             ):
-                closure |= bit_of.get(node, 0)
-            self._related[item] = closure
-        return closure
+                position = id_of.get(node)
+                if position is not None:
+                    mask |= 1 << position
+            chunks.append(mask.to_bytes(8 * words, "little"))
+        table = np.frombuffer(b"".join(chunks), dtype=np.dtype("<u8"))
+        return table.reshape(len(chunks), words)
 
 
 def generate_negative_candidates(
@@ -241,247 +257,583 @@ def generate_negative_candidates(
         source
         for source in source_list
         if (max_size is None or len(source) <= max_size)
-        and all(item in taxonomy for item in source)
+        and all(map(taxonomy.__contains__, source))
     ]
 
     universe = {
         items[0] for items in index.of_size(1) if items[0] in taxonomy
     }
     universe.update(*source_list)
-    cache = _RelativeCache(taxonomy, index, universe)
-    bit_of = cache.bit_of
-
-    # Candidates keep their source's size, so only large itemsets of
-    # those sizes can collide with one; an entry holding an item outside
-    # the universe never can. An itemset's bits are distinct, so their
-    # sum is their OR.
-    best: dict[int, tuple] = {}
-    for size in {len(source) for source in source_list}:
-        for items in index.of_size(size):
-            try:
-                best[sum(map(bit_of.__getitem__, items))] = _LARGE
-            except KeyError:
-                continue
-    sentinels = len(best)
-
-    subsets = 0
-    for source in source_list:
-        subsets += _expand(
-            source, index, cache, threshold,
-            max_sibling_replacements, best,
-        )
-
-    # The sentinels were seeded first; the rest are the candidates in
-    # the order they were first reached. A mask's set bits, read low to
-    # high, are its canonical tuple (collected here from the top down).
-    item_at = cache.item_at
-    out: dict[Itemset, NegativeCandidate] = {}
-    for mask, (value, source, case) in islice(best.items(), sentinels, None):
-        members = []
-        while mask:
-            top = mask.bit_length() - 1
-            members.append(item_at[top])
-            mask ^= 1 << top
-        members.reverse()
-        items = tuple(members)
-        out[items] = NegativeCandidate(
-            items=items, expected_support=value, source=source, case=case
-        )
+    cache = _Relatives(taxonomy, index, universe)
+    # The kernel and its tables are dropped before the records are built.
+    subsets, kept = _Kernel(
+        index, cache, source_list, threshold, max_sibling_replacements
+    ).run()
+    out = _records(kept, cache.item_at, source_list)
     obs.incr("candidates.position_subsets", subsets)
-    obs.incr("candidates.leaf_masks", len(best) - sentinels)
+    obs.incr("candidates.leaf_masks", len(out))
     obs.incr("candidates.kept", len(out))
     return out
 
 
-def _expand(
-    source: Itemset,
-    index: LargeItemsetIndex,
-    cache: _RelativeCache,
-    threshold: float,
-    max_sibling_replacements: int | None,
-    best: dict[int, tuple],
-) -> int:
-    """Enumerate all admissible replacements of *source* with pruning,
-    recording the best ``(value, source, case)`` per candidate mask in
-    *best*; returns the number of position subsets visited.
+class _SourceGroup:
+    """The sources of one size, as arrays, and their expansion rows.
 
-    The raw enumeration is exponential (the Section 2.1.2 estimate), and
-    the paper lists "more efficient candidate generation techniques" as
-    future work. This implementation contributes two cuts, each of which
-    skips only candidates that the admission rules reject anyway, so the
-    candidates and expectations equal an exhaustive cross-product's:
-
-    * **Expectation bound.** Each position's replacement pool is sorted
-      by descending support ratio, so the product of the best remaining
-      ratios is an exact upper bound on the achievable expectation.
-      Position subsets and branches that cannot reach
-      ``MinSup × MinRI`` are cut.
-    * **Conflicts.** The items a position subset keeps ("fixed") seed a
-      blocked mask with their related closures (the item, its ancestors
-      and its descendants). A replacement whose bit is blocked would make
-      the candidate repeat an item or hold an item together with its
-      ancestor, so it is skipped when it is chosen, cutting every
-      candidate below it at once. A chosen item's closure is OR-ed into
-      the blocked mask passed down.
-
-    A complete assignment therefore has distinct, mutually unrelated
-    items, and the leaf makes one probe of *best*: a missing mask is a
-    new candidate, and an entry is replaced only by a strictly larger
-    expectation, which no large itemset's sentinel admits. Single-position
-    subsets run as one inline loop. Larger ones run their last two depths
-    as nested loops here, once per surviving branch of the depths above
-    (:func:`_heads`, only for three or more positions), so no leaf costs
-    a Python call.
-
-    Only positions with a non-empty pool can be replaced, so subsets are
-    drawn from those alone, in the same order as from all positions.
-    Bounds, suffix products and expectations are multiplied in the same
-    order as the exhaustive reference: float products depend on their
-    order, which decides borderline cuts.
+    ``order`` holds the sources' positions in the source list, ascending;
+    ``ids[i]`` holds source ``i``'s dense ids in position order, ``slots[i]``
+    their rows in the kernel's pool tables and ``base[i]`` its support.
+    ``subset_positions[count]`` lists the position subsets of *count*
+    positions in :func:`itertools.combinations` order and
+    ``kept_positions[count]`` the positions each leaves. ``batches`` holds
+    one ``(case, count, source, subset)`` entry per case and replacement
+    count: the rows (source, position subset) that pass the expectation
+    bound, in visit order. ``sentinels`` are the packed keys of the large
+    itemsets of this size.
     """
-    size = len(source)
-    bits = [cache.bit_of[item] for item in source]
-    closures = [cache.related(item) for item in source]
-    full = sum(bits)
-    for bit, closure in zip(bits, closures):
-        if closure & (full ^ bit):
-            # Degenerate large itemsets (possible with the Basic miner)
-            # predict nothing beyond their non-degenerate reduction.
-            return 0
-    base = index.support(source)
-    # others[p]: the blocked mask when only position p is replaced.
-    after = [0] * (size + 1)
-    for p in range(size - 1, -1, -1):
-        after[p] = after[p + 1] | closures[p]
-    others = []
-    before = 0
-    for p in range(size):
-        others.append(before | after[p + 1])
-        before |= closures[p]
-    get = best.get
-    subsets = 0
-    # The fixed and blocked masks of a position subset are shared by
-    # both cases.
-    kept: dict[tuple[int, ...], tuple[int, int]] = {}
-    for case, mask_pools, proper_only in (
-        (CASE_CHILDREN, cache.children_pool, False),
-        (CASE_SIBLINGS, cache.sibling_pool, True),
-    ):
-        max_positions = size - 1 if proper_only else size
-        if case == CASE_SIBLINGS and max_sibling_replacements is not None:
-            max_positions = min(max_positions, max_sibling_replacements)
-        if max_positions < 1:
-            continue
-        position_pools = [mask_pools(item) for item in source]
-        live = [p for p in range(size) if position_pools[p]]
-        for p in live:
-            subsets += 1
-            pool = position_pools[p]
-            # The bound of one position is its best leaf's expectation.
-            if base * pool[0][1] < threshold:
-                continue
-            prefix = full ^ bits[p]
-            blocked = others[p]
-            for bit, ratio, _ in pool:
-                value = base * ratio
-                if value < threshold:
-                    break
-                if blocked & bit:
-                    continue
-                mask = prefix | bit
-                entry = get(mask)
-                if entry is None or value > entry[0]:
-                    best[mask] = (value, source, case)
-        live_pools = [position_pools[p] for p in live]
-        live_bests = [pool[0][1] for pool in live_pools]
-        for count in range(2, min(max_positions, len(live)) + 1):
-            for positions, pools, bests in zip(
-                combinations(live, count),
-                combinations(live_pools, count),
-                combinations(live_bests, count),
-            ):
-                subsets += 1
-                # Exact upper bound: best (first) ratio at every position.
-                bound = base
-                for ratio in bests:
-                    bound *= ratio
-                if bound < threshold:
-                    continue
-                fixed = kept.get(positions)
-                if fixed is None:
-                    prefix = full
-                    blocked = 0
-                    for p in range(size):
-                        if p in positions:
-                            prefix ^= bits[p]
-                        else:
-                            blocked |= closures[p]
-                    fixed = kept[positions] = (prefix, blocked)
-                if count == 2:
-                    heads = ((fixed[0], base, fixed[1]),)
-                else:
-                    # suffix[d]: product of the best ratios of pools[d:],
-                    # multiplied left to right.
-                    suffix = [1.0] * (count + 1)
-                    for depth in range(1, count):
-                        product = 1.0
-                        for ratio in bests[depth:]:
-                            product *= ratio
-                        suffix[depth] = product
-                    heads = _heads(
-                        pools, suffix, 0, fixed[0], base, fixed[1],
-                        threshold,
-                    )
-                # The last two depths, once per head: the rest of the
-                # bound above the last is its best ratio (1.0 * best).
-                upper, last = pools[-2], pools[-1]
-                rest = bests[-1]
-                for prefix, accumulated, blocked in heads:
-                    for bit, ratio, closure in upper:
-                        value = accumulated * ratio
-                        if value * rest < threshold:
-                            break
-                        if blocked & bit:
-                            continue
-                        head = prefix | bit
-                        guard = blocked | closure
-                        for leaf_bit, leaf_ratio, _ in last:
-                            leaf_value = value * leaf_ratio
-                            if leaf_value < threshold:
-                                break
-                            if guard & leaf_bit:
-                                continue
-                            mask = head | leaf_bit
-                            entry = get(mask)
-                            if entry is None or leaf_value > entry[0]:
-                                best[mask] = (leaf_value, source, case)
-    return subsets
+
+    __slots__ = (
+        "size", "order", "ids", "slots", "base", "subset_positions",
+        "kept_positions", "batches", "sentinels",
+    )
+
+    def __init__(self, ids: np.ndarray, order: list[int]) -> None:
+        self.size = size = ids.shape[1]
+        self.ids = ids
+        self.order = np.array(order, dtype=np.int64)
+        self.slots = np.empty_like(ids)
+        self.base = np.empty(0)
+        self.subset_positions = [np.empty((1, 0), dtype=np.intp)] + [
+            np.array(list(combinations(range(size), count)), dtype=np.intp)
+            for count in range(1, size + 1)
+        ]
+        self.kept_positions = [
+            np.array(
+                [[p for p in range(size) if p not in subset]
+                 for subset in subsets.tolist()],
+                dtype=np.intp,
+            ).reshape(len(subsets), size - count)
+            for count, subsets in enumerate(self.subset_positions)
+        ]
+        self.batches: list[tuple] = []
+        self.sentinels = np.empty((0, 0), dtype=np.int64)
+
+    def plan(
+        self,
+        kernel: _Kernel,
+        index: LargeItemsetIndex,
+        sources: list[Itemset],
+        max_sibling_replacements: int | None,
+    ) -> int:
+        """Drop degenerate sources, read the supports of the rest and
+        build the batches; returns the number of position subsets visited.
+
+        Only positions with a non-empty pool can be replaced, so subsets
+        are drawn from those alone, in the same order as from all
+        positions.
+        """
+        size = self.size
+        words, row_of = kernel.words, kernel.row_of
+        clear = np.ones(len(self.order), dtype=bool)
+        for first, second in combinations(range(size), 2):
+            other = self.ids[:, second]
+            clear &= (
+                words[row_of[self.ids[:, first]], other >> 6]
+                & _BIT[other & 63]
+            ) == _ZERO
+        # Degenerate large itemsets (possible with the Basic miner)
+        # predict nothing beyond their non-degenerate reduction.
+        self.order = self.order[clear]
+        self.ids = self.ids[clear]
+        self.slots = slots = self.slots[clear]
+        self.base = base = np.array(
+            [index.support(sources[at]) for at in self.order.tolist()],
+            dtype=np.float64,
+        )
+        visited = 0
+        for case, (_, ratios, lengths) in enumerate(kernel.pools):
+            max_positions = size if case == 0 else size - 1
+            if case == 1 and max_sibling_replacements is not None:
+                max_positions = min(max_positions, max_sibling_replacements)
+            live = lengths[slots] > 0
+            best = ratios[:, 0]
+            for count in range(1, max_positions + 1):
+                subset_positions = self.subset_positions[count]
+                source, subset = np.nonzero(
+                    live[:, subset_positions].all(axis=2)
+                )
+                visited += len(source)
+                # Exact upper bound: best (first) ratio at every position,
+                # multiplied left to right.
+                bound = base[source]
+                for depth in range(count):
+                    bound = bound * best[
+                        slots[source, subset_positions[subset, depth]]
+                    ]
+                passed = bound >= kernel.threshold
+                if passed.any():
+                    self.batches.append((
+                        case, count, source[passed].astype(np.int32),
+                        subset[passed].astype(np.int32),
+                    ))
+        return visited
 
 
-def _heads(
-    pools: tuple[MaskPool, ...],
-    suffix: list[float],
-    depth: int,
-    prefix: int,
-    accumulated: float,
-    blocked: int,
-    threshold: float,
-) -> Iterator[tuple[int, float, int]]:
-    """Yield ``(prefix, accumulated, blocked)`` for every branch of
-    ``pools[depth:-2]`` that survives the bound and conflict cuts, in
-    depth-first order."""
-    rest = suffix[depth + 1]
-    deeper = depth + 3 < len(pools)
-    for bit, ratio, closure in pools[depth]:
-        value = accumulated * ratio
-        if value * rest < threshold:
-            break
-        if blocked & bit:
-            continue
-        if deeper:
-            yield from _heads(
-                pools, suffix, depth + 1, prefix | bit, value,
-                blocked | closure, threshold,
+class _Kernel:
+    """One call's expansion: the source groups, the pool and closure
+    tables they share, and the chunk loop.
+
+    ``pools[case]`` = ``(members, ratios, lengths)`` holds one padded
+    pool per distinct source item; ``words[row_of[i]]`` is the closure of
+    id ``i`` as uint64 words; keys pack ids of ``bits`` bits each.
+    """
+
+    __slots__ = (
+        "groups", "pools", "words", "row_of", "bits", "threshold",
+        "subsets",
+    )
+
+    def __init__(
+        self,
+        index: LargeItemsetIndex,
+        cache: _Relatives,
+        sources: list[Itemset],
+        threshold: float,
+        max_sibling_replacements: int | None,
+    ) -> None:
+        self.threshold = threshold
+        item_at = np.array(cache.item_at, dtype=np.int64)
+        self.bits = max(1, (len(item_at) - 1).bit_length())
+        by_size: dict[int, list[int]] = {}
+        for at, source in enumerate(sources):
+            by_size.setdefault(len(source), []).append(at)
+        self.groups = [
+            _SourceGroup(
+                _dense_ids(item_at, [sources[at] for at in order], size)[0],
+                order,
             )
-        else:
-            yield prefix | bit, value, blocked | closure
+            for size, order in by_size.items()
+        ]
+        distinct = _distinct_values(np.concatenate(
+            [np.empty(0, dtype=np.intp)]
+            + [group.ids.ravel() for group in self.groups]
+        ))
+        self.pools = [
+            cache.pool_table(case, distinct) for case in range(len(CASES))
+        ]
+        idents = _distinct_values(np.concatenate([distinct] + [
+            members[np.arange(members.shape[1]) < lengths[:, None]]
+            for members, _, lengths in self.pools
+        ]))
+        self.words = cache.closure_words(idents)
+        self.row_of = np.zeros(len(item_at), dtype=np.intp)
+        self.row_of[idents] = np.arange(len(idents))
+        self.subsets = 0
+        for group in self.groups:
+            group.slots = np.searchsorted(distinct, group.ids)
+            self.subsets += group.plan(
+                self, index, sources, max_sibling_replacements
+            )
+            ids, known = _dense_ids(
+                item_at, list(index.of_size(group.size)), group.size
+            )
+            # Candidates keep their source's size, so only large itemsets
+            # of that size can collide with one; an entry holding an item
+            # outside the universe never can.
+            ids = ids[known]
+            group.sentinels = _pack(ids, self.bits)
+
+    def run(self) -> tuple[int, list[tuple]]:
+        """Expand every group's batches chunk by chunk; returns the number
+        of position subsets visited and, per group, the kept itemsets as
+        ``(first rank, id columns, expectation, source, case)`` arrays.
+
+        A chunk is a range of source positions, so every leaf of a chunk
+        ranks below every leaf of the next. Each chunk's leaves are
+        reduced to distinct itemsets before the next chunk is expanded,
+        and the chunk after is sized by its rows to expand about
+        :data:`CHUNK_LEAVES` leaves at the rate of leaves per row just
+        seen.
+        """
+        sources = 1 + max(
+            (int(group.order[-1]) for group in self.groups
+             if len(group.order)),
+            default=-1,
+        )
+        # rows_before[k]: the rows of the sources before position k.
+        rows_before = np.zeros(sources + 1, dtype=np.int64)
+        for group in self.groups:
+            for _, _, source, _ in group.batches:
+                rows_before[1:] += np.bincount(
+                    group.order[source], minlength=sources
+                )
+        np.cumsum(rows_before, out=rows_before)
+        pending: list[list[tuple]] = [[] for _ in self.groups]
+        rank_base = 0
+        low, rate = 0, 8.0
+        while low < sources:
+            room = rows_before[low] + max(1, int(CHUNK_LEAVES / rate))
+            high = int(np.searchsorted(rows_before, room, side="right")) - 1
+            high = min(max(high, low + 1), sources)
+            leaves = self._chunk(low, high, rank_base, pending)
+            rows = int(rows_before[high] - rows_before[low])
+            if rows:
+                rate = max(1.0, leaves / rows)
+            rank_base += leaves
+            low = high
+
+        kept = []
+        for group, found in zip(self.groups, pending):
+            # The large itemsets join as sentinels no expectation can
+            # beat, and are dropped with the itemsets they win.
+            sentinel = group.sentinels
+            found.insert(0, (
+                sentinel, np.full(sentinel.shape[1], np.inf),
+                np.full(sentinel.shape[1], -1, dtype=np.int64),
+                np.full(sentinel.shape[1], -1, dtype=np.int32),
+                np.full(sentinel.shape[1], -1, dtype=np.int8),
+            ))
+            # Chunks are in rank order and hold each itemset once, so
+            # rows in chunk order break ties as the ranks would.
+            rows = [
+                np.concatenate([row[field] for row in found], axis=-1)
+                for field in range(5)
+            ]
+            found.clear()
+            keys, value, first, source, case = _distinct(*rows)
+            del rows
+            fresh = value != np.inf
+            kept.append((
+                first[fresh], _unpack(keys[:, fresh], self.bits, group.size),
+                value[fresh], source[fresh], case[fresh],
+            ))
+        return self.subsets, kept
+
+    def _chunk(
+        self, low: int, high: int, rank_base: int,
+        pending: list[list[tuple]],
+    ) -> int:
+        """Expand the rows of source positions ``low:high`` and append each
+        group's distinct itemsets to ``pending``; returns the number of
+        leaves.
+
+        A leaf's rank is ``rank_base`` plus its place in visit order:
+        sources in order, each source's batches in (case, count) order,
+        and each batch's leaves in the order :meth:`leaves` returns them.
+        """
+        span = high - low
+        parts = []
+        for number, group in enumerate(self.groups):
+            first, last = np.searchsorted(group.order, (low, high))
+            if first == last:
+                continue
+            for case, count, source, subset in group.batches:
+                start, stop = np.searchsorted(source, (first, last))
+                if start == stop:
+                    continue
+                keys, value, row = self.leaves(
+                    group, case, count, source[start:stop],
+                    subset[start:stop],
+                )
+                at = (group.order[source[start:stop][row]] - low).astype(
+                    np.int32
+                )
+                parts.append((number, keys, value, at, case))
+        if not parts:
+            return 0
+        # A part lists its leaves by source, so each source's leaves of a
+        # part are one run of it. In visit order the sources follow each
+        # other, and a source's runs follow each other in part order.
+        totals: dict[int, np.ndarray] = {}
+        for part in parts:
+            counts = np.bincount(part[3], minlength=span)
+            found = totals.get(part[0])
+            totals[part[0]] = counts if found is None else found + counts
+        # ahead[s]: the chunk's leaves from sources before low + s.
+        ahead = _exclusive(sum(totals.values()))
+        for number, total in totals.items():
+            # Lay the group's leaves out in rank order: local[s] of them
+            # come from sources before low + s, and seen[s] from low + s
+            # in the parts so far.
+            local = _exclusive(total)
+            seen = np.zeros(span, dtype=np.int64)
+            size = int(total.sum())
+            keys = np.empty(
+                (len(self.groups[number].sentinels), size), dtype=np.int64
+            )
+            value = np.empty(size)
+            rank = np.empty(size, dtype=np.int64)
+            case = np.empty(size, dtype=np.int8)
+            for _, part_keys, part_value, at, part_case in (
+                part for part in parts if part[0] == number
+            ):
+                counts = np.bincount(at, minlength=span)
+                within = seen[at] + (
+                    np.arange(len(at)) - _exclusive(counts)[at]
+                )
+                place = local[at] + within
+                keys[:, place] = part_keys
+                value[place] = part_value
+                rank[place] = ahead[at] + within
+                case[place] = part_case
+                seen += counts
+            rank += rank_base
+            source = np.repeat(np.arange(low, high, dtype=np.int32), total)
+            pending[number].append(
+                _distinct(keys, value, rank, source, case)
+            )
+        return sum(int(total.sum()) for total in totals.values())
+
+    def leaves(
+        self,
+        group: _SourceGroup,
+        case: int,
+        count: int,
+        source: np.ndarray,
+        subset: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Expand rows (``source``, ``subset``) of one case and replacement
+        count, one replaced position per depth; returns the leaves that
+        survive as packed keys, their expectations and the row each came
+        from, in visit order.
+
+        The raw enumeration is exponential (the Section 2.1.2 estimate),
+        and the paper lists "more efficient candidate generation
+        techniques" as future work. Two cuts skip only candidates that
+        the admission rules reject anyway, so the candidates and
+        expectations equal an exhaustive cross-product's:
+
+        * **Expectation bound.** Each pool is sorted by descending support
+          ratio, so the product of the best remaining ratios is an exact
+          upper bound on the achievable expectation. A row whose bound
+          falls short of ``MinSup × MinRI`` is cut in
+          :meth:`_SourceGroup.plan`, and a branch whose value times the
+          product of the best ratios of the depths below it does is cut
+          here.
+        * **Conflicts.** A replacement in the related closure (the item,
+          its ancestors and its descendants) of a kept item or of an
+          earlier replacement would repeat an item or pair an item with
+          its ancestor, so its branch is cut.
+
+        Every leaf therefore has distinct, mutually unrelated items.
+        Bounds, suffix products and expectations are multiplied in the
+        same order as the exhaustive reference: float products depend on
+        their order, which decides borderline cuts. Each depth keeps its
+        branches in (parent, pool index) order, so the leaves come out
+        depth-first.
+        """
+        members, ratios, lengths = self.pools[case]
+        words, row_of = self.words, self.row_of
+        threshold = self.threshold
+        subset_positions = group.subset_positions[count]
+        positions = subset_positions[subset]
+        slots = group.slots[source[:, None], positions]
+        best = ratios[:, 0]
+        # suffix[:, d]: the best ratios of depths d.. multiplied left to
+        # right; 1.0 past the last depth.
+        suffix = np.ones((len(source), count + 1))
+        for depth in range(1, count):
+            product = best[slots[:, depth]]
+            for later in range(depth + 1, count):
+                product = product * best[slots[:, later]]
+            suffix[:, depth] = product
+        # blocked[n]: the closure words of the items branch n must not
+        # relate to: the kept items, then its replacements so far.
+        kept = group.ids[source[:, None], group.kept_positions[count][subset]]
+        blocked = np.bitwise_or.reduce(words[row_of[kept]], axis=1)
+        row = np.arange(len(source))
+        value = group.base[source]
+        # trail[d]: each depth-d branch's parent at depth d - 1, and its
+        # replacement.
+        trail = []
+        for depth in range(count):
+            if not len(row):
+                return (
+                    np.empty((len(group.sentinels), 0), dtype=np.int64),
+                    value, row,
+                )
+            slot = slots[row, depth]
+            width = int(lengths[slot].max())
+            grid = value[:, None] * ratios[slot, :width]
+            # Padding has ratio 0.0, so it never reaches the threshold.
+            # At the last depth the suffix is 1.0, which changes nothing.
+            flat = np.flatnonzero(
+                grid >= threshold if depth + 1 == count
+                else grid * suffix[row, depth + 1][:, None] >= threshold
+            )
+            parent = flat // width
+            item = members[slot, :width].ravel()[flat]
+            clear = (blocked[parent, item >> 6] & _BIT[item & 63]) == _ZERO
+            flat, parent, item = flat[clear], parent[clear], item[clear]
+            value = grid.ravel()[flat]
+            row = row[parent]
+            trail.append((parent, item))
+            if depth + 1 < count:
+                blocked = blocked[parent] | words[row_of[item]]
+
+        ids = group.ids[source[row]]
+        leaf = np.arange(len(row))
+        at = leaf
+        for depth in range(count - 1, -1, -1):
+            parent, item = trail[depth]
+            ids[leaf, positions[row, depth]] = item[at]
+            at = parent[at]
+        return _pack(ids, self.bits), value, row
+
+
+def _dense_ids(
+    item_at: np.ndarray, itemsets: list[Itemset], size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The dense ids of *itemsets* (all of *size* items), one row each,
+    and whether every item of a row is in the universe *item_at* (rows
+    that are not hold arbitrary ids)."""
+    items = np.fromiter(
+        chain.from_iterable(itemsets), dtype=np.int64,
+        count=len(itemsets) * size,
+    )
+    if not len(item_at):
+        return (
+            np.zeros((len(itemsets), size), dtype=np.intp),
+            np.zeros(len(itemsets), dtype=bool),
+        )
+    ids = np.minimum(np.searchsorted(item_at, items), len(item_at) - 1)
+    known = item_at[ids] == items
+    return (
+        ids.reshape(len(itemsets), size),
+        known.reshape(len(itemsets), size).all(axis=1),
+    )
+
+
+def _distinct_values(values: np.ndarray) -> np.ndarray:
+    """The distinct *values*, ascending. Unlike ``np.unique``, which
+    imports ``numpy.ma`` on its first call in some NumPy versions, this
+    adds nothing to a process's memory."""
+    values = values[np.argsort(values)]
+    fresh = np.ones(len(values), dtype=bool)
+    fresh[1:] = values[1:] != values[:-1]
+    return values[fresh]
+
+
+def _pack(ids: np.ndarray, bits: int) -> np.ndarray:
+    """Pack each row of *ids* (each id below ``2**bits``), sorted, into
+    int64 key columns, as many ids per column as fit in 63 bits; returns
+    an array of shape ``(columns, rows)``. Rows holding the same ids give
+    equal keys.
+
+    The rows are sorted by an odd-even transposition network over the
+    columns: ``size`` rounds of elementwise minimum and maximum, which
+    for the few ids of an itemset is cheaper than sorting each row.
+    """
+    size = ids.shape[1]
+    columns = list(ids.T)
+    for round_ in range(size):
+        for left in range(round_ % 2, size - 1, 2):
+            low = np.minimum(columns[left], columns[left + 1])
+            columns[left + 1] = np.maximum(columns[left], columns[left + 1])
+            columns[left] = low
+    per = max(1, 63 // bits)
+    keys = np.zeros((-(-size // per), len(ids)), dtype=np.int64)
+    for position, column in enumerate(columns):
+        key = keys[position // per]
+        key <<= bits
+        key |= column
+    return keys
+
+
+def _unpack(keys: np.ndarray, bits: int, size: int) -> np.ndarray:
+    """The id columns that :func:`_pack` packed into *keys*:
+    ``(size, rows)``. Shifts *keys* in place."""
+    per = max(1, 63 // bits)
+    ids = np.empty((size, keys.shape[1]), dtype=np.intp)
+    low = (1 << bits) - 1
+    for position in range(size - 1, -1, -1):
+        column = position // per
+        ids[position] = keys[column] & low
+        if position % per:
+            keys[column] >>= bits
+    return ids
+
+
+def _exclusive(counts: np.ndarray) -> np.ndarray:
+    """The exclusive running sum of *counts*."""
+    return np.cumsum(counts) - counts
+
+
+def _distinct(keys, value, first_rank, source, case) -> tuple:
+    """Reduce rows to one per key: the row with the largest expectation,
+    ties going to the earliest row, carrying the key's lowest
+    *first_rank*."""
+    size = len(value)
+    if not size:
+        return keys, value, first_rank, source, case
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    ordered = keys[:, order]
+    fresh = np.ones(size, dtype=bool)
+    fresh[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    del ordered
+    # member: a dense id per key, in key order; rows by key, then
+    # position (both below size, so the composite cannot overflow).
+    member = np.cumsum(fresh) - 1
+    composite = np.empty(size, dtype=np.int64)
+    composite[order] = member
+    del order
+    composite *= size
+    composite += np.arange(size)
+    order = np.argsort(composite)
+    del composite
+    starts = np.flatnonzero(fresh)
+    del fresh
+    ranked = value[order]
+    top = np.flatnonzero(
+        ranked == np.maximum.reduceat(ranked, starts)[member]
+    )
+    del ranked
+    firsts = np.ones(len(top), dtype=bool)
+    firsts[1:] = member[top[1:]] != member[top[:-1]]
+    pick = order[top[firsts]]
+    return (
+        keys[:, pick], value[pick],
+        np.minimum.reduceat(first_rank[order], starts),
+        source[pick], case[pick],
+    )
+
+
+def _records(
+    kept: list[tuple], item_at: list[int], sources: list[Itemset]
+) -> dict[Itemset, NegativeCandidate]:
+    """The kept itemsets as :class:`NegativeCandidate` records, in order
+    of first visit; empties *kept* as it goes. Item tuples share the
+    universe's int objects and records share the source tuples, as a
+    scalar walk's would."""
+    order = np.argsort(np.concatenate(
+        [np.empty(0, dtype=np.int64)] + [rows[0] for rows in kept]
+    ))
+    place = np.empty(len(order), dtype=np.int64)
+    place[order] = np.arange(len(order))
+    items = np.array(item_at, dtype=object)
+    tuples = np.empty(len(order), dtype=object)
+    values = np.empty(len(order))
+    winners = np.empty(len(order), dtype=np.int64)
+    cases = np.empty(len(order), dtype=np.int8)
+    start = 0
+    while kept:
+        _, ids, value, source, case = kept.pop(0)
+        span = place[start:start + len(value)]
+        tuples[span] = np.fromiter(
+            zip(*(items[column].tolist() for column in ids)),
+            dtype=object,
+            count=len(value),
+        )
+        values[span] = value
+        winners[span] = source
+        cases[span] = case
+        start += len(value)
+    tuples = tuples.tolist()
+    return dict(zip(tuples, map(
+        NegativeCandidate,
+        tuples,
+        values.tolist(),
+        np.fromiter(sources, dtype=object, count=len(sources))[
+            winners
+        ].tolist(),
+        np.array(CASES, dtype=object)[cases].tolist(),
+    )))

@@ -31,7 +31,7 @@ before the engine is ever called.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
@@ -81,13 +81,14 @@ class EngineState:
     )
 
     def require_known_items(self) -> None:
-        """Reject basket items outside the bound taxonomy.
+        """Reject basket items of a database outside the bound taxonomy.
 
-        The row-scanning engines raise while extending each row with its
-        ancestors; the vertical and packed engines never extend rows. So
-        the binding checks the database's distinct items itself, once
+        The vertical and packed engines never extend rows with their
+        ancestors, which is where the row-scanning engines would fail.
+        So the binding checks the database's distinct items itself, once
         per append epoch: an append or rewrite re-checks, a plain
-        re-count does not. Plain rows (one pass) are left to the engine.
+        re-count does not. Plain rows have no epoch; :meth:`rows` checks
+        them as they are read.
         """
         epoch_fn = getattr(self.transactions, "append_epoch", None)
         if self.taxonomy is None or epoch_fn is None:
@@ -98,9 +99,15 @@ class EngineState:
             self._checked_epoch = epoch
 
     def rows(self) -> Iterable[Itemset]:
-        """The rows of one pass (calls ``scan()`` on a database)."""
+        """The rows of one pass: ``scan()`` on a database, else the plain
+        rows, each checked against the bound taxonomy as it is read.
+        Every engine reads plain rows through here."""
         source = self.transactions
-        return source.scan() if hasattr(source, "scan") else source
+        if hasattr(source, "scan"):
+            return source.scan()
+        if self.taxonomy is None:
+            return source
+        return _known_rows(source, self.taxonomy)
 
     def n_rows(self) -> int | None:
         """Row count when knowable without consuming an iterator."""
@@ -108,6 +115,16 @@ class EngineState:
             return len(self.transactions)
         except TypeError:
             return None
+
+
+def _known_rows(
+    rows: Iterable[Itemset], taxonomy: Taxonomy
+) -> Iterator[Itemset]:
+    """Yield *rows*, raising :class:`~repro.errors.TaxonomyError` at the
+    first row holding an item outside *taxonomy*."""
+    for row in rows:
+        taxonomy.require_known(row)
+        yield row
 
 
 class CountingEngine:

@@ -44,8 +44,9 @@ class CachedEngine(CountingEngine):
         restrict_to_candidate_items: bool = False,
         metrics: MetricsRegistry,
     ) -> dict[Itemset, int]:
+        source = state.transactions
         return vertical.count_with_index(
-            state.transactions,
+            source if hasattr(source, "scan") else state.rows(),
             candidates,
             taxonomy=state.taxonomy,
             metrics=metrics,

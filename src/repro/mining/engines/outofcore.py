@@ -109,7 +109,7 @@ class MmapEngine(CountingEngine):
             )
         metrics.incr("cache.misses")
         with SegmentedPackedMatrix.from_rows(
-            source,
+            state.rows(),
             segment_rows=self.segment_rows,
             max_resident_bytes=self.max_resident_bytes,
             spill_dir=self.spill_dir,

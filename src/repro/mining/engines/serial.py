@@ -92,7 +92,7 @@ class BitmapEngine(CountingEngine):
         restrict_to_candidate_items: bool = False,
         metrics: MetricsRegistry,
     ) -> dict[Itemset, int]:
-        index = VerticalIndex.from_rows(state.rows(), state.taxonomy)
+        index = VerticalIndex.from_rows(state.rows())
         return index.count(candidates, taxonomy=state.taxonomy)
 
 

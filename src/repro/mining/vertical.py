@@ -108,21 +108,14 @@ class VerticalIndex:
         return index
 
     @classmethod
-    def from_rows(
-        cls, rows: Iterable[Itemset], taxonomy: Taxonomy | None = None
-    ) -> "VerticalIndex":
+    def from_rows(cls, rows: Iterable[Itemset]) -> "VerticalIndex":
         """Build over *rows* in one streaming read (one-shot counting).
 
         The rows are counted while they are ingested, never held as a
-        list, so a database's ``scan()`` stays one streaming pass. With
-        *taxonomy*, an item outside it raises
-        :class:`~repro.errors.TaxonomyError`, as extending the row with
-        its ancestors would.
+        list, so a database's ``scan()`` stays one streaming pass.
         """
         index = cls(0)
         index.n_rows = index._ingest(rows)
-        if taxonomy is not None:
-            taxonomy.require_known(index._bits)
         return index
 
     def _ingest(self, rows: Iterable[Itemset]) -> int:

@@ -64,6 +64,21 @@ class TestForeignItems:
             session.count([(cola,)])
 
     @pytest.mark.parametrize("engine", engine_names())
+    def test_plain_rows_are_rejected_by_every_engine(self, engine):
+        """Plain rows have no append epoch to check once against; every
+        engine reads them through the binding's per-row check, so the
+        vertical and packed engines reject the item too."""
+        session = MiningSession(
+            [(1, 9999), (2,)], taxonomy_from_parents({1: 100, 2: 100}),
+            engine,
+        )
+        try:
+            with pytest.raises(TaxonomyError, match="unknown node 9999"):
+                session.count([(1,), (2,)])
+        finally:
+            session.close()
+
+    @pytest.mark.parametrize("engine", engine_names())
     def test_item_appended_after_a_pass_is_rejected(self, taxonomy, engine):
         """An append re-runs the check, so an index extended in place
         cannot let a foreign item through on the next pass."""

@@ -16,6 +16,7 @@ candidates that the admission rules reject anyway. Two oracles pin that:
 import random
 from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -502,3 +503,79 @@ def test_selective_call_shape(index, data, max_size, cap):
             "max_sibling_replacements": cap,
         },
     )
+
+
+# Twenty roots (ids 0-19) with fifteen children each (ids 100 + 15 * root
+# + k): 320 large items, so an id takes 9 bits, an 8-item key (72 bits)
+# two int64 columns and a closure five uint64 words. Children pools are
+# 15 wide and sibling pools 14.
+LONG = taxonomy_from_parents(
+    {100 + 15 * root + k: root for root in range(20) for k in range(15)}
+)
+
+
+def _long_index(strong, weak, seconds_support):
+    """Two strong and thirteen weak children per root, two 8-item sources
+    of strong children and a few short ones. Swapping a strong child for
+    a weak sibling keeps ``weak / strong`` of the expectation, so with
+    ``weak / strong`` near 0.3 one weak swap passes MinSup 0.1 x MinRI
+    0.5 and two do not, which keeps the leaves countable."""
+    index = LargeItemsetIndex()
+    for root in range(20):
+        index.add((root,), 0.9)
+        for k in range(15):
+            index.add((100 + 15 * root + k,), strong if k < 2 else weak)
+    firsts = tuple(100 + 15 * root for root in range(8))
+    index.add(firsts, 0.3)
+    index.add(tuple(item + 1 for item in firsts), seconds_support)
+    # Some swaps of the first source reach this one.
+    index.add(firsts[:7] + (firsts[7] + 1,), 0.2)
+    index.add((0, 1), 0.7)
+    index.add((2, 100 + 15 * 3), 0.4)
+    return index
+
+
+@pytest.mark.parametrize("cap", [None, 1, 3])
+@pytest.mark.parametrize("max_size", [None, 2])
+def test_long_sources_wide_pools_and_two_key_columns(cap, max_size):
+    index = _long_index(0.5, 0.15, 0.28)
+    assert len(index.of_size(1)) > 256 and max(index.sizes) == 8
+    found = _assert_matches_leaf_rejecting(
+        index, LONG, 0.1, 0.5,
+        {"max_sibling_replacements": cap, "max_size": max_size},
+    )
+    if max_size is None:
+        assert any(len(items) == 8 for items in found)
+    # Kept candidates hold replacements from past the ninth pool entry.
+    assert any(
+        (item - 100) % 15 >= 10 for items in found for item in items
+        if item >= 100
+    )
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    st.floats(min_value=0.45, max_value=0.55),
+    st.floats(min_value=0.13, max_value=0.165),
+    st.floats(min_value=0.2, max_value=0.3),
+    SIBLING_CAPS,
+)
+def test_long_sources_with_drawn_supports(strong, weak, seconds, cap):
+    _assert_matches_leaf_rejecting(
+        _long_index(strong, weak, seconds), LONG, 0.1, 0.5,
+        {"max_sibling_replacements": cap},
+    )
+
+
+def test_a_size_whose_every_leaf_is_large():
+    """Every leaf of the 2-item source is already large, while the 3-item
+    source keeps fresh candidates."""
+    index = LargeItemsetIndex(
+        {
+            (100,): 0.8, (101,): 0.8, (102,): 0.8,
+            (1,): 0.4, (2,): 0.4, (4,): 0.4, (7,): 0.4, (8,): 0.4,
+            (1, 4): 0.3, (2, 4): 0.3, (1, 4, 7): 0.2,
+        }
+    )
+    found = _assert_matches_leaf_rejecting(index, TAXONOMY, 0.1, 0.5, {})
+    assert found and all(len(items) == 3 for items in found)

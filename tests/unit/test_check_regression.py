@@ -8,6 +8,7 @@ from benchmarks.check_regression import (
     DEFAULT_THRESHOLD,
     MEASUREMENT_FLOOR_S,
     compare,
+    compare_counts,
     geometric_mean,
     normalize,
 )
@@ -98,3 +99,22 @@ class TestCompare:
     def test_no_shared_engines_is_an_error(self):
         with pytest.raises(SystemExit):
             compare({"a": 1.0}, {"b": 1.0}, DEFAULT_THRESHOLD)
+
+
+class TestCompareCounts:
+    COUNTS = {
+        "tall@0.1": {"candidates": 43938, "rules": 7919},
+        "short@0.1": {"candidates": 5162, "rules": 993},
+    }
+
+    def test_equal_counts_pass(self):
+        assert compare_counts(self.COUNTS, dict(self.COUNTS)) == []
+
+    def test_any_changed_count_fails_its_point(self):
+        current = dict(self.COUNTS)
+        current["tall@0.1"] = {"candidates": 43939, "rules": 7919}
+        assert compare_counts(self.COUNTS, current) == ["tall@0.1"]
+
+    def test_a_missing_or_new_point_fails(self):
+        current = {"short@0.1": self.COUNTS["short@0.1"], "x@1": {}}
+        assert compare_counts(self.COUNTS, current) == ["tall@0.1", "x@1"]
