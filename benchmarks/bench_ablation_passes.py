@@ -3,12 +3,16 @@
 The paper's core efficiency argument is pass counts: the Naive schedule
 re-reads the database twice per level while the Improved one defers all
 negative counting to a single extra pass. The database's scan counter
-verifies the claim directly.
+verifies the claim directly; run directly it exits 1 unless the Improved
+miner makes exactly n + 1 passes and both miners find the same negative
+itemsets.
 
 Run directly::
 
     python -m benchmarks.bench_ablation_passes
 """
+
+import sys
 
 import pytest
 
@@ -43,7 +47,7 @@ def test_miner_passes(benchmark, miner_class):
     )
 
 
-def main() -> None:
+def main() -> int:
     print(f"=== A6: pass accounting at MinSup={MINSUP} ===")
     improved = _run(ImprovedNegativeMiner)
     naive = _run(NaiveNegativeMiner)
@@ -60,8 +64,19 @@ def main() -> None:
     same = {n.items for n in improved.negatives} == {
         n.items for n in naive.negatives
     }
-    print(f"  identical outputs : {same} (must be True)")
+    print(f"  identical outputs : {same}")
+    failures = []
+    if improved.stats.data_passes != levels + 1:
+        failures.append(
+            f"Improved made {improved.stats.data_passes} passes, not "
+            f"n + 1 = {levels + 1}"
+        )
+    if not same:
+        failures.append("Naive and Improved found different negatives")
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -4,13 +4,15 @@ The Improved algorithm's first optimization deletes small items from the
 taxonomy before candidate generation; candidate *output* is unchanged
 (replacements are always filtered to large items) but generation iterates
 far fewer children/sibling combinations. This ablation times candidate
-generation with and without pruning and verifies output equality.
+generation with and without pruning and verifies output equality; run
+directly it exits 1 when the two candidate sets differ.
 
 Run directly::
 
     python -m benchmarks.bench_ablation_pruning
 """
 
+import sys
 import time
 
 import pytest
@@ -49,7 +51,7 @@ def test_candidate_generation(benchmark, variant):
     )
 
 
-def main() -> None:
+def main() -> int:
     data, index, pruned = _setup()
     print(
         f"=== A3: taxonomy pruning, {len(data.taxonomy)} -> "
@@ -67,8 +69,15 @@ def main() -> None:
             f"candidates={len(outputs[label])}"
         )
     same = set(outputs["full"]) == set(outputs["pruned"])
-    print(f"\nidentical candidate sets: {same} (must be True)")
+    print(f"\nidentical candidate sets: {same}")
+    if not same:
+        print(
+            "FAIL: pruning the taxonomy changed the candidate set",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -71,8 +71,8 @@ def main() -> None:
         points, 'Figure 5: execution times, "Short" data set (fan-out 9)'
     )
     improved = {p.minsup: p.seconds for p in points
-                if p.algorithm == "improved"}
-    naive = {p.minsup: p.seconds for p in points if p.algorithm == "naive"}
+                if p.miner == "improved"}
+    naive = {p.minsup: p.seconds for p in points if p.miner == "naive"}
     wins = sum(
         1 for minsup in improved if improved[minsup] <= naive[minsup]
     )

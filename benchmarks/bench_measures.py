@@ -17,9 +17,12 @@ Two scenarios probe how measure agreement responds to signal strength:
 
 Reported per scenario: each measure's admitted negative-set / rule
 counts and wall time, plus the pairwise Jaccard overlap matrix of the
-admitted rule sets. The gate values are ``wall_per_eval_s`` — each
-measure's mean re-judgment wall across the scenarios — compared by
-``check_regression`` like any other profile.
+admitted rule sets. The gate values are ``wall_per_10_runs_s``: one
+*run* re-judges every scenario under one measure, each measure repeats
+runs until it has timed at least ``MIN_CELL_WALL_S``, and the mean wall
+per run times ten is compared by ``check_regression`` like any other
+profile — scaled, as in the engine matrix, so a sub-millisecond
+re-judgment sits above the gate's measurement floor.
 
 Built-in checks (``--no-check`` reports only):
 
@@ -45,6 +48,8 @@ import argparse
 import os
 import sys
 from pathlib import Path
+
+from benchmarks.bench_engine_matrix import MIN_CELL_WALL_S
 
 #: The two demand scenarios: label -> loyalty_strength.
 SCENARIOS = {"strict": 0.95, "lapsed": 0.70}
@@ -102,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     transactions = max(500, int(75_000 * SCALE))
     failures: list[str] = []
     scenarios: dict[str, dict] = {}
-    walls: dict[str, list[float]] = {name: [] for name in measure_names()}
+    results = []
 
     for label, loyalty in SCENARIOS.items():
         dataset = generate_grocery_dataset(
@@ -114,6 +119,7 @@ def main(argv: list[str] | None = None) -> int:
         result = mine_negative_rules(
             dataset.database, dataset.taxonomy, config=config
         )
+        results.append(result)
         comparison = compare_measures(result, MINSUP, MINRI)
 
         ri_eval = comparison.evaluations["ri"]
@@ -133,7 +139,6 @@ def main(argv: list[str] | None = None) -> int:
 
         per_measure = {}
         for name, evaluation in comparison.evaluations.items():
-            walls[name].append(evaluation.wall_s)
             per_measure[name] = {
                 "negatives": len(evaluation.negatives),
                 "rules": len(evaluation.rules),
@@ -163,16 +168,30 @@ def main(argv: list[str] | None = None) -> int:
         ]
         paper_row(f"{label}:jaccard", overlap="  ".join(pairs))
 
+    wall_per_10_runs: dict[str, float] = {}
+    for name in measure_names():
+        wall, runs = 0.0, 0
+        while runs == 0 or wall < MIN_CELL_WALL_S:
+            for result in results:
+                comparison = compare_measures(
+                    result, MINSUP, MINRI, measures=(name,)
+                )
+                wall += comparison.evaluations[name].wall_s
+            runs += 1
+        wall_per_10_runs[name] = round(10 * wall / runs, 5)
+        paper_row(
+            f"gate:{name}",
+            wall_per_10_runs_s=wall_per_10_runs[name],
+            timed_runs=runs,
+        )
+
     report = {
         "scale": os.environ["REPRO_BENCH_SCALE"],
         "minsup": MINSUP,
         "minri": MINRI,
         "transactions": transactions,
         "scenarios": scenarios,
-        "wall_per_eval_s": {
-            name: round(sum(values) / len(values), 5)
-            for name, values in walls.items()
-        },
+        "wall_per_10_runs_s": wall_per_10_runs,
     }
     fold_report(args.out, "measures", report, quick=args.quick)
     print(f"wrote measures into {args.out}")

@@ -17,7 +17,6 @@ from . import (
     bench_ablation_substitutes,
     bench_ablation_filedb,
     bench_ablation_estimate,
-    bench_ablation_generalized,
     bench_ablation_memory,
     bench_ablation_passes,
     bench_ablation_pruning,
@@ -37,7 +36,6 @@ MODULES = [
     ("E4 Tables 1-2", bench_table12_example),
     ("E5 itemset counts", bench_large_itemset_counts),
     ("A1 counting engines", bench_ablation_counting),
-    ("A2 generalized miners", bench_ablation_generalized),
     ("A3 taxonomy pruning", bench_ablation_pruning),
     ("A4 candidate estimate", bench_ablation_estimate),
     ("A5 memory batching", bench_ablation_memory),

@@ -29,9 +29,9 @@ from .common import MINRI
 
 @dataclass(slots=True)
 class SweepPoint:
-    """One (algorithm, minsup) measurement of the Figure 5/6 sweep."""
+    """One (miner, minsup) measurement of the Figure 5/6 sweep."""
 
-    algorithm: str
+    miner: str
     minsup: float
     seconds: float
     large_itemsets: int
@@ -68,7 +68,7 @@ def improved_negative_phase(
     rules = generate_negative_rules(negatives, index, MINRI)
     seconds = time.perf_counter() - started
     return SweepPoint(
-        algorithm="improved",
+        miner="improved",
         minsup=minsup,
         seconds=seconds,
         large_itemsets=len(index),
@@ -104,7 +104,7 @@ def naive_negative_phase(
     positive_seconds = time.perf_counter() - started
 
     return SweepPoint(
-        algorithm="naive",
+        miner="naive",
         minsup=minsup,
         seconds=max(0.0, total_seconds - positive_seconds),
         large_itemsets=len(output.large_itemsets),
@@ -129,12 +129,12 @@ def print_figure(points: list[SweepPoint], title: str) -> None:
     print()
     print(f"=== {title} (MinRI = {MINRI}) ===")
     print(
-        f"{'minsup':>8} {'algorithm':>10} {'time(s)':>9} {'large':>7} "
+        f"{'minsup':>8} {'miner':>10} {'time(s)':>9} {'large':>7} "
         f"{'cands':>7} {'negs':>7} {'rules':>7}"
     )
     for point in points:
         print(
-            f"{point.minsup:>8.4f} {point.algorithm:>10} "
+            f"{point.minsup:>8.4f} {point.miner:>10} "
             f"{point.seconds:>9.3f} {point.large_itemsets:>7} "
             f"{point.candidates:>7} {point.negatives:>7} "
             f"{point.rules:>7}"

@@ -3,8 +3,8 @@
 A faithful, production-quality reproduction of Savasere, Omiecinski &
 Navathe, *Mining for Strong Negative Associations in a Large Database of
 Customer Transactions* (ICDE 1998), including every substrate the paper
-depends on: generalized association mining over item taxonomies (Basic,
-Cumulate, EstMerge), positive rule generation, the paper's synthetic
+depends on: generalized association mining over item taxonomies
+(Cumulate), positive rule generation, the paper's synthetic
 retail-data generator, and the negative mining pipeline itself
 (candidate generation from taxonomy neighborhoods, expected supports,
 the Naive and Improved algorithms, and negative rule generation).

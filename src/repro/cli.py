@@ -139,9 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--minri", type=float, default=0.5)
     mine.add_argument("--miner", choices=("improved", "naive"),
                       default="improved")
-    mine.add_argument("--algorithm",
-                      choices=("basic", "cumulate", "estmerge"),
-                      default="cumulate")
     mine.add_argument("--engine", type=_engine_spec,
                       default=DEFAULT_ENGINE, metavar="NAME",
                       help="counting engine (default: %(default)s; list "
@@ -194,9 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_data_arguments(positive)
     positive.add_argument("--minsup", type=float, default=0.01)
     positive.add_argument("--minconf", type=float, default=0.5)
-    positive.add_argument("--algorithm",
-                          choices=("basic", "cumulate", "estmerge"),
-                          default="cumulate")
     positive.add_argument("--limit", type=int, default=25)
 
     inspect = commands.add_parser(
@@ -380,7 +374,6 @@ def _command_mine(args: argparse.Namespace) -> int:
         minsup=args.minsup,
         minri=args.minri,
         miner=args.miner,
-        algorithm=args.algorithm,
         engine=args.engine,
         measure=args.measure,
         max_size=args.max_size,
@@ -428,9 +421,7 @@ def _command_mine(args: argparse.Namespace) -> int:
 def _command_positive(args: argparse.Namespace) -> int:
     database = load_basket_file(args.baskets)
     taxonomy = load_taxonomy_file(args.taxonomy)
-    index = mine_generalized(
-        database, taxonomy, args.minsup, algorithm=args.algorithm
-    )
+    index = mine_generalized(database, taxonomy, args.minsup)
     rules = generate_rules(index, args.minconf)
     print(f"large itemsets : {len(index)}")
     print(f"rules          : {len(rules)}")

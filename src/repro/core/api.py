@@ -8,7 +8,6 @@ examples, the CLI and most downstream users call.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 
@@ -17,6 +16,7 @@ from ..data.database import TransactionDatabase
 from ..data.filedb import FileBackedDatabase
 from ..errors import ConfigError
 from ..measures.registry import (
+    create_measure,
     validate_spec as validate_measure_spec,
 )
 from ..mining.engines import (
@@ -24,7 +24,6 @@ from ..mining.engines import (
     out_of_core_options,
     validate_spec,
 )
-from ..mining.generalized import ALGORITHMS
 from ..mining.itemset_index import LargeItemsetIndex
 from ..obs import api as obs
 from ..obs.api import METRICS_MODES
@@ -55,10 +54,7 @@ class MiningConfig:
         Minimum rule interest RI.
     miner:
         ``"improved"`` (Figure 3; default) or ``"naive"`` (Section 2.2.1).
-    algorithm:
-        Generalized positive miner: ``"basic"``, ``"cumulate"``,
-        ``"estmerge"`` (Improved miner only; Naive is level-wise by
-        nature).
+        Both mine the generalized large itemsets with Cumulate.
     engine:
         Support-counting engine: a registered engine name
         (``"cached"``, ``"bitmap"``, ``"hashtree"``, ``"brute"``,
@@ -80,9 +76,6 @@ class MiningConfig:
     max_candidates_in_memory:
         Memory budget for the Improved miner's counting phase
         (Section 2.5); ``None`` = single batch.
-    prune_taxonomy:
-        Delete small 1-itemsets from the taxonomy before candidate
-        generation (Improved miner optimization).
     prune_small_antecedents:
         Figure 4's consequent pruning on small antecedents.
     figure3_literal:
@@ -94,8 +87,6 @@ class MiningConfig:
         turns Case 3 off (see
         :func:`repro.core.candidates.generate_negative_candidates`).
         Negative values are rejected.
-    seed:
-        Seed for the EstMerge sample, when used.
     segment_rows:
         ``engine="mmap"`` only: rows per spilled packed segment
         (:mod:`repro.mining.segmatrix`). ``None`` uses the default
@@ -128,16 +119,13 @@ class MiningConfig:
     minsup: float = 0.01
     minri: float = 0.5
     miner: str = "improved"
-    algorithm: str = "cumulate"
     engine: str = DEFAULT_ENGINE
     measure: str = "ri"
     max_size: int | None = None
     max_candidates_in_memory: int | None = None
-    prune_taxonomy: bool = True
     prune_small_antecedents: bool = True
     figure3_literal: bool = False
     max_sibling_replacements: int | None = None
-    seed: int | None = None
     segment_rows: int | None = None
     max_resident_bytes: int | None = None
     spill_dir: str | None = None
@@ -150,11 +138,6 @@ class MiningConfig:
         if self.miner not in MINERS:
             raise ConfigError(
                 f"unknown miner {self.miner!r}; choose from {MINERS}"
-            )
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(
-                f"unknown algorithm {self.algorithm!r}; "
-                f"choose from {ALGORITHMS}"
             )
         validate_spec(self.engine)
         validate_measure_spec(self.measure)
@@ -268,6 +251,9 @@ def mine_negative_rules(
         the session, so a re-mine after an append extends the cached
         structures by the appended rows instead of rebuilding them.
         The streaming watcher passes its long-lived session here.
+        Its engine and measure must be the ones the final configuration
+        names (build it with ``MiningSession.from_config``); a
+        mismatch raises :class:`~repro.errors.ConfigError`.
 
     Returns
     -------
@@ -305,6 +291,8 @@ def mine_negative_rules(
 
     if session is None:
         session = MiningSession.from_config(database, taxonomy, final)
+    else:
+        _check_session(session, final)
     with session.observed():
         output = _run_miner(database, taxonomy, final, session)
         with obs.span("mine.rule_gen") as span:
@@ -329,6 +317,28 @@ def mine_negative_rules(
     )
 
 
+def _check_session(session: MiningSession, config: MiningConfig) -> None:
+    """Reject a session that would not run what *config* says."""
+    measure = create_measure(
+        config.measure, figure3_literal=config.figure3_literal
+    )
+    for name, bound, wanted in (
+        ("engine", session.engine.spec, validate_spec(config.engine)),
+        ("measure", session.measure.spec, measure.spec),
+        (
+            "figure3_literal",
+            getattr(session.measure, "figure3_literal", False),
+            getattr(measure, "figure3_literal", False),
+        ),
+    ):
+        if bound != wanted:
+            raise ConfigError(
+                f"the session's {name} is {bound!r} but the config asks "
+                f"for {wanted!r}; build the session with "
+                "MiningSession.from_config"
+            )
+
+
 def _run_miner(
     database: TransactionDatabase,
     taxonomy: Taxonomy,
@@ -344,24 +354,18 @@ def _run_miner(
                 config.minri,
                 session=session,
                 max_size=config.max_size,
-                figure3_literal=config.figure3_literal,
                 max_sibling_replacements=config.max_sibling_replacements,
             )
         )
     else:
-        rng = random.Random(config.seed) if config.seed is not None else None
         miner = ImprovedNegativeMiner(
             database,
             taxonomy,
             config.minsup,
             config.minri,
-            algorithm=config.algorithm,
             session=session,
             max_size=config.max_size,
             max_candidates_in_memory=config.max_candidates_in_memory,
-            prune_taxonomy=config.prune_taxonomy,
-            figure3_literal=config.figure3_literal,
             max_sibling_replacements=config.max_sibling_replacements,
-            rng=rng,
         )
     return miner.mine()

@@ -340,8 +340,9 @@ class _SourceGroup:
                 words[row_of[self.ids[:, first]], other >> 6]
                 & _BIT[other & 63]
             ) == _ZERO
-        # Degenerate large itemsets (possible with the Basic miner)
-        # predict nothing beyond their non-degenerate reduction.
+        # Degenerate large itemsets (an item with its ancestor; a
+        # hand-built index may hold them) predict nothing beyond their
+        # non-degenerate reduction.
         self.order = self.order[clear]
         self.ids = self.ids[clear]
         self.slots = slots = self.slots[clear]

@@ -20,20 +20,24 @@ Improved (Section 2.2.2, Figure 3)
 The negative-itemset predicate follows the body text
 (``E[sup] - sup >= MinSup × MinRI``). Figure 3's literal final line
 (``count < MinSup × MinRI``) contradicts the RI definition; it is kept
-available behind ``figure3_literal=True`` for comparison (see DESIGN.md §3).
+available as ``measure=create_measure("ri", figure3_literal=True)`` for
+comparison (see DESIGN.md §3).
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 
 from .._util import check_fraction, check_positive
 from ..data.database import TransactionDatabase
 from ..itemset import Itemset
 from ..errors import ConfigError
-from ..measures.registry import InterestMeasure, create_measure
+from ..measures.registry import (
+    DEFAULT_MEASURE,
+    InterestMeasure,
+    create_measure,
+)
 from ..mining.generalized import iter_generalized_levels, mine_generalized
 from ..mining.itemset_index import LargeItemsetIndex
 from ..obs import api as obs
@@ -191,28 +195,16 @@ class MinerOutput:
 def resolve_measure(
     measure: "str | InterestMeasure | None",
     session: MiningSession | None = None,
-    figure3_literal: bool = False,
 ) -> InterestMeasure:
-    """The measure an explicit argument + session + legacy flag select.
+    """The measure an explicit argument or the session selects.
 
     An explicit *measure* wins; ``None`` falls back to the session's
     bound measure (the ``measure=`` policy of ``MiningConfig``), then to
-    the registry default. The legacy ``figure3_literal`` flag is folded
-    into the resolved instance, so miners constructed directly with
-    ``figure3_literal=True`` keep their historical behavior; combining
-    it with a non-RI measure raises :class:`~repro.errors.ConfigError`.
+    the registry default.
     """
-    resolved = measure
-    if resolved is None and session is not None:
-        resolved = session.measure
-    if resolved is None or isinstance(resolved, str):
-        return create_measure(
-            resolved if resolved is not None else "ri",
-            figure3_literal=figure3_literal,
-        )
-    if figure3_literal and not getattr(resolved, "figure3_literal", False):
-        return create_measure(resolved.name, figure3_literal=True)
-    return resolved
+    if measure is None:
+        measure = session.measure if session is not None else DEFAULT_MEASURE
+    return create_measure(measure)
 
 
 def _single_supports(
@@ -292,15 +284,14 @@ class NaiveNegativeMiner:
         *database*/*taxonomy*.
     max_size:
         Optional cap on itemset size.
-    figure3_literal:
-        Use Figure 3's literal low-support predicate instead of the body
-        text's deviation predicate (see module docstring). RI only.
     measure:
         The interestingness measure judging candidates and rules: a
         registered spec (``"ri"``, ``"kong-interest"``, ``"coherent"``)
         or an :class:`~repro.measures.registry.InterestMeasure`
-        instance. ``None`` uses the session's bound measure (the
-        registry default when the session has none).
+        instance — ``create_measure("ri", figure3_literal=True)`` for
+        Figure 3's literal predicate (see module docstring). ``None``
+        uses the session's bound measure (the registry default when the
+        session has none).
     """
 
     def __init__(
@@ -311,7 +302,6 @@ class NaiveNegativeMiner:
         minri: float,
         session: MiningSession | None = None,
         max_size: int | None = None,
-        figure3_literal: bool = False,
         max_sibling_replacements: int | None = None,
         measure: "str | InterestMeasure | None" = None,
     ) -> None:
@@ -327,9 +317,7 @@ class NaiveNegativeMiner:
             else MiningSession(database, taxonomy)
         )
         self._max_size = max_size
-        self._measure = resolve_measure(
-            measure, self._session, figure3_literal
-        )
+        self._measure = resolve_measure(measure, self._session)
         self._max_sibling_replacements = max_sibling_replacements
 
     def mine(self) -> MinerOutput:
@@ -415,25 +403,21 @@ class NaiveNegativeMiner:
 class ImprovedNegativeMiner:
     """Single deferred counting pass (Section 2.2.2, Figure 3).
 
+    Step 1 mines the generalized large itemsets with Cumulate
+    (:func:`~repro.mining.generalized.mine_generalized`). Candidate
+    generation then runs over the taxonomy with every small 1-itemset
+    deleted — the paper's first optimization, which never changes the
+    candidates (replacements are filtered to large items either way;
+    the A3 ablation checks it) but shrinks the lists generation walks.
+
     Parameters
     ----------
-    database, taxonomy, minsup, minri, session, max_size, figure3_literal,
-    measure:
+    database, taxonomy, minsup, minri, session, max_size, measure:
         As for :class:`NaiveNegativeMiner`.
-    algorithm:
-        Generalized miner for step 1 (``"basic"``, ``"cumulate"``,
-        ``"estmerge"``).
     max_candidates_in_memory:
         Memory budget of Section 2.5: when the candidate set is larger,
         counting is split into that many-candidate batches, one pass each.
         ``None`` counts everything in one pass.
-    prune_taxonomy:
-        Apply the "delete all small 1-itemsets from the taxonomy"
-        optimization before candidate generation. Never changes the
-        output (replacements are filtered to large items either way);
-        exposed for the A3 ablation.
-    rng:
-        Randomness for the EstMerge sample, when that algorithm is chosen.
     """
 
     def __init__(
@@ -442,14 +426,10 @@ class ImprovedNegativeMiner:
         taxonomy: Taxonomy,
         minsup: float,
         minri: float,
-        algorithm: str = "cumulate",
         session: MiningSession | None = None,
         max_size: int | None = None,
         max_candidates_in_memory: int | None = None,
-        prune_taxonomy: bool = True,
-        figure3_literal: bool = False,
         max_sibling_replacements: int | None = None,
-        rng: random.Random | None = None,
         measure: "str | InterestMeasure | None" = None,
     ) -> None:
         check_fraction(minsup, "minsup")
@@ -462,7 +442,6 @@ class ImprovedNegativeMiner:
         self._taxonomy = taxonomy
         self._minsup = minsup
         self._minri = minri
-        self._algorithm = algorithm
         self._session = (
             session
             if session is not None
@@ -470,12 +449,8 @@ class ImprovedNegativeMiner:
         )
         self._max_size = max_size
         self._batch_size = max_candidates_in_memory
-        self._prune_taxonomy = prune_taxonomy
-        self._measure = resolve_measure(
-            measure, self._session, figure3_literal
-        )
+        self._measure = resolve_measure(measure, self._session)
         self._max_sibling_replacements = max_sibling_replacements
-        self._rng = rng
 
     def mine(self) -> MinerOutput:
         """Run the three phases and return all results."""
@@ -493,25 +468,16 @@ class ImprovedNegativeMiner:
                 database,
                 self._taxonomy,
                 self._minsup,
-                algorithm=self._algorithm,
                 session=session,
                 max_size=self._max_size,
-                rng=self._rng,
             )
-            span.annotate("algorithm", self._algorithm)
             span.annotate("large_itemsets", len(index))
 
         with obs.span("mine.candidate_gen") as span:
-            generation_taxonomy = self._taxonomy
-            if self._prune_taxonomy:
-                large_singles = [items[0] for items in index.of_size(1)]
-                generation_taxonomy = restrict_to_items(
-                    self._taxonomy, large_singles
-                )
-
+            large_singles = [items[0] for items in index.of_size(1)]
             candidates = generate_negative_candidates(
                 index,
-                generation_taxonomy,
+                restrict_to_items(self._taxonomy, large_singles),
                 self._minsup,
                 self._minri,
                 max_size=self._max_size,

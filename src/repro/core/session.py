@@ -166,8 +166,8 @@ class MiningSession:
         """Count one logical pass with the session's engine.
 
         *transactions* / *taxonomy* override the session's defaults for
-        this pass only (the EstMerge sample, a flat count under a
-        generalized session).
+        this pass only (Apriori's flat count under a generalized
+        session).
         """
         engine = self.engine
         source = self.transactions if transactions is None else transactions

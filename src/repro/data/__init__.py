@@ -4,8 +4,9 @@ The paper's cost model is *passes over the data* — the Naive negative miner
 makes two passes per level, the Improved one n + 1 in total — so the central
 class here, :class:`~repro.data.database.TransactionDatabase`, counts full
 scans and exposes that counter to the benchmark harness. The subpackage also
-provides simple text IO for baskets and taxonomies, and sampling (needed by
-the EstMerge generalized miner).
+provides simple text IO for baskets and taxonomies, and
+:class:`~repro.data.filedb.FileBackedDatabase`, which re-reads a basket file
+from disk on every pass.
 """
 
 from .database import TransactionDatabase
@@ -16,7 +17,6 @@ from .io import (
     save_basket_file,
     save_taxonomy_file,
 )
-from .sampling import sample_database
 
 __all__ = [
     "TransactionDatabase",
@@ -25,5 +25,4 @@ __all__ = [
     "save_basket_file",
     "load_taxonomy_file",
     "save_taxonomy_file",
-    "sample_database",
 ]

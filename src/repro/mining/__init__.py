@@ -2,9 +2,9 @@
 
 Negative-rule mining (the paper's contribution, in :mod:`repro.core`) is
 built *on top of* positive mining: step 1 of the algorithm is "find all the
-generalized large itemsets" using one of the Srikant–Agrawal algorithms
-Basic, Cumulate or EstMerge, and the negative rule generator extends the
-classic *ap-genrules* procedure. This subpackage implements all of that from
+generalized large itemsets" with a Srikant–Agrawal generalized miner (this
+package uses Cumulate), and the negative rule generator extends the classic
+*ap-genrules* procedure. This subpackage implements all of that from
 scratch:
 
 * :mod:`~repro.mining.apriori` — plain Apriori and the ``apriori-gen``
@@ -14,8 +14,7 @@ scratch:
   support-counting engines.
 * :mod:`~repro.mining.vertical` — the ``"cached"`` engine's persistent
   vertical index (one big-int bitmap per item).
-* :mod:`~repro.mining.generalized` — Basic / Cumulate / EstMerge miners over
-  a taxonomy.
+* :mod:`~repro.mining.generalized` — the Cumulate miner over a taxonomy.
 * :mod:`~repro.mining.rules` — positive rule generation (ap-genrules).
 * :mod:`~repro.mining.itemset_index` — the hash table of large itemsets of
   Section 2.4.

@@ -2,8 +2,8 @@
 
 One physical scan materializes a :class:`~repro.mining.vertical.
 VerticalIndex` attached to the database, and every later pass (any
-Apriori level, the Improved miner's negative-candidate count, EstMerge
-sample estimates) intersects cached bitmaps instead of re-reading rows.
+Apriori level, the Improved miner's negative-candidate count) intersects
+cached bitmaps instead of re-reading rows.
 Generalized counting ORs descendant bitmaps lazily, so no per-row
 ancestor extension happens at all. See :mod:`repro.mining.vertical` and
 DESIGN.md §6.

@@ -241,10 +241,9 @@ class Taxonomy:
     def ancestor_closure(self, items: Iterable[int]) -> frozenset[int]:
         """Items plus every ancestor of every item.
 
-        This is the transaction extension used by generalized support
-        counting (the *Basic* algorithm of Srikant & Agrawal): an extended
-        transaction supports a category whenever it contains one of its
-        descendants.
+        This is the transaction extension that defines generalized
+        support: an extended transaction supports a category whenever it
+        contains one of its descendants.
         """
         closed: set[int] = set()
         for item in items:

@@ -156,19 +156,6 @@ class TestConfigurationEquivalence:
             (r.antecedent, r.consequent) for r in hashtree_result.rules
         } == {(r.antecedent, r.consequent) for r in other.rules}
 
-    def test_estmerge_agrees_with_cumulate(self, dataset):
-        base = mine_negative_rules(
-            dataset.database, dataset.taxonomy,
-            minsup=MINSUP, minri=MINRI, algorithm="cumulate",
-        )
-        other = mine_negative_rules(
-            dataset.database, dataset.taxonomy,
-            minsup=MINSUP, minri=MINRI, algorithm="estmerge", seed=5,
-        )
-        assert {(r.antecedent, r.consequent) for r in base.rules} == {
-            (r.antecedent, r.consequent) for r in other.rules
-        }
-
     def test_config_round_trip(self, dataset):
         config = MiningConfig(minsup=MINSUP, minri=MINRI, miner="improved")
         result = mine_negative_rules(

@@ -273,8 +273,8 @@ def indexes(draw):
         if len(nodes) < size:
             continue
         items = tuple(sorted(rng.sample(nodes, size)))
-        # A few degenerate (item + ancestor) sources stay in, as the
-        # Basic miner can produce them; generation must skip them.
+        # A few degenerate (item + ancestor) sources stay in, as a
+        # hand-built index may hold them; generation must skip them.
         if contains_item_and_ancestor(items, TAXONOMY) and rng.random() < 0.8:
             continue
         bound = min(index.support((item,)) for item in items)

@@ -72,21 +72,6 @@ def test_rules_respect_all_thresholds(database):
         assert set(rule.antecedent).isdisjoint(rule.consequent)
 
 
-@settings(max_examples=25, deadline=None)
-@given(leaf_databases(), st.sampled_from([0, 1, 2]))
-def test_estmerge_backend_invariance(database, seed):
-    base = mine_negative_rules(
-        database, TAXONOMY, minsup=0.15, minri=0.4, algorithm="cumulate"
-    )
-    other = mine_negative_rules(
-        database, TAXONOMY, minsup=0.15, minri=0.4,
-        algorithm="estmerge", seed=seed,
-    )
-    assert {n.items for n in base.negative_itemsets} == {
-        n.items for n in other.negative_itemsets
-    }
-
-
 @st.composite
 def random_indexes(draw):
     """Supports for all taxonomy nodes + some large pairs, consistent

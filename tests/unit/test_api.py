@@ -7,15 +7,16 @@ from repro.core.api import (
     NegativeMiningResult,
     mine_negative_rules,
 )
+from repro.core.session import MiningSession
 from repro.data.database import TransactionDatabase
 from repro.errors import ConfigError
+from repro.measures.registry import create_measure
 
 
 class TestMiningConfig:
     def test_defaults_valid(self):
         config = MiningConfig()
         assert config.miner == "improved"
-        assert config.algorithm == "cumulate"
 
     @pytest.mark.parametrize(
         "field,value",
@@ -23,7 +24,6 @@ class TestMiningConfig:
             ("minsup", 0.0),
             ("minri", 1.5),
             ("miner", "other"),
-            ("algorithm", "other"),
             ("engine", "other"),
             ("metrics", "verbose"),
         ],
@@ -31,6 +31,15 @@ class TestMiningConfig:
     def test_invalid_fields_rejected(self, field, value):
         with pytest.raises(ConfigError):
             MiningConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field", ["algorithm", "seed", "prune_taxonomy"]
+    )
+    def test_retired_fields_are_unknown(self, field):
+        # Cumulate is the one generalized miner and the Improved miner
+        # always prunes its taxonomy: nothing is left to choose or seed.
+        with pytest.raises(TypeError, match=field):
+            MiningConfig(**{field: None})
 
     @pytest.mark.parametrize(
         "field,value",
@@ -188,6 +197,57 @@ class TestMineNegativeRules:
         text = result.summary(soft_drinks_taxonomy, limit=2)
         assert "rules" in text
         assert "=/=>" in text
+
+    @pytest.mark.parametrize(
+        "session_args, overrides, field",
+        [
+            ((), {"measure": "kong-interest"}, "measure"),
+            ((), {"figure3_literal": True}, "figure3_literal"),
+            (("bitmap",), {}, "engine"),
+            ((), {"engine": "brute"}, "engine"),
+        ],
+        ids=["measure", "figure3_literal", "session-engine", "config-engine"],
+    )
+    def test_session_must_match_the_config(
+        self, soft_drinks_taxonomy, soft_drinks_database,
+        session_args, overrides, field,
+    ):
+        # An explicit session used to override the config silently:
+        # measure="kong-interest" returned RI rules while
+        # result.config.measure said "kong-interest".
+        session = MiningSession(
+            soft_drinks_database, soft_drinks_taxonomy, *session_args
+        )
+        with pytest.raises(ConfigError, match=f"session's {field} "):
+            mine_negative_rules(
+                soft_drinks_database, soft_drinks_taxonomy,
+                minsup=0.05, minri=0.4, session=session, **overrides,
+            )
+
+    def test_matching_session_is_used(
+        self, soft_drinks_taxonomy, soft_drinks_database
+    ):
+        config = MiningConfig(
+            minsup=0.05, minri=0.4, engine="bitmap",
+            measure="kong-interest",
+        )
+        session = MiningSession.from_config(
+            soft_drinks_database, soft_drinks_taxonomy, config
+        )
+        result = mine_negative_rules(
+            soft_drinks_database, soft_drinks_taxonomy,
+            config=config, session=session,
+        )
+        assert result.rules
+        assert {rule.measure for rule in result.rules} == {"kong-interest"}
+        literal = MiningSession(
+            soft_drinks_database, soft_drinks_taxonomy,
+            measure=create_measure("ri", figure3_literal=True),
+        )
+        assert mine_negative_rules(
+            soft_drinks_database, soft_drinks_taxonomy,
+            minsup=0.05, minri=0.4, figure3_literal=True, session=literal,
+        ).config.figure3_literal
 
     def test_invalid_override_rejected(self, soft_drinks_taxonomy):
         database = TransactionDatabase([[0]])

@@ -229,6 +229,19 @@ class TestMine:
                 )
             assert excinfo.value.code == 2
 
+    def test_algorithm_flag_is_gone(self, dataset_files):
+        # Cumulate is the one generalized miner; there is no choice left.
+        baskets, taxonomy = dataset_files
+        for command in ("mine", "positive"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(
+                    [
+                        command, "--baskets", baskets,
+                        "--taxonomy", taxonomy, "--algorithm", "cumulate",
+                    ]
+                )
+            assert excinfo.value.code == 2
+
 
 class TestPositive:
     def test_prints_positive_rules(self, dataset_files, capsys):

@@ -1,4 +1,4 @@
-"""Unit tests for generalized mining (Basic / Cumulate / EstMerge)."""
+"""Unit tests for generalized mining (Cumulate)."""
 
 import random
 
@@ -56,15 +56,8 @@ class TestSupportSemantics:
         assert index.support((1, 5)) == pytest.approx(1 / 6)
 
     def test_cumulate_prunes_item_with_ancestor(self, taxonomy, database):
-        index = mine_generalized(database, taxonomy, minsup=1 / 6,
-                                 algorithm="cumulate")
+        index = mine_generalized(database, taxonomy, minsup=1 / 6)
         assert (1, 3) not in index  # jackets with its ancestor outerwear
-
-    def test_basic_keeps_item_with_ancestor(self, taxonomy, database):
-        index = mine_generalized(database, taxonomy, minsup=1 / 6,
-                                 algorithm="basic")
-        assert (1, 3) in index
-        assert index.support((1, 3)) == index.support((3,))
 
     def test_minsup_filters(self, taxonomy, database):
         index = mine_generalized(database, taxonomy, minsup=0.5)
@@ -84,36 +77,6 @@ class TestAlgorithmEquivalence:
             rng.sample(leaves, rng.randint(1, 6)) for _ in range(300)
         ]
         return taxonomy, TransactionDatabase(rows)
-
-    def test_basic_superset_of_cumulate(self, random_setup):
-        taxonomy, database = random_setup
-        basic = mine_generalized(database, taxonomy, 0.05,
-                                 algorithm="basic")
-        cumulate = mine_generalized(database, taxonomy, 0.05,
-                                    algorithm="cumulate")
-        for items, support in cumulate.items():
-            assert basic.support(items) == pytest.approx(support)
-        # Anything extra in basic must be an item+ancestor combination.
-        extras = [
-            items for items, _ in basic.items() if items not in cumulate
-        ]
-        assert all(
-            contains_item_and_ancestor(items, taxonomy) for items in extras
-        )
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_estmerge_equals_cumulate(self, random_setup, seed):
-        taxonomy, database = random_setup
-        cumulate = mine_generalized(database, taxonomy, 0.05,
-                                    algorithm="cumulate")
-        estmerge = mine_generalized(
-            database,
-            taxonomy,
-            0.05,
-            algorithm="estmerge",
-            rng=random.Random(seed),
-        )
-        assert estmerge == cumulate
 
     def test_engines_equivalent(self, random_setup):
         taxonomy, database = random_setup
@@ -168,19 +131,20 @@ class TestIterLevels:
 
 class TestValidation:
     def test_unknown_algorithm(self, taxonomy, database):
-        with pytest.raises(ConfigError, match="unknown algorithm"):
-            mine_generalized(database, taxonomy, 0.5, algorithm="magic")
+        # Cumulate is the one generalized miner: the retired choice and
+        # the sampling knobs fail like any unknown keyword.
+        for keyword, value in (
+            ("algorithm", "cumulate"),
+            ("sample_fraction", 0.1),
+            ("estimation_slack", 0.9),
+            ("rng", None),
+        ):
+            with pytest.raises(TypeError, match=keyword):
+                mine_generalized(database, taxonomy, 0.5, **{keyword: value})
 
     def test_bad_minsup(self, taxonomy, database):
         with pytest.raises(ConfigError):
             mine_generalized(database, taxonomy, 0.0)
-
-    def test_bad_estimation_slack(self, taxonomy, database):
-        with pytest.raises(ConfigError, match="estimation_slack"):
-            mine_generalized(
-                database, taxonomy, 0.5, algorithm="estmerge",
-                estimation_slack=0.0,
-            )
 
     def test_max_size_respected(self, taxonomy, database):
         index = mine_generalized(database, taxonomy, 1 / 6, max_size=1)

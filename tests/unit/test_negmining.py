@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.candidates import generate_negative_candidates
 from repro.core.negmining import (
     ImprovedNegativeMiner,
     MiningStats,
@@ -11,8 +12,11 @@ from repro.core.negmining import (
 from repro.core.session import MiningSession
 from repro.data.database import TransactionDatabase
 from repro.errors import ConfigError
+from repro.measures.registry import create_measure
+from repro.mining.generalized import mine_generalized
 from repro.obs.registry import MetricsRegistry
 from repro.taxonomy.builders import taxonomy_from_nested
+from repro.taxonomy.prune import restrict_to_items
 
 
 @pytest.fixture
@@ -99,15 +103,29 @@ class TestImprovedMiner:
         assert batched.stats.data_passes > whole.stats.data_passes
 
     def test_pruning_toggle_does_not_change_output(self, database, taxonomy):
-        pruned = ImprovedNegativeMiner(
-            database, taxonomy, 0.1, 0.3, prune_taxonomy=True
-        ).mine()
-        unpruned = ImprovedNegativeMiner(
-            database, taxonomy, 0.1, 0.3, prune_taxonomy=False
-        ).mine()
-        assert {n.items for n in pruned.negatives} == {
-            n.items for n in unpruned.negatives
-        }
+        # The miner generates over the taxonomy with its small
+        # 1-itemsets deleted; the full taxonomy gives the same candidates.
+        index = mine_generalized(database, taxonomy, 0.1)
+        large_singles = [items[0] for items in index.of_size(1)]
+        pruned = restrict_to_items(taxonomy, large_singles)
+        assert len(pruned) < len(taxonomy)  # paprika, sparkling are small
+        full = generate_negative_candidates(index, taxonomy, 0.1, 0.3)
+        assert full
+        assert generate_negative_candidates(index, pruned, 0.1, 0.3) == full
+        database.reset_scans()
+        mined = ImprovedNegativeMiner(database, taxonomy, 0.1, 0.3).mine()
+        assert mined.candidates == full
+
+    def test_retired_knobs_are_unknown_keywords(self, database, taxonomy):
+        for miner, keyword in (
+            (ImprovedNegativeMiner, "algorithm"),
+            (ImprovedNegativeMiner, "prune_taxonomy"),
+            (ImprovedNegativeMiner, "rng"),
+            (ImprovedNegativeMiner, "figure3_literal"),
+            (NaiveNegativeMiner, "figure3_literal"),
+        ):
+            with pytest.raises(TypeError, match=keyword):
+                miner(database, taxonomy, 0.1, 0.3, **{keyword: None})
 
     def test_stats_candidate_accounting(self, database, taxonomy):
         output = ImprovedNegativeMiner(
@@ -187,11 +205,12 @@ class TestFigure3Literal:
         )
         database = TransactionDatabase(rows)
         deviation = ImprovedNegativeMiner(
-            database, taxonomy, 0.2, 0.5, figure3_literal=False
+            database, taxonomy, 0.2, 0.5
         ).mine()
         database.reset_scans()
         literal = ImprovedNegativeMiner(
-            database, taxonomy, 0.2, 0.5, figure3_literal=True
+            database, taxonomy, 0.2, 0.5,
+            measure=create_measure("ri", figure3_literal=True),
         ).mine()
         literal_items = {n.items for n in literal.negatives}
         for negative in literal.negatives:
