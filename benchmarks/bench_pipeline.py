@@ -16,8 +16,9 @@ does. ``wall_per_10_runs_s`` — a stage's fastest wall times ten, keyed
 ``<dataset>@<minsup>:<stage>`` — is the figure the regression gate
 compares: scaled so every stage sits above its measurement floor.
 
-Every point also records its exact counts (large itemsets, candidates,
-negative itemsets, rules), which the gate compares exactly.
+Every point also records its exact counts (large itemsets, candidate
+leaves the kernel expands, candidates, negative itemsets, rules), which
+the gate compares exactly.
 
 ``--quick`` runs Short and Tall at scale 0.02 (1,000 rows) and MinSup
 0.10 and 0.06 and folds its report into ``BENCH_counting.json`` under
@@ -80,12 +81,14 @@ def _timed(run, walls: dict, stage: str):
 
 def run_point(dataset, minsup: float, minri: float) -> tuple[dict, dict]:
     """Time every stage at one support; returns (walls, counts)."""
+    from repro import obs
     from repro.core.candidates import generate_negative_candidates
     from repro.core.negmining import select_negatives
     from repro.core.rulegen import generate_negative_rules
     from repro.core.session import MiningSession
     from repro.mining import vertical
     from repro.mining.generalized import mine_generalized
+    from repro.obs import MetricsRegistry
     from repro.taxonomy.prune import restrict_to_items
 
     database, taxonomy = dataset.database, dataset.taxonomy
@@ -106,6 +109,13 @@ def run_point(dataset, minsup: float, minri: float) -> tuple[dict, dict]:
         return generate_negative_candidates(index, pruned, minsup, minri)
 
     found = _timed(candidates, walls, "candidates")
+    # One more call, outside the timing, reads the kernel's leaf count.
+    registry = MetricsRegistry()
+    obs.configure(registry=registry)
+    try:
+        candidates()
+    finally:
+        obs.shutdown()
     counted = _timed(
         lambda: session.count(
             sorted(found), restrict_to_candidate_items=True
@@ -128,6 +138,7 @@ def run_point(dataset, minsup: float, minri: float) -> tuple[dict, dict]:
     )
     counts = {
         "large_itemsets": len(index),
+        "leaves": registry.counter("candidates.leaf_masks"),
         "candidates": len(found),
         "negatives": len(negatives),
         "rules": len(rules),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Iterable
+from operator import attrgetter
 
 from .._util import check_fraction, check_nonnegative, check_positive
 from ..data.database import TransactionDatabase
@@ -28,7 +29,7 @@ from ..mining.itemset_index import LargeItemsetIndex
 from ..obs import api as obs
 from ..obs.api import METRICS_MODES
 from ..taxonomy.tree import Taxonomy
-from .candidates import NegativeCandidate
+from .candidates import ItemsetColumns, NegativeCandidate
 from .negmining import (
     ImprovedNegativeMiner,
     MinerOutput,
@@ -36,7 +37,7 @@ from .negmining import (
     NaiveNegativeMiner,
     NegativeItemset,
 )
-from .rulegen import NegativeRule, generate_negative_rules
+from .rulegen import NegativeRule, negative_rules, size_groups
 from .session import MiningSession
 
 MINERS = ("improved", "naive")
@@ -294,10 +295,13 @@ def mine_negative_rules(
     else:
         _check_session(session, final)
     with session.observed():
-        output = _run_miner(database, taxonomy, final, session)
+        output, negatives = _run_miner(database, taxonomy, final, session)
         with obs.span("mine.rule_gen") as span:
-            rules = generate_negative_rules(
-                output.negatives,
+            rules = negative_rules(
+                size_groups(negatives.items),
+                negatives.items.shape[1],
+                list(map(attrgetter("expected_support"), output.negatives)),
+                list(map(attrgetter("actual_support"), output.negatives)),
                 output.large_itemsets,
                 final.minri,
                 prune_small_antecedents=final.prune_small_antecedents,
@@ -344,7 +348,9 @@ def _run_miner(
     taxonomy: Taxonomy,
     config: MiningConfig,
     session: MiningSession,
-) -> MinerOutput:
+) -> tuple[MinerOutput, ItemsetColumns]:
+    """Run the configured miner; returns its output and its negative
+    itemsets as columns, which rule generation reads."""
     if config.miner == "naive":
         miner: NaiveNegativeMiner | ImprovedNegativeMiner = (
             NaiveNegativeMiner(
@@ -368,4 +374,4 @@ def _run_miner(
             max_candidates_in_memory=config.max_candidates_in_memory,
             max_sibling_replacements=config.max_sibling_replacements,
         )
-    return miner.mine()
+    return miner._mine()

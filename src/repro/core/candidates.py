@@ -30,10 +30,12 @@ The enumeration enforces the 1-item-subset rule by drawing replacements
 only from large 1-itemsets, and the ancestor and threshold rules while it
 descends, before a candidate is built (see :meth:`_Kernel.leaves`).
 
-The enumeration is one level-wise NumPy kernel. Every large 1-itemset of
-the taxonomy (plus any source item that is not one) gets a dense id in
-ascending item order, so a candidate's sorted ids are its canonical
-tuple, packed into int64 key columns. Sources are grouped by size. For
+The enumeration is one level-wise NumPy kernel. It works in the dense
+ids and packed int64 keys of the index's key table
+(:meth:`~repro.mining.itemset_index.LargeItemsetIndex.table`): ids
+ascend with the items, so a candidate's sorted ids are its canonical
+tuple, and the table's rows of each size are the sorted sources and the
+sentinels of the dedup below. Sources are grouped by size. For
 each case and replacement count, all (source, position subset) rows of a
 group are expanded as one batch, one replaced position per depth, over
 replacement pools padded to a common width. The cuts multiply in the
@@ -51,13 +53,19 @@ in one dict would replace an entry only for a strictly larger
 expectation, and would insert each itemset when it first reached it, so
 ordering the kept itemsets by lowest rank gives exactly that dict's
 contents and order, which is what this function returns.
+
+The miners take the kept itemsets as :class:`ItemsetColumns`
+(:func:`candidate_columns`) and build :class:`NegativeCandidate` records
+only for the result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from collections.abc import Iterable
-from itertools import chain, combinations
+from collections import deque
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, fields
+from functools import lru_cache
+from itertools import chain, combinations, repeat
 
 import numpy as np
 
@@ -65,6 +73,14 @@ from .._util import check_fraction
 from ..itemset import Itemset
 from ..measures.ri import deviation_threshold
 from ..mining.itemset_index import LargeItemsetIndex
+from ..mining.keytable import (
+    PAD,
+    KeyTable,
+    distinct_values,
+    key_order,
+    pack,
+    unpack,
+)
 from ..obs import api as obs
 from ..taxonomy.tree import Taxonomy
 
@@ -108,12 +124,10 @@ class NegativeCandidate:
 
 
 class _Relatives:
-    """Dense ids, large-filtered children/sibling ratio pools and related
-    closures of the items one call can meet.
+    """Large-filtered children/sibling ratio pools and related closures
+    of the items one call can meet.
 
-    *universe* is every item that may appear in a candidate: the large
-    1-itemsets in the taxonomy plus the items of the sources. Item
-    ``item_at[i]`` has the dense id ``i``.
+    Item ``item_at[i]`` has the dense id ``i`` of the index's key table.
 
     A pool holds ``(id, ratio)`` for each large relative of an item, where
     ratio is ``sup(relative) / sup(item)`` — the expectation factor
@@ -129,13 +143,13 @@ class _Relatives:
         self,
         taxonomy: Taxonomy,
         index: LargeItemsetIndex,
-        universe: Iterable[int],
+        item_at: list[int],
     ) -> None:
         self._taxonomy = taxonomy
         self._index = index
-        self.item_at: list[int] = sorted(universe)
+        self.item_at = item_at
         self.id_of: dict[int, int] = {
-            item: ident for ident, item in enumerate(self.item_at)
+            item: ident for ident, item in enumerate(item_at)
         }
 
     def _pool(self, item: int, relatives: tuple[int, ...]) -> list:
@@ -195,6 +209,144 @@ class _Relatives:
         return table.reshape(len(chunks), words)
 
 
+@dataclass(slots=True)
+class ItemsetColumns:
+    """Itemsets of the negative phase as columns, one row per itemset.
+
+    The miners carry candidates and negative itemsets in this form from
+    the candidate kernel to the rules, and build
+    :class:`NegativeCandidate` (and the miners' ``NegativeItemset``)
+    objects only for what a result returns.
+
+    Attributes
+    ----------
+    items:
+        ``(rows, width)`` int64: each row's items ascending, then
+        :data:`~repro.mining.keytable.PAD`, which sorts below every item.
+    tuples:
+        Object array: each row's items as its canonical tuple.
+    expected:
+        Expected supports.
+    sources:
+        Object array: the large itemset each expectation came from.
+    cases:
+        Index into :data:`CASES` per row.
+    actual:
+        Measured supports, once counted; ``None`` before.
+    """
+
+    items: np.ndarray
+    tuples: np.ndarray
+    expected: np.ndarray
+    sources: np.ndarray
+    cases: np.ndarray
+    actual: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.expected)
+
+    def take(self, rows: np.ndarray) -> "ItemsetColumns":
+        """The rows *rows* (indices or a mask), in that order."""
+        return ItemsetColumns(
+            self.items[rows], self.tuples[rows],
+            self.expected[rows], self.sources[rows], self.cases[rows],
+            None if self.actual is None else self.actual[rows],
+        )
+
+    @staticmethod
+    def concat(parts: list["ItemsetColumns"]) -> "ItemsetColumns":
+        """The rows of *parts*, one after another."""
+        width = max((part.items.shape[1] for part in parts), default=0)
+        items = np.full(
+            (sum(map(len, parts)), width), PAD, dtype=np.int64
+        )
+        start = 0
+        for part in parts:
+            items[start:start + len(part), :part.items.shape[1]] = part.items
+            start += len(part)
+
+        def joined(field: str, dtype) -> np.ndarray:
+            return np.concatenate(
+                [np.empty(0, dtype=dtype)]
+                + [getattr(part, field) for part in parts]
+            )
+
+        return ItemsetColumns(
+            items, joined("tuples", object),
+            joined("expected", np.float64), joined("sources", object),
+            joined("cases", np.int8),
+            None if any(part.actual is None for part in parts)
+            else joined("actual", np.float64),
+        )
+
+    def item_order(self) -> np.ndarray:
+        """The permutation that sorts the rows by their item tuples."""
+        return np.lexsort(self.items.T[::-1]) if self.items.shape[1] else (
+            np.arange(len(self))
+        )
+
+    def sizes_count(self) -> dict[int, int]:
+        """Rows per itemset size, by ascending size."""
+        counts = np.bincount((self.items != PAD).sum(axis=1))
+        return {
+            size: int(counts[size]) for size in np.flatnonzero(counts)
+        }
+
+    def records(self) -> dict[Itemset, NegativeCandidate]:
+        """The rows as :class:`NegativeCandidate` records, by item tuple,
+        in row order."""
+        tuples = self.tuples.tolist()
+        return dict(zip(tuples, frozen_records(
+            NegativeCandidate,
+            tuples,
+            self.expected.tolist(),
+            self.sources.tolist(),
+            CASE_NAMES[self.cases].tolist(),
+        )))
+
+
+CASE_NAMES = np.array(CASES, dtype=object)
+
+
+def frozen_records(cls: type, *columns: list) -> list:
+    """Instances of the frozen slots dataclass *cls*, one per row of the
+    field *columns*, given in field order.
+
+    A frozen dataclass's ``__init__`` sets each field through
+    ``object.__setattr__``; setting the slots directly builds equal
+    objects in about half the time, which counts when a result holds
+    hundreds of thousands of them.
+    """
+    out = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    for setter, values in zip(_setters(cls), columns):
+        deque(map(setter, out, values), maxlen=0)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _setters(cls: type) -> tuple:
+    """The slot setters of *cls*'s fields, in field order."""
+    return tuple(getattr(cls, field.name).__set__ for field in fields(cls))
+
+
+def item_matrix(tuples: Sequence[Itemset]) -> tuple[np.ndarray, np.ndarray]:
+    """The item tuples as an :attr:`ItemsetColumns.items` matrix, and
+    their sizes."""
+    count = len(tuples)
+    sizes = np.fromiter(map(len, tuples), dtype=np.intp, count=count)
+    width = int(sizes.max(initial=0))
+    items = np.full((count, width), PAD, dtype=np.int64)
+    items[np.arange(width) < sizes[:, None]] = np.fromiter(
+        chain.from_iterable(tuples), dtype=np.int64, count=int(sizes.sum())
+    )
+    return items, sizes
+
+
+def _objects(values: Sequence) -> np.ndarray:
+    """*values* as a one-dimensional object array (tuples stay whole)."""
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
 def generate_negative_candidates(
     index: LargeItemsetIndex,
     taxonomy: Taxonomy,
@@ -220,8 +372,9 @@ def generate_negative_candidates(
         Thresholds; candidates need expected support of at least
         ``minsup * minri``.
     sources:
-        Large itemsets to generate from. Defaults to every indexed itemset
-        of size >= 2 (negative itemsets of size 1 cannot form rules).
+        Large itemsets of *index* to generate from. Defaults to every
+        indexed itemset of size >= 2 (negative itemsets of size 1 cannot
+        form rules).
     max_size:
         Skip sources larger than this (candidates keep the source's size).
     max_sibling_replacements:
@@ -239,41 +392,98 @@ def generate_negative_candidates(
         Candidate itemset -> :class:`NegativeCandidate`, deduplicated with
         maximum expected support.
     """
+    return candidate_columns(
+        index, taxonomy, minsup, minri, sources, max_size,
+        max_sibling_replacements,
+    ).records()
+
+
+def candidate_columns(
+    index: LargeItemsetIndex,
+    taxonomy: Taxonomy,
+    minsup: float,
+    minri: float,
+    sources: Iterable[Itemset] | None = None,
+    max_size: int | None = None,
+    max_sibling_replacements: int | None = None,
+) -> ItemsetColumns:
+    """:func:`generate_negative_candidates` as :class:`ItemsetColumns`,
+    rows in the dict's order."""
     check_fraction(minsup, "minsup")
     threshold = deviation_threshold(minsup, minri)
-
-    if sources is None:
-        source_list: list[Itemset] = [
-            items
-            for size in index.sizes
-            if size >= 2
-            for items in sorted(index.of_size(size))
-        ]
-    else:
-        source_list = [items for items in sources if len(items) >= 2]
+    table = index.table()
+    item_at = table.item_at.tolist()
     # A pruned taxonomy may have dropped items of a stale index entry;
     # such sources cannot yield admissible candidates.
-    source_list = [
-        source
-        for source in source_list
-        if (max_size is None or len(source) <= max_size)
-        and all(map(taxonomy.__contains__, source))
-    ]
-
-    universe = {
-        items[0] for items in index.of_size(1) if items[0] in taxonomy
-    }
-    universe.update(*source_list)
-    cache = _Relatives(taxonomy, index, universe)
+    in_taxonomy = np.fromiter(
+        map(taxonomy.__contains__, item_at), dtype=bool, count=len(item_at)
+    )
+    groups = _source_groups(table, taxonomy, in_taxonomy, sources, max_size)
     # The kernel and its tables are dropped before the records are built.
-    subsets, kept = _Kernel(
-        index, cache, source_list, threshold, max_sibling_replacements
+    subsets, leaves, kept = _Kernel(
+        table, _Relatives(taxonomy, index, item_at), groups, threshold,
+        max_sibling_replacements,
     ).run()
-    out = _records(kept, cache.item_at, source_list)
+    columns = _columns(kept, table.item_at, groups)
     obs.incr("candidates.position_subsets", subsets)
-    obs.incr("candidates.leaf_masks", len(out))
-    obs.incr("candidates.kept", len(out))
-    return out
+    obs.incr("candidates.leaf_masks", leaves)
+    obs.incr("candidates.kept", len(columns))
+    return columns
+
+
+def _source_groups(
+    table: KeyTable,
+    taxonomy: Taxonomy,
+    in_taxonomy: np.ndarray,
+    sources: Iterable[Itemset] | None,
+    max_size: int | None,
+) -> list[_SourceGroup]:
+    """The sources as one :class:`_SourceGroup` per size.
+
+    Without explicit *sources*, every itemset of size >= 2 in the table's
+    key order, which is ``sorted(index.of_size(size))`` for each size.
+    A source's position in that list is its place in visit order;
+    explicit sources must be itemsets of the table.
+    """
+    groups = []
+    if sources is None:
+        start = 0
+        for size in table.sizes:
+            if size < 2 or (max_size is not None and size > max_size):
+                continue
+            ids = table.rows(size)
+            keep = in_taxonomy[ids].all(axis=1)
+            count = int(keep.sum())
+            if count:
+                groups.append(_SourceGroup(
+                    ids[keep], np.arange(start, start + count),
+                    table.supports(size)[keep],
+                ))
+            start += count
+        return groups
+    by_size: dict[int, list[Itemset]] = {}
+    at = 0
+    order: dict[int, list[int]] = {}
+    for source in sources:
+        size = len(source)
+        if (
+            size < 2 or (max_size is not None and size > max_size)
+            or not all(map(taxonomy.__contains__, source))
+        ):
+            continue
+        by_size.setdefault(size, []).append(source)
+        order.setdefault(size, []).append(at)
+        at += 1
+    for size, itemsets in by_size.items():
+        ids, known = table.ids_of(np.array(itemsets, dtype=np.int64))
+        found = table.find(size, pack(ids, table.bits))
+        found[~known.all(axis=1)] = -1
+        if (found < 0).any():
+            raise KeyError(itemsets[int(np.argmin(found))])
+        groups.append(_SourceGroup(
+            ids, np.array(order[size]), table.supports(size)[found]
+        ))
+    return groups
 
 
 class _SourceGroup:
@@ -296,12 +506,14 @@ class _SourceGroup:
         "kept_positions", "batches", "sentinels",
     )
 
-    def __init__(self, ids: np.ndarray, order: list[int]) -> None:
+    def __init__(
+        self, ids: np.ndarray, order: np.ndarray, base: np.ndarray
+    ) -> None:
         self.size = size = ids.shape[1]
         self.ids = ids
-        self.order = np.array(order, dtype=np.int64)
+        self.order = order.astype(np.int64)
         self.slots = np.empty_like(ids)
-        self.base = np.empty(0)
+        self.base = base
         self.subset_positions = [np.empty((1, 0), dtype=np.intp)] + [
             np.array(list(combinations(range(size), count)), dtype=np.intp)
             for count in range(1, size + 1)
@@ -320,12 +532,10 @@ class _SourceGroup:
     def plan(
         self,
         kernel: _Kernel,
-        index: LargeItemsetIndex,
-        sources: list[Itemset],
         max_sibling_replacements: int | None,
     ) -> int:
-        """Drop degenerate sources, read the supports of the rest and
-        build the batches; returns the number of position subsets visited.
+        """Drop degenerate sources and build the batches of the rest;
+        returns the number of position subsets visited.
 
         Only positions with a non-empty pool can be replaced, so subsets
         are drawn from those alone, in the same order as from all
@@ -346,10 +556,7 @@ class _SourceGroup:
         self.order = self.order[clear]
         self.ids = self.ids[clear]
         self.slots = slots = self.slots[clear]
-        self.base = base = np.array(
-            [index.support(sources[at]) for at in self.order.tolist()],
-            dtype=np.float64,
-        )
+        self.base = base = self.base[clear]
         visited = 0
         for case, (_, ratios, lengths) in enumerate(kernel.pools):
             max_positions = size if case == 0 else size - 1
@@ -395,58 +602,42 @@ class _Kernel:
 
     def __init__(
         self,
-        index: LargeItemsetIndex,
+        table: KeyTable,
         cache: _Relatives,
-        sources: list[Itemset],
+        groups: list[_SourceGroup],
         threshold: float,
         max_sibling_replacements: int | None,
     ) -> None:
         self.threshold = threshold
-        item_at = np.array(cache.item_at, dtype=np.int64)
-        self.bits = max(1, (len(item_at) - 1).bit_length())
-        by_size: dict[int, list[int]] = {}
-        for at, source in enumerate(sources):
-            by_size.setdefault(len(source), []).append(at)
-        self.groups = [
-            _SourceGroup(
-                _dense_ids(item_at, [sources[at] for at in order], size)[0],
-                order,
-            )
-            for size, order in by_size.items()
-        ]
-        distinct = _distinct_values(np.concatenate(
+        self.bits = table.bits
+        self.groups = groups
+        distinct = distinct_values(np.concatenate(
             [np.empty(0, dtype=np.intp)]
             + [group.ids.ravel() for group in self.groups]
         ))
         self.pools = [
             cache.pool_table(case, distinct) for case in range(len(CASES))
         ]
-        idents = _distinct_values(np.concatenate([distinct] + [
+        idents = distinct_values(np.concatenate([distinct] + [
             members[np.arange(members.shape[1]) < lengths[:, None]]
             for members, _, lengths in self.pools
         ]))
         self.words = cache.closure_words(idents)
-        self.row_of = np.zeros(len(item_at), dtype=np.intp)
+        self.row_of = np.zeros(len(table.item_at), dtype=np.intp)
         self.row_of[idents] = np.arange(len(idents))
         self.subsets = 0
         for group in self.groups:
             group.slots = np.searchsorted(distinct, group.ids)
-            self.subsets += group.plan(
-                self, index, sources, max_sibling_replacements
-            )
-            ids, known = _dense_ids(
-                item_at, list(index.of_size(group.size)), group.size
-            )
+            self.subsets += group.plan(self, max_sibling_replacements)
             # Candidates keep their source's size, so only large itemsets
-            # of that size can collide with one; an entry holding an item
-            # outside the universe never can.
-            ids = ids[known]
-            group.sentinels = _pack(ids, self.bits)
+            # of that size can collide with one.
+            group.sentinels = table.keys(group.size)
 
-    def run(self) -> tuple[int, list[tuple]]:
+    def run(self) -> tuple[int, int, list[tuple]]:
         """Expand every group's batches chunk by chunk; returns the number
-        of position subsets visited and, per group, the kept itemsets as
-        ``(first rank, id columns, expectation, source, case)`` arrays.
+        of position subsets visited, the number of leaves expanded and,
+        per group, the kept itemsets as ``(first rank, id columns,
+        expectation, source, case)`` arrays.
 
         A chunk is a range of source positions, so every leaf of a chunk
         ranks below every leaf of the next. Each chunk's leaves are
@@ -504,10 +695,10 @@ class _Kernel:
             del rows
             fresh = value != np.inf
             kept.append((
-                first[fresh], _unpack(keys[:, fresh], self.bits, group.size),
+                first[fresh], unpack(keys[:, fresh], self.bits, group.size),
                 value[fresh], source[fresh], case[fresh],
             ))
-        return self.subsets, kept
+        return self.subsets, rank_base, kept
 
     def _chunk(
         self, low: int, high: int, rank_base: int,
@@ -678,80 +869,7 @@ class _Kernel:
             parent, item = trail[depth]
             ids[leaf, positions[row, depth]] = item[at]
             at = parent[at]
-        return _pack(ids, self.bits), value, row
-
-
-def _dense_ids(
-    item_at: np.ndarray, itemsets: list[Itemset], size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The dense ids of *itemsets* (all of *size* items), one row each,
-    and whether every item of a row is in the universe *item_at* (rows
-    that are not hold arbitrary ids)."""
-    items = np.fromiter(
-        chain.from_iterable(itemsets), dtype=np.int64,
-        count=len(itemsets) * size,
-    )
-    if not len(item_at):
-        return (
-            np.zeros((len(itemsets), size), dtype=np.intp),
-            np.zeros(len(itemsets), dtype=bool),
-        )
-    ids = np.minimum(np.searchsorted(item_at, items), len(item_at) - 1)
-    known = item_at[ids] == items
-    return (
-        ids.reshape(len(itemsets), size),
-        known.reshape(len(itemsets), size).all(axis=1),
-    )
-
-
-def _distinct_values(values: np.ndarray) -> np.ndarray:
-    """The distinct *values*, ascending. Unlike ``np.unique``, which
-    imports ``numpy.ma`` on its first call in some NumPy versions, this
-    adds nothing to a process's memory."""
-    values = values[np.argsort(values)]
-    fresh = np.ones(len(values), dtype=bool)
-    fresh[1:] = values[1:] != values[:-1]
-    return values[fresh]
-
-
-def _pack(ids: np.ndarray, bits: int) -> np.ndarray:
-    """Pack each row of *ids* (each id below ``2**bits``), sorted, into
-    int64 key columns, as many ids per column as fit in 63 bits; returns
-    an array of shape ``(columns, rows)``. Rows holding the same ids give
-    equal keys.
-
-    The rows are sorted by an odd-even transposition network over the
-    columns: ``size`` rounds of elementwise minimum and maximum, which
-    for the few ids of an itemset is cheaper than sorting each row.
-    """
-    size = ids.shape[1]
-    columns = list(ids.T)
-    for round_ in range(size):
-        for left in range(round_ % 2, size - 1, 2):
-            low = np.minimum(columns[left], columns[left + 1])
-            columns[left + 1] = np.maximum(columns[left], columns[left + 1])
-            columns[left] = low
-    per = max(1, 63 // bits)
-    keys = np.zeros((-(-size // per), len(ids)), dtype=np.int64)
-    for position, column in enumerate(columns):
-        key = keys[position // per]
-        key <<= bits
-        key |= column
-    return keys
-
-
-def _unpack(keys: np.ndarray, bits: int, size: int) -> np.ndarray:
-    """The id columns that :func:`_pack` packed into *keys*:
-    ``(size, rows)``. Shifts *keys* in place."""
-    per = max(1, 63 // bits)
-    ids = np.empty((size, keys.shape[1]), dtype=np.intp)
-    low = (1 << bits) - 1
-    for position in range(size - 1, -1, -1):
-        column = position // per
-        ids[position] = keys[column] & low
-        if position % per:
-            keys[column] >>= bits
-    return ids
+        return pack(ids, self.bits), value, row
 
 
 def _exclusive(counts: np.ndarray) -> np.ndarray:
@@ -766,7 +884,7 @@ def _distinct(keys, value, first_rank, source, case) -> tuple:
     size = len(value)
     if not size:
         return keys, value, first_rank, source, case
-    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    order = key_order(keys)
     ordered = keys[:, order]
     fresh = np.ones(size, dtype=bool)
     fresh[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
@@ -798,43 +916,41 @@ def _distinct(keys, value, first_rank, source, case) -> tuple:
     )
 
 
-def _records(
-    kept: list[tuple], item_at: list[int], sources: list[Itemset]
-) -> dict[Itemset, NegativeCandidate]:
-    """The kept itemsets as :class:`NegativeCandidate` records, in order
-    of first visit; empties *kept* as it goes. Item tuples share the
-    universe's int objects and records share the source tuples, as a
+def _columns(
+    kept: list[tuple], item_at: np.ndarray, groups: list[_SourceGroup]
+) -> ItemsetColumns:
+    """The kept itemsets as :class:`ItemsetColumns`, in order of first
+    visit; empties *kept* as it goes. Item tuples share one int object
+    per item, and rows share one source tuple per winning source, as a
     scalar walk's would."""
     order = np.argsort(np.concatenate(
         [np.empty(0, dtype=np.int64)] + [rows[0] for rows in kept]
     ))
     place = np.empty(len(order), dtype=np.int64)
     place[order] = np.arange(len(order))
-    items = np.array(item_at, dtype=object)
+    width = max((group.size for group in groups), default=0)
+    items = np.full((len(order), width), PAD, dtype=np.int64)
     tuples = np.empty(len(order), dtype=object)
     values = np.empty(len(order))
-    winners = np.empty(len(order), dtype=np.int64)
+    sources = np.empty(len(order), dtype=object)
     cases = np.empty(len(order), dtype=np.int8)
+    objects = np.array(item_at.tolist(), dtype=object)
     start = 0
-    while kept:
+    for group in groups:
         _, ids, value, source, case = kept.pop(0)
         span = place[start:start + len(value)]
-        tuples[span] = np.fromiter(
-            zip(*(items[column].tolist() for column in ids)),
-            dtype=object,
-            count=len(value),
-        )
+        items[span, :group.size] = item_at[ids.T]
+        tuples[span] = _objects(list(zip(
+            *(objects[column].tolist() for column in ids)
+        )))
         values[span] = value
-        winners[span] = source
+        # The winning sources, each built once.
+        row = np.searchsorted(group.order, source)
+        winners = distinct_values(row)
+        built = _objects(list(zip(
+            *(objects[column].tolist() for column in group.ids[winners].T)
+        )))
+        sources[span] = built[np.searchsorted(winners, row)]
         cases[span] = case
         start += len(value)
-    tuples = tuples.tolist()
-    return dict(zip(tuples, map(
-        NegativeCandidate,
-        tuples,
-        values.tolist(),
-        np.fromiter(sources, dtype=object, count=len(sources))[
-            winners
-        ].tolist(),
-        np.array(CASES, dtype=object)[cases].tolist(),
-    )))
+    return ItemsetColumns(items, tuples, values, sources, cases)

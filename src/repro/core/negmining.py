@@ -27,7 +27,11 @@ comparison (see DESIGN.md §3).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
+from operator import attrgetter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .._util import check_fraction, check_positive
 from ..data.database import TransactionDatabase
@@ -40,11 +44,19 @@ from ..measures.registry import (
 )
 from ..mining.generalized import iter_generalized_levels, mine_generalized
 from ..mining.itemset_index import LargeItemsetIndex
+from ..mining.keytable import PAD
 from ..obs import api as obs
 from ..obs.registry import MetricsRegistry
 from ..taxonomy.prune import restrict_to_items
 from ..taxonomy.tree import Taxonomy
-from .candidates import NegativeCandidate, generate_negative_candidates
+from .candidates import (
+    CASE_NAMES,
+    ItemsetColumns,
+    NegativeCandidate,
+    candidate_columns,
+    frozen_records,
+    item_matrix,
+)
 from .session import MiningSession
 
 
@@ -207,22 +219,6 @@ def resolve_measure(
     return create_measure(measure)
 
 
-def _single_supports(
-    items: Itemset, index: LargeItemsetIndex
-) -> tuple[float, ...]:
-    """Member-item supports of a candidate, 0.0 for small singles.
-
-    Candidates may contain small items (their *rules* cannot, but the
-    itemset predicate sees them); an absent single reads as support 0,
-    which makes the independence baseline 0 and the candidate
-    inadmissible for the independence-based measures — exactly right,
-    since no large-sided rule can come out of it.
-    """
-    return tuple(
-        index.support_or_none((item,)) or 0.0 for item in items
-    )
-
-
 def select_negatives(
     candidates: dict[Itemset, NegativeCandidate],
     counts: dict[Itemset, int],
@@ -240,32 +236,142 @@ def select_negatives(
     """
     if measure is None:
         measure = create_measure("ri")
-    needs_singles = not measure.capabilities.needs_taxonomy_expectation
-    if needs_singles and index is None:
+    if not measure.capabilities.needs_taxonomy_expectation and index is None:
         raise ConfigError(
             f"measure {measure.name!r} judges candidates against "
             "independence over single-item supports; pass the large "
             "itemset index to select_negatives"
         )
-    negatives: list[NegativeItemset] = []
-    for items, count in counts.items():
-        candidate = candidates[items]
-        actual = count / total
-        singles = _single_supports(items, index) if needs_singles else ()
-        if measure.admits_itemset(
-            candidate.expected_support, actual, singles, minsup, minri
-        ):
-            negatives.append(
-                NegativeItemset(
-                    items=items,
-                    expected_support=candidate.expected_support,
-                    actual_support=actual,
-                    source=candidate.source,
-                    case=candidate.case,
-                )
-            )
-    negatives.sort(key=lambda negative: (-negative.deviation, negative.items))
-    return negatives
+    tuples = list(counts)
+    records = list(map(candidates.__getitem__, tuples))
+    expected = np.fromiter(
+        map(attrgetter("expected_support"), records), dtype=np.float64,
+        count=len(records),
+    )
+    actual = np.fromiter(
+        counts.values(), dtype=np.float64, count=len(tuples)
+    ) / total
+    # Items are needed to judge only by independence; otherwise only
+    # the admitted rows' items are read, for the sort.
+    items = (
+        None if measure.capabilities.needs_taxonomy_expectation
+        else item_matrix(tuples)[0]
+    )
+    rows = admitted(items, expected, actual, minsup, minri, measure, index)
+    rows = rows[by_deviation(
+        lambda tied: item_matrix(
+            list(map(tuples.__getitem__, rows[tied].tolist()))
+        )[0],
+        expected[rows], actual[rows],
+    )].tolist()
+    chosen = list(map(records.__getitem__, rows))
+    return frozen_records(
+        NegativeItemset,
+        list(map(tuples.__getitem__, rows)),
+        list(map(attrgetter("expected_support"), chosen)),
+        actual[rows].tolist(),
+        list(map(attrgetter("source"), chosen)),
+        list(map(attrgetter("case"), chosen)),
+    )
+
+
+def admitted(
+    items: np.ndarray | None,
+    expected: np.ndarray,
+    actual: np.ndarray,
+    minsup: float,
+    minri: float,
+    measure: InterestMeasure,
+    index: LargeItemsetIndex | None,
+) -> np.ndarray:
+    """The rows of counted candidates that *measure* admits as negative
+    itemsets. *items* holds the candidates' items as
+    ``ItemsetColumns.items`` does; only the measures that judge by
+    independence read it.
+
+    Candidates may contain small items (their *rules* cannot, but the
+    itemset predicate sees them); an absent single reads as support 0,
+    which makes the independence baseline 0 and the candidate
+    inadmissible for the independence-based measures — exactly right,
+    since no large-sided rule can come out of it.
+    """
+    if not len(expected):
+        return np.empty(0, dtype=np.intp)
+    singles = None
+    if not measure.capabilities.needs_taxonomy_expectation:
+        table = index.table()
+        ids, known = table.ids_of(items)
+        singles = np.where(known, table.single_supports(ids), 0.0)
+        singles[items == PAD] = 1.0
+    return np.flatnonzero(
+        measure.admit_itemsets(expected, actual, singles, minsup, minri)
+    )
+
+
+def by_deviation(items, expected: np.ndarray, actual: np.ndarray) -> np.ndarray:
+    """The permutation that sorts negative itemsets as the key
+    ``(-deviation, items)`` does.
+
+    Rows are sorted by deviation first; only runs of equal deviation are
+    then sorted by their items, which *items* maps rows to (as
+    ``ItemsetColumns.items``: padded below every item, so a prefix sorts
+    first).
+    """
+    deviation = expected - actual
+    order = (-deviation).argsort(kind="stable")
+    ranked = deviation[order]
+    tied = ranked[1:] == ranked[:-1]
+    if tied.any():
+        run = np.concatenate(([0], np.cumsum(~tied)))
+        at = np.flatnonzero(
+            np.concatenate(([False], tied)) | np.concatenate((tied, [False]))
+        )
+        rows = order[at]
+        order[at] = rows[np.lexsort([*items(rows).T[::-1], run[at]])]
+    return order
+
+
+def _select(
+    columns: ItemsetColumns,
+    actual: np.ndarray,
+    minsup: float,
+    minri: float,
+    measure: InterestMeasure,
+    index: LargeItemsetIndex,
+) -> ItemsetColumns:
+    """The rows of *columns* that *measure* admits, with their actual
+    supports, sorted by :func:`by_deviation`."""
+    rows = admitted(
+        columns.items, columns.expected, actual, minsup, minri, measure,
+        index,
+    )
+    chosen = columns.take(rows)
+    chosen.actual = actual[rows]
+    return chosen.take(by_deviation(
+        chosen.items.__getitem__, chosen.expected, chosen.actual
+    ))
+
+
+def negative_records(negatives: ItemsetColumns) -> list[NegativeItemset]:
+    """The rows as :class:`NegativeItemset` records, in row order."""
+    return frozen_records(
+        NegativeItemset,
+        negatives.tuples.tolist(),
+        negatives.expected.tolist(),
+        negatives.actual.tolist(),
+        negatives.sources.tolist(),
+        CASE_NAMES[negatives.cases].tolist(),
+    )
+
+
+def _actual(
+    columns: ItemsetColumns, counts: dict[Itemset, int], total: int
+) -> np.ndarray:
+    """The measured supports of *columns*' rows from *counts*."""
+    return np.fromiter(
+        map(counts.__getitem__, columns.tuples.tolist()),
+        dtype=np.float64, count=len(columns),
+    ) / total
 
 
 class NaiveNegativeMiner:
@@ -322,6 +428,10 @@ class NaiveNegativeMiner:
 
     def mine(self) -> MinerOutput:
         """Run the per-level loop and return all results."""
+        return self._mine()[0]
+
+    def _mine(self) -> tuple[MinerOutput, ItemsetColumns]:
+        """:meth:`mine`, plus the negative itemsets as columns."""
         database = self._database
         session = self._session
         total = len(database)
@@ -334,7 +444,8 @@ class NaiveNegativeMiner:
         index = LargeItemsetIndex()
         all_candidates: dict[Itemset, NegativeCandidate] = {}
         all_counts: dict[Itemset, int] = {}
-        negatives: list[NegativeItemset] = []
+        by_size: dict[int, int] = {}
+        selected: list[ItemsetColumns] = []
         batches = 0
 
         levels = iter_generalized_levels(
@@ -357,7 +468,7 @@ class NaiveNegativeMiner:
             if level_number == 1:
                 continue
             with obs.span("mine.candidate_gen") as span:
-                candidates = generate_negative_candidates(
+                columns = candidate_columns(
                     index,
                     self._taxonomy,
                     self._minsup,
@@ -365,11 +476,13 @@ class NaiveNegativeMiner:
                     sources=level.keys(),
                     max_sibling_replacements=self._max_sibling_replacements,
                 )
+                candidates = columns.records()
                 span.annotate("level", level_number)
                 span.annotate("candidates", len(candidates))
             if not candidates:
                 continue
             all_candidates.update(candidates)
+            by_size.update(columns.sizes_count())
             with obs.span("mine.negative_count") as span:
                 counts = session.count(
                     list(candidates), restrict_to_candidate_items=True
@@ -378,26 +491,28 @@ class NaiveNegativeMiner:
             all_counts.update(counts)
             batches += 1
             with obs.span("mine.select") as span:
-                selected = select_negatives(
-                    candidates, counts, total, self._minsup, self._minri,
-                    measure=self._measure, index=index,
+                chosen = _select(
+                    columns, _actual(columns, counts, total),
+                    self._minsup, self._minri, self._measure, index,
                 )
-                span.annotate("negatives", len(selected))
-            negatives.extend(selected)
+                span.annotate("negatives", len(chosen))
+            selected.append(chosen)
 
-        negatives.sort(
-            key=lambda negative: (-negative.deviation, negative.items)
-        )
+        chosen = ItemsetColumns.concat(selected)
+        chosen = chosen.take(by_deviation(
+            chosen.items.__getitem__, chosen.expected, chosen.actual
+        ))
+        negatives = negative_records(chosen)
         logical_now = getattr(database, "logical_scans", database.scans)
         stats = _build_stats(
             logical_now - start_logical, database.scans - start_physical,
-            index, all_candidates, negatives, batches, session.run_metrics,
+            index, by_size, len(negatives), batches, session.run_metrics,
         )
         session.publish_run(stats)
         return MinerOutput(
             index, all_candidates, negatives, stats,
             counts=all_counts, total_transactions=total,
-        )
+        ), chosen
 
 
 class ImprovedNegativeMiner:
@@ -454,6 +569,10 @@ class ImprovedNegativeMiner:
 
     def mine(self) -> MinerOutput:
         """Run the three phases and return all results."""
+        return self._mine()[0]
+
+    def _mine(self) -> tuple[MinerOutput, ItemsetColumns]:
+        """:meth:`mine`, plus the negative itemsets as columns."""
         database = self._database
         session = self._session
         total = len(database)
@@ -475,7 +594,7 @@ class ImprovedNegativeMiner:
 
         with obs.span("mine.candidate_gen") as span:
             large_singles = [items[0] for items in index.of_size(1)]
-            candidates = generate_negative_candidates(
+            columns = candidate_columns(
                 index,
                 restrict_to_items(self._taxonomy, large_singles),
                 self._minsup,
@@ -483,12 +602,14 @@ class ImprovedNegativeMiner:
                 max_size=self._max_size,
                 max_sibling_replacements=self._max_sibling_replacements,
             )
+            candidates = columns.records()
             span.annotate("candidates", len(candidates))
 
         all_counts: dict[Itemset, int] = {}
         batches = 0
         with obs.span("mine.negative_count") as span:
-            for batch in _batched(sorted(candidates), self._batch_size):
+            in_order = columns.tuples[columns.item_order()].tolist()
+            for batch in _batched(in_order, self._batch_size):
                 # Counting uses the *full* taxonomy: transactions may
                 # contain small items whose ancestors still matter for
                 # other rows.
@@ -499,22 +620,24 @@ class ImprovedNegativeMiner:
             span.annotate("batches", batches)
 
         with obs.span("mine.select") as span:
-            negatives = select_negatives(
-                candidates, all_counts, total, self._minsup, self._minri,
-                measure=self._measure, index=index,
+            chosen = _select(
+                columns, _actual(columns, all_counts, total),
+                self._minsup, self._minri, self._measure, index,
             )
+            negatives = negative_records(chosen)
             span.annotate("negatives", len(negatives))
 
         logical_now = getattr(database, "logical_scans", database.scans)
         stats = _build_stats(
             logical_now - start_logical, database.scans - start_physical,
-            index, candidates, negatives, batches, session.run_metrics,
+            index, columns.sizes_count(), len(negatives), batches,
+            session.run_metrics,
         )
         session.publish_run(stats)
         return MinerOutput(
             index, candidates, negatives, stats,
             counts=all_counts, total_transactions=total,
-        )
+        ), chosen
 
 
 def _batched(
@@ -530,25 +653,30 @@ def _batched(
     ]
 
 
+def size_counts(itemsets: Iterable[Itemset]) -> dict[int, int]:
+    """Itemsets per size, by ascending size."""
+    by_size: dict[int, int] = {}
+    for items in itemsets:
+        by_size[len(items)] = by_size.get(len(items), 0) + 1
+    return dict(sorted(by_size.items()))
+
+
 def _build_stats(
     passes: int,
     physical_passes: int,
     index: LargeItemsetIndex,
-    candidates: dict[Itemset, NegativeCandidate],
-    negatives: list[NegativeItemset],
+    candidates_by_size: dict[int, int],
+    negative_itemsets: int,
     batches: int,
     metrics: MetricsRegistry,
 ) -> MiningStats:
-    by_size: dict[int, int] = {}
-    for items in candidates:
-        by_size[len(items)] = by_size.get(len(items), 0) + 1
     return MiningStats(
         data_passes=passes,
         physical_passes=physical_passes,
         large_itemsets=len(index),
-        candidates_generated=len(candidates),
-        negative_itemsets=len(negatives),
+        candidates_generated=sum(candidates_by_size.values()),
+        negative_itemsets=negative_itemsets,
         counting_batches=batches,
-        candidates_by_size=dict(sorted(by_size.items())),
+        candidates_by_size=dict(sorted(candidates_by_size.items())),
         metrics=metrics,
     )

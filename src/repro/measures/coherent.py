@@ -28,6 +28,9 @@ negative-coherent split to exist.
 
 from __future__ import annotations
 
+import numpy as np
+
+from .kong import independence
 from .registry import InterestMeasure, MeasureCapabilities, register_measure
 
 
@@ -47,33 +50,35 @@ class CoherentMeasure(InterestMeasure):
         monotone_prune=False,
     )
 
-    def admits_itemset(
+    def admit_itemsets(
         self,
-        expected: float,
-        actual: float,
-        singles: tuple[float, ...],
+        expected: np.ndarray,
+        actual: np.ndarray,
+        singles: np.ndarray | None,
         minsup: float,
         minri: float,
-    ) -> bool:
-        independence = 1.0
-        for support in singles:
-            independence *= support
-        return actual < independence
+    ) -> np.ndarray:
+        return actual < independence(singles)
 
-    def rule_score(
+    def rule_scores(
         self,
-        expected: float,
-        actual: float,
-        antecedent_support: float,
-        consequent_support: float,
-    ) -> float:
+        expected: np.ndarray,
+        actual: np.ndarray,
+        antecedent_support: np.ndarray,
+        consequent_support: np.ndarray,
+    ) -> np.ndarray:
         s11 = actual
         s10 = antecedent_support - s11
         s01 = consequent_support - s11
         s00 = 1.0 - antecedent_support - consequent_support + s11
-        return min(s10 - s11, s10 - s00, s01 - s11, s01 - s00)
+        # min() of the four margins: a later margin replaces the current
+        # one only when strictly smaller, as Python's min keeps the first.
+        score = s10 - s11
+        for margin in (s10 - s00, s01 - s11, s01 - s00):
+            score = np.where(margin < score, margin, score)
+        return score
 
-    def admits_rule(
-        self, score: float, minsup: float | None, minri: float
-    ) -> bool:
-        return score > 0.0
+    def admit_rules(
+        self, scores: np.ndarray, minsup: float | None, minri: float
+    ) -> np.ndarray:
+        return scores > 0.0

@@ -23,6 +23,8 @@ not prune superset consequents on a failed score
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import ConfigError
 from .registry import InterestMeasure, MeasureCapabilities, register_measure
 
@@ -55,29 +57,35 @@ class KongInterestMeasure(InterestMeasure):
             raise ConfigError("minsup and minri must be positive")
         return minsup * minri
 
-    def admits_itemset(
+    def admit_itemsets(
         self,
-        expected: float,
-        actual: float,
-        singles: tuple[float, ...],
+        expected: np.ndarray,
+        actual: np.ndarray,
+        singles: np.ndarray | None,
         minsup: float,
         minri: float,
-    ) -> bool:
-        independence = 1.0
-        for support in singles:
-            independence *= support
-        return independence - actual >= self._budget(minsup, minri)
+    ) -> np.ndarray:
+        return independence(singles) - actual >= self._budget(minsup, minri)
 
-    def rule_score(
+    def rule_scores(
         self,
-        expected: float,
-        actual: float,
-        antecedent_support: float,
-        consequent_support: float,
-    ) -> float:
+        expected: np.ndarray,
+        actual: np.ndarray,
+        antecedent_support: np.ndarray,
+        consequent_support: np.ndarray,
+    ) -> np.ndarray:
         return antecedent_support * consequent_support - actual
 
-    def admits_rule(
-        self, score: float, minsup: float | None, minri: float
-    ) -> bool:
-        return score >= self._budget(minsup, minri)
+    def admit_rules(
+        self, scores: np.ndarray, minsup: float | None, minri: float
+    ) -> np.ndarray:
+        return scores >= self._budget(minsup, minri)
+
+
+def independence(singles: np.ndarray) -> np.ndarray:
+    """The product of each row's single-item supports, multiplied from
+    1.0 in item order; the 1.0 padding changes no product."""
+    product = np.ones(len(singles))
+    for column in singles.T:
+        product = product * column
+    return product

@@ -21,22 +21,29 @@ RI-only ``figure3_literal`` flag) into a ready measure object, mirroring
 
 Semantics contract
 ------------------
-``admits_itemset`` judges one *counted candidate*: its taxonomy-derived
-expected support, its measured actual support, and the single-item
-supports of its members (only materialized for measures whose
+Every judgment is an array form over a batch, so the miners judge all
+counted candidates, or all splits of one Figure 4 level, in one call.
+``admit_itemsets`` judges *counted candidates*: their taxonomy-derived
+expected supports, their measured actual supports, and the single-item
+supports of their members (only materialized for measures whose
 capabilities declare ``needs_taxonomy_expectation=False`` — the RI path
-never pays the lookups). ``rule_score`` maps one antecedent/consequent
-split to the measure's strength value (stored in ``NegativeRule.ri``
-and used for ranking); ``admits_rule`` applies the measure's rule
-threshold to that score. Measures whose score is *not* antitone in the
-antecedent support must declare ``monotone_prune=False`` so rule
-generation keeps extending consequents past a failed score.
+never pays the lookups). ``rule_scores`` maps antecedent/consequent
+splits to the measure's strength values (stored in ``NegativeRule.ri``
+and used for ranking); ``admit_rules`` applies the measure's rule
+threshold to them. Each is computed elementwise in the same order as
+the scalar formula, so a batch gives the floats one call per split
+would; :meth:`InterestMeasure.rule_score` is that one call. Measures
+whose score is *not* antitone in the antecedent support must declare
+``monotone_prune=False`` so rule generation keeps extending consequents
+past a failed score.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from typing import ClassVar
+
+import numpy as np
 
 from ..errors import ConfigError
 
@@ -74,8 +81,8 @@ class InterestMeasure:
     """Base class and protocol for interestingness measures.
 
     Subclasses set :attr:`name` and :attr:`capabilities`, register with
-    :func:`register_measure`, and implement :meth:`admits_itemset`,
-    :meth:`rule_score` and :meth:`admits_rule`.
+    :func:`register_measure`, and implement :meth:`admit_itemsets`,
+    :meth:`rule_scores` and :meth:`admit_rules`.
     """
 
     name: ClassVar[str] = ""
@@ -86,15 +93,30 @@ class InterestMeasure:
         """The spec string that would recreate this measure's shape."""
         return self.name
 
-    def admits_itemset(
+    def admit_itemsets(
         self,
-        expected: float,
-        actual: float,
-        singles: tuple[float, ...],
+        expected: np.ndarray,
+        actual: np.ndarray,
+        singles: np.ndarray | None,
         minsup: float,
         minri: float,
-    ) -> bool:
-        """Judge one counted candidate as a negative itemset."""
+    ) -> np.ndarray:
+        """Judge counted candidates as negative itemsets; a bool per row.
+
+        *singles* holds one row per candidate: the 1-itemset supports of
+        its items in item order, padded with 1.0 (0.0 for a small item).
+        It is ``None`` for measures that need the taxonomy expectation.
+        """
+        raise NotImplementedError
+
+    def rule_scores(
+        self,
+        expected: np.ndarray,
+        actual: np.ndarray,
+        antecedent_support: np.ndarray,
+        consequent_support: np.ndarray,
+    ) -> np.ndarray:
+        """The measure's strength of each antecedent/consequent split."""
         raise NotImplementedError
 
     def rule_score(
@@ -104,13 +126,18 @@ class InterestMeasure:
         antecedent_support: float,
         consequent_support: float,
     ) -> float:
-        """The measure's strength of one antecedent/consequent split."""
-        raise NotImplementedError
+        """:meth:`rule_scores` of one split."""
+        return float(self.rule_scores(
+            *(np.array([value], dtype=np.float64) for value in (
+                expected, actual, antecedent_support, consequent_support
+            ))
+        )[0])
 
-    def admits_rule(
-        self, score: float, minsup: float | None, minri: float
-    ) -> bool:
-        """Apply the measure's rule threshold to a :meth:`rule_score`.
+    def admit_rules(
+        self, scores: np.ndarray, minsup: float | None, minri: float
+    ) -> np.ndarray:
+        """Apply the measure's rule threshold to :meth:`rule_scores`; a
+        bool per split.
 
         *minsup* may be ``None`` for measures that do not need it (RI,
         coherent); measures that do raise :class:`ConfigError` when it

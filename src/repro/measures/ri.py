@@ -16,6 +16,8 @@ measure *and* the plain functions (:func:`rule_interest`,
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import ConfigError
 from .registry import InterestMeasure, MeasureCapabilities, register_measure
 
@@ -94,29 +96,38 @@ class RIMeasure(InterestMeasure):
     def __init__(self, figure3_literal: bool = False) -> None:
         self.figure3_literal = figure3_literal
 
-    def admits_itemset(
+    def admit_itemsets(
         self,
-        expected: float,
-        actual: float,
-        singles: tuple[float, ...],
+        expected: np.ndarray,
+        actual: np.ndarray,
+        singles: np.ndarray | None,
         minsup: float,
         minri: float,
-    ) -> bool:
+    ) -> np.ndarray:
         threshold = deviation_threshold(minsup, minri)
         if self.figure3_literal:
             return actual < threshold
         return expected - actual >= threshold
 
-    def rule_score(
+    def rule_scores(
         self,
-        expected: float,
-        actual: float,
-        antecedent_support: float,
-        consequent_support: float,
-    ) -> float:
-        return rule_interest(expected, actual, antecedent_support)
+        expected: np.ndarray,
+        actual: np.ndarray,
+        antecedent_support: np.ndarray,
+        consequent_support: np.ndarray,
+    ) -> np.ndarray:
+        # rule_interest, elementwise: the same checks, the same float.
+        if (antecedent_support <= 0.0).any():
+            raise ConfigError(
+                "antecedent support must be positive "
+                f"(got {float(antecedent_support.min())!r}); the antecedent "
+                "of a negative rule must be a large itemset"
+            )
+        if (expected < 0.0).any() or (actual < 0.0).any():
+            raise ConfigError("supports cannot be negative")
+        return (expected - actual) / antecedent_support
 
-    def admits_rule(
-        self, score: float, minsup: float | None, minri: float
-    ) -> bool:
-        return score >= minri
+    def admit_rules(
+        self, scores: np.ndarray, minsup: float | None, minri: float
+    ) -> np.ndarray:
+        return scores >= minri

@@ -148,11 +148,15 @@ def iter_generalized_levels(
     size = 2
     while current and (max_size is None or size <= max_size):
         with obs.span("gen.candidates") as span:
-            candidates = [
-                candidate
-                for candidate in apriori_gen(current)
-                if not contains_item_and_ancestor(candidate, taxonomy)
-            ]
+            candidates = apriori_gen(current)
+            if size == 2:
+                # Downward closure keeps the pairs dropped here out of
+                # every later level, so only C2 needs the filter.
+                candidates = [
+                    candidate
+                    for candidate in candidates
+                    if not contains_item_and_ancestor(candidate, taxonomy)
+                ]
             span.annotate("size", size)
             span.annotate("candidates", len(candidates))
         if not candidates:

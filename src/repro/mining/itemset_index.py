@@ -4,7 +4,10 @@
 negative candidate generation (dedup against existing large itemsets) and
 rule generation (subset supports for RI denominators) need constant-time
 support lookups. :class:`LargeItemsetIndex` is that table, keyed on canonical
-itemsets, with supports stored as fractions of |D|.
+itemsets, with supports stored as fractions of |D|. Its batch form,
+:meth:`LargeItemsetIndex.table`, holds the same itemsets as sorted packed
+keys (:class:`~repro.mining.keytable.KeyTable`), which the negative phase
+reads a whole batch of subsets from at once.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from ..errors import ConfigError
 from ..itemset import Itemset, itemset
 from ..serialize import check_payload, header
+from .keytable import KeyTable
 
 
 class LargeItemsetIndex:
@@ -25,11 +29,12 @@ class LargeItemsetIndex:
     rule generator consume it.
     """
 
-    __slots__ = ("_supports", "_by_size")
+    __slots__ = ("_supports", "_by_size", "_table")
 
     def __init__(self, supports: Mapping[Itemset, float] | None = None) -> None:
         self._supports: dict[Itemset, float] = {}
         self._by_size: dict[int, set[Itemset]] = {}
+        self._table: KeyTable | None = None
         if supports:
             for items, support in supports.items():
                 self.add(items, support)
@@ -49,6 +54,7 @@ class LargeItemsetIndex:
         if canonical not in self._supports:
             self._by_size.setdefault(len(canonical), set()).add(canonical)
         self._supports[canonical] = support
+        self._table = None
 
     def merge(self, other: "LargeItemsetIndex") -> None:
         """Absorb another index (later values win on conflict)."""
@@ -77,6 +83,13 @@ class LargeItemsetIndex:
     def support_or_none(self, items: Itemset) -> float | None:
         """Fractional support, or None when *items* is not indexed."""
         return self._supports.get(items)
+
+    def table(self) -> KeyTable:
+        """The itemsets as sorted packed keys with supports, per size;
+        built on first use and rebuilt after the next :meth:`add`."""
+        if self._table is None:
+            self._table = KeyTable(self._by_size, self._supports)
+        return self._table
 
     def of_size(self, size: int) -> frozenset[Itemset]:
         """All recorded itemsets with exactly *size* items."""

@@ -47,6 +47,7 @@ from ..core.negmining import (
     _build_stats,
     resolve_measure,
     select_negatives,
+    size_counts,
 )
 from ..core.rulegen import NegativeRule, generate_negative_rules
 from ..core.session import MiningSession
@@ -267,8 +268,8 @@ def mine_selective(
         logical_now - start_logical,
         database.scans - start_physical,
         index,
-        candidates,
-        negatives,
+        size_counts(candidates),
+        len(negatives),
         batches,
         session.run_metrics,
     )

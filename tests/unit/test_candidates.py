@@ -258,10 +258,29 @@ class TestKernelCounters:
         # Cases 1-2 visit (C), (G) and (C, G); C's sibling B and G's
         # sibling H are large, and Case 3 replaces one position: (C), (G).
         assert registry.counter("candidates.position_subsets") == 5
-        # Every distinct non-large mask a leaf reaches is kept.
-        assert registry.counter("candidates.leaf_masks") == len(result)
-        assert registry.counter("candidates.kept") == len(result)
-        assert len(result) > 0
+        # Leaves: (C) -> D, E and (G) -> J, K; (C, G) -> DJ, DK, EJ
+        # (E x K falls below MinSup x MinRI); Case 3 -> BG, CH. All nine
+        # are distinct and none is large, so every one is kept.
+        assert registry.counter("candidates.leaf_masks") == 9
+        assert registry.counter("candidates.kept") == len(result) == 9
+
+    def test_leaves_count_the_ones_that_are_not_kept(
+        self, index, figure1_taxonomy, names
+    ):
+        # {D, G} is large: the leaf {D, G} of {C, G} is dropped, and the
+        # four leaves of the source {D, G} (DJ, DK, EG, DH) reach three
+        # itemsets {C, G} reaches too.
+        index.add(ids(names, "D", "G"), 0.1)
+        registry = MetricsRegistry()
+        obs.configure(registry=registry)
+        try:
+            result = generate_negative_candidates(
+                index, figure1_taxonomy, 0.05, 0.5
+            )
+        finally:
+            obs.shutdown()
+        assert registry.counter("candidates.leaf_masks") == 9 + 4
+        assert registry.counter("candidates.kept") == len(result) == 9
 
     def test_counters_accumulate_per_call(self, index, figure1_taxonomy):
         registry = MetricsRegistry()
@@ -277,6 +296,8 @@ class TestKernelCounters:
         finally:
             obs.shutdown()
         assert registry.counter("candidates.position_subsets") == 5 + 3
+        # The cap drops the two Case-3 leaves.
+        assert registry.counter("candidates.leaf_masks") == 9 + 7
         assert registry.counter("candidates.kept") == len(first) + len(
             capped
         )

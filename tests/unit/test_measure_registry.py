@@ -1,5 +1,6 @@
 """Unit tests for the interestingness-measure registry and builtins."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -14,6 +15,20 @@ from repro.measures.registry import (
     registered_measures,
     validate_spec,
 )
+
+
+def admits_itemset(measure, expected, actual, singles, minsup, minri):
+    """One candidate through the measure's batch predicate."""
+    return bool(measure.admit_itemsets(
+        np.array([expected]), np.array([actual]),
+        np.array([singles], dtype=np.float64).reshape(1, len(singles)),
+        minsup, minri,
+    )[0])
+
+
+def admits_rule(measure, score, minsup, minri):
+    """One score through the measure's batch rule threshold."""
+    return bool(measure.admit_rules(np.array([score]), minsup, minri)[0])
 
 
 class TestRegistry:
@@ -85,22 +100,22 @@ class TestRIMeasure:
     def test_itemset_predicate_matches_deviation_threshold(self):
         ri = create_measure("ri")
         # deviation 0.035 against MinSup*MinRI = 0.02
-        assert ri.admits_itemset(0.04, 0.005, (), 0.04, 0.5)
-        assert not ri.admits_itemset(0.04, 0.025, (), 0.04, 0.5)
+        assert admits_itemset(ri, 0.04, 0.005, (), 0.04, 0.5)
+        assert not admits_itemset(ri, 0.04, 0.025, (), 0.04, 0.5)
 
     def test_figure3_literal_swaps_the_predicate(self):
         literal = create_measure("ri", figure3_literal=True)
         # Figure 3 keeps any candidate whose *actual* support is below
         # the threshold, regardless of the deviation.
-        assert literal.admits_itemset(0.021, 0.005, (), 0.04, 0.5)
-        assert not literal.admits_itemset(0.9, 0.02, (), 0.04, 0.5)
+        assert admits_itemset(literal, 0.021, 0.005, (), 0.04, 0.5)
+        assert not admits_itemset(literal, 0.9, 0.02, (), 0.04, 0.5)
 
     def test_rule_score_is_rule_interest(self):
         ri = create_measure("ri")
         score = ri.rule_score(0.04, 0.005, 0.05, 0.3)
         assert score == pytest.approx(0.7)
-        assert ri.admits_rule(score, None, 0.5)
-        assert not ri.admits_rule(score, None, 0.8)
+        assert admits_rule(ri, score, None, 0.5)
+        assert not admits_rule(ri, score, None, 0.8)
 
     def test_spec_and_repr(self):
         ri = create_measure("ri")
@@ -112,35 +127,35 @@ class TestKongInterestMeasure:
     def test_itemset_predicate_hand_computed(self):
         kong = create_measure("kong-interest")
         # independence = 0.3 * 0.4 = 0.12; 0.12 - 0.02 = 0.10 >= 0.05
-        assert kong.admits_itemset(0.5, 0.02, (0.3, 0.4), 0.1, 0.5)
+        assert admits_itemset(kong, 0.5, 0.02, (0.3, 0.4), 0.1, 0.5)
         # 0.12 - 0.08 = 0.04 < 0.05 — not deviant enough
-        assert not kong.admits_itemset(0.5, 0.08, (0.3, 0.4), 0.1, 0.5)
+        assert not admits_itemset(kong, 0.5, 0.08, (0.3, 0.4), 0.1, 0.5)
 
     def test_expected_support_is_ignored(self):
         kong = create_measure("kong-interest")
-        assert kong.admits_itemset(
-            0.0, 0.02, (0.3, 0.4), 0.1, 0.5
-        ) == kong.admits_itemset(0.9, 0.02, (0.3, 0.4), 0.1, 0.5)
+        assert admits_itemset(
+            kong, 0.0, 0.02, (0.3, 0.4), 0.1, 0.5
+        ) == admits_itemset(kong, 0.9, 0.02, (0.3, 0.4), 0.1, 0.5)
 
     def test_rule_score_hand_computed(self):
         kong = create_measure("kong-interest")
         score = kong.rule_score(0.5, 0.02, 0.3, 0.4)
         assert score == pytest.approx(0.10)
-        assert kong.admits_rule(score, 0.1, 0.5)
-        assert not kong.admits_rule(0.04, 0.1, 0.5)
+        assert admits_rule(kong, score, 0.1, 0.5)
+        assert not admits_rule(kong, 0.04, 0.1, 0.5)
 
     def test_rule_threshold_needs_minsup(self):
         kong = create_measure("kong-interest")
         with pytest.raises(ConfigError, match="pass minsup"):
-            kong.admits_rule(0.1, None, 0.5)
+            admits_rule(kong, 0.1, None, 0.5)
 
 
 class TestCoherentMeasure:
     def test_itemset_predicate_is_below_independence(self):
         coherent = create_measure("coherent")
-        assert coherent.admits_itemset(0.5, 0.1, (0.6, 0.5), 0.1, 0.5)
-        assert not coherent.admits_itemset(
-            0.5, 0.4, (0.6, 0.5), 0.1, 0.5
+        assert admits_itemset(coherent, 0.5, 0.1, (0.6, 0.5), 0.1, 0.5)
+        assert not admits_itemset(
+            coherent, 0.5, 0.4, (0.6, 0.5), 0.1, 0.5
         )
 
     def test_rule_score_is_worst_quadrant_margin(self):
@@ -149,22 +164,22 @@ class TestCoherentMeasure:
         # s00=0.10; margins 0.30, 0.35, 0.20, 0.25 -> min 0.20.
         score = coherent.rule_score(0.5, 0.15, 0.6, 0.5)
         assert score == pytest.approx(0.20)
-        assert coherent.admits_rule(score, None, 0.5)
+        assert admits_rule(coherent, score, None, 0.5)
 
     def test_sparse_data_is_rejected(self):
         coherent = create_measure("coherent")
         # Typical market-basket margins: s00 dominates, so the rule is
         # not coherent however disjoint the sides are.
         assert coherent.rule_score(0.5, 0.0, 0.3, 0.1) < 0.0
-        assert not coherent.admits_rule(-0.1, None, 0.5)
+        assert not admits_rule(coherent, -0.1, None, 0.5)
 
 
 class TestBaseProtocol:
     def test_abstract_methods_raise(self):
         measure = InterestMeasure()
         with pytest.raises(NotImplementedError):
-            measure.admits_itemset(0.1, 0.0, (), 0.1, 0.5)
+            admits_itemset(measure, 0.1, 0.0, (), 0.1, 0.5)
         with pytest.raises(NotImplementedError):
             measure.rule_score(0.1, 0.0, 0.2, 0.2)
         with pytest.raises(NotImplementedError):
-            measure.admits_rule(0.1, 0.1, 0.5)
+            admits_rule(measure, 0.1, 0.1, 0.5)
